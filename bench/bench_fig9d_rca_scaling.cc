@@ -1,26 +1,27 @@
 /**
  * @file
  * Figure 9d: runtime of the root-cause analysis as a function of the
- * drift-log size (google-benchmark), plus a thread sweep.
+ * drift-log size, plus a thread sweep.
  *
  * Paper result: runtime is completely linear in the number of rows —
  * the FIM pass is linear and set reduction prunes the candidate set
  * before the counterfactual stage.
  *
  * Usage:
- *   bench_fig9d_rca_scaling [google-benchmark flags]
- *     Default mode: the row-scaling sweep (complexity fit).
+ *   bench_fig9d_rca_scaling [--quick]
+ *     Default mode: the row-scaling sweep, 10k..320k rows doubling,
+ *     best-of-reps analyze() wall clock per size plus a least-squares
+ *     fit t = a + b·N and its RMS relative residual.
  *   bench_fig9d_rca_scaling --sweep [--quick]
  *     Thread sweep: Analyzer::analyze wall clock at 1/2/4/8 threads on
  *     a fixed log, reported as JSON (seeds BENCH_rca_scaling.json).
- *     The report also carries a dictionary-encoding axis: the FIM pass
- *     with uint32 id probes (Fim::mine) vs the retained
- *     Value-comparing reference (Fim::mineReference) at one thread.
- *     --quick shrinks the log (CI smoke run).
+ *     The report also carries a miner axis: the bitmap FIM pass
+ *     (Fim::mine) vs the retained row-scan, Value-comparing reference
+ *     (Fim::mineReference) at one thread.
+ *   --quick shrinks the logs (CI smoke run).
  */
-#include <benchmark/benchmark.h>
-
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -66,24 +67,6 @@ makeLog(size_t rows, uint64_t seed)
     return log;
 }
 
-void
-BM_RootCauseAnalysis(benchmark::State &state)
-{
-    size_t rows = static_cast<size_t>(state.range(0));
-    driftlog::DriftLog log = makeLog(rows, 123);
-    rca::RcaConfig config;
-    config.attributeColumns =
-        driftlog::DriftLog::defaultAttributeColumns();
-    rca::Analyzer analyzer(config);
-
-    for (auto _ : state) {
-        auto result = analyzer.analyze(log.table());
-        benchmark::DoNotOptimize(result.rootCauses.size());
-    }
-    state.SetComplexityN(state.range(0));
-    state.counters["rows"] = static_cast<double>(rows);
-}
-
 /** Best-of-reps wall clock of one full analyze() in milliseconds. */
 double
 analyzeMillis(const rca::Analyzer &analyzer, const driftlog::Table &table,
@@ -94,7 +77,6 @@ analyzeMillis(const rca::Analyzer &analyzer, const driftlog::Table &table,
     for (int i = 0; i < reps; ++i) {
         auto start = Clock::now();
         auto result = analyzer.analyze(table);
-        benchmark::DoNotOptimize(result.rootCauses.size());
         double ms =
             std::chrono::duration<double, std::milli>(Clock::now() - start)
                 .count();
@@ -113,15 +95,15 @@ struct FimTiming
 };
 
 /**
- * Best-of-reps timing of one miner; `mine` selects the dictionary-id
- * path (Fim::mine) or the retained Value-comparing reference
- * (Fim::mineReference). Stage times come from the rca.fim.level1[_ref]
- * / rca.fim.levelk[_ref] spans — for the reference that excludes its
+ * Best-of-reps timing of one miner; `mine` selects the bitmap path
+ * (Fim::mine) or the retained row-scan reference (Fim::mineReference).
+ * Stage times come from the rca.fim.level1[_ref] /
+ * rca.fim.levelk[_ref] spans — for the reference that excludes its
  * one-off column materialization, so the level-k ratio isolates the
- * encoding, not the decode.
+ * counting layout, not the decode.
  */
 FimTiming
-fimMillis(const rca::Fim &fim, const std::vector<bool> &flags, bool mine,
+fimMillis(const rca::Fim &fim, const rca::RowBitset &flags, bool mine,
           int reps)
 {
     using Clock = std::chrono::steady_clock;
@@ -135,7 +117,6 @@ fimMillis(const rca::Fim &fim, const std::vector<bool> &flags, bool mine,
         double ms =
             std::chrono::duration<double, std::milli>(Clock::now() - start)
                 .count();
-        benchmark::DoNotOptimize(result.size());
         if (i == 0 || ms < best.totalMs) {
             auto snap = obs::Registry::global().snapshot();
             best.totalMs = ms;
@@ -170,16 +151,16 @@ runThreadSweep(bool quick)
             Row{threads, analyzeMillis(analyzer, log.table(), reps)});
     }
 
-    // Dictionary axis: the same FIM pass probing uint32 dictionary ids
-    // (Fim::mine) vs the retained Value-comparing reference miner
+    // Miner axis: the same FIM pass counting popcounts of row bitsets
+    // (Fim::mine) vs the retained row-scan, Value-comparing reference
     // (Fim::mineReference), single-threaded so the ratio isolates the
-    // encoding and not the pool.
+    // counting layout and not the pool.
     runtime::setThreads(1);
     rca::Fim fim(log.table(), config);
-    std::vector<bool> flags =
+    rca::RowBitset flags =
         rca::Fim::driftFlags(log.table(), config.driftColumn);
-    FimTiming dict_on = fimMillis(fim, flags, true, reps);
-    FimTiming dict_off = fimMillis(fim, flags, false, reps);
+    FimTiming bitmap = fimMillis(fim, flags, true, reps);
+    FimTiming reference = fimMillis(fim, flags, false, reps);
     runtime::setThreads(0);
 
     unsigned cores = std::thread::hardware_concurrency();
@@ -205,62 +186,93 @@ runThreadSweep(bool quick)
     std::printf("  ],\n");
     std::printf("  \"fim_dict_axis\": {\n");
     std::printf("    \"threads\": 1,\n");
-    std::printf("    \"dict_on\": {\"mine_ms\": %.2f, "
+    std::printf("    \"bitmap\": {\"mine_ms\": %.2f, "
                 "\"level1_ms\": %.2f, \"levelk_ms\": %.2f},\n",
-                dict_on.totalMs, dict_on.level1Ms, dict_on.levelkMs);
-    std::printf("    \"dict_off\": {\"mine_ms\": %.2f, "
+                bitmap.totalMs, bitmap.level1Ms, bitmap.levelkMs);
+    std::printf("    \"reference\": {\"mine_ms\": %.2f, "
                 "\"level1_ms\": %.2f, \"levelk_ms\": %.2f},\n",
-                dict_off.totalMs, dict_off.level1Ms, dict_off.levelkMs);
-    std::printf("    \"levelk_dict_speedup\": %.2f,\n",
-                dict_on.levelkMs > 0.0
-                    ? dict_off.levelkMs / dict_on.levelkMs
+                reference.totalMs, reference.level1Ms,
+                reference.levelkMs);
+    std::printf("    \"levelk_speedup\": %.2f,\n",
+                bitmap.levelkMs > 0.0
+                    ? reference.levelkMs / bitmap.levelkMs
                     : 0.0);
     std::printf(
-        "    \"note\": \"dict_off = Fim::mineReference, the retained "
-        "Value-comparing miner over materialized columns; its stage "
-        "spans start after the one-off decode, so levelk_dict_speedup "
-        "isolates id probes vs Value probes\"\n");
+        "    \"note\": \"bitmap = Fim::mine (level-k counts are popcounts "
+        "of ANDed row bitsets, index build included); reference = "
+        "Fim::mineReference, the retained row-scan Value-comparing miner "
+        "over materialized columns, whose stage spans start after the "
+        "one-off decode\"\n");
     std::printf("  }\n}\n");
     return 0;
 }
 
-} // namespace
+/**
+ * Row-scaling sweep (Fig 9d): best-of-reps analyze() per log size and
+ * a least-squares fit t = a + b·N. Linear scaling shows as a small
+ * RMS relative residual; `a` is the per-call cost that does not grow
+ * with the log (candidate bookkeeping, set reduction, pool dispatch).
+ */
+int
+runRowSweep(bool quick)
+{
+    const int reps = quick ? 2 : 5;
+    rca::RcaConfig config;
+    config.attributeColumns =
+        driftlog::DriftLog::defaultAttributeColumns();
+    rca::Analyzer analyzer(config);
 
-BENCHMARK(BM_RootCauseAnalysis)
-    ->RangeMultiplier(2)
-    ->Range(10000, 320000)
-    ->Unit(benchmark::kMillisecond)
-    ->Complexity(benchmark::oN);
+    std::vector<std::pair<double, double>> points; // (rows, ms)
+    std::printf("%10s %12s %14s\n", "rows", "analyze_ms", "us_per_krow");
+    for (size_t rows = 10000; rows <= (quick ? 40000u : 320000u);
+         rows *= 2) {
+        driftlog::DriftLog log = makeLog(rows, 123);
+        double ms = analyzeMillis(analyzer, log.table(), reps);
+        points.emplace_back(static_cast<double>(rows), ms);
+        std::printf("%10zu %12.3f %14.3f\n", rows, ms,
+                    ms * 1e3 / (static_cast<double>(rows) / 1e3));
+    }
+    const double k = static_cast<double>(points.size());
+    double sn = 0.0, st = 0.0, snn = 0.0, snt = 0.0;
+    for (auto [n, t] : points) {
+        sn += n;
+        st += t;
+        snn += n * n;
+        snt += n * t;
+    }
+    const double slope = (k * snt - sn * st) / (k * snn - sn * sn);
+    const double intercept = (st - slope * sn) / k;
+    double sq = 0.0;
+    for (auto [n, t] : points) {
+        double rel = (t - (intercept + slope * n)) / t;
+        sq += rel * rel;
+    }
+    std::printf("fit: analyze_ms = %.3f + %.4g * N (%.1f ns/row), "
+                "RMS %.1f%%\n",
+                intercept, slope, slope * 1e6, 100.0 * std::sqrt(sq / k));
+    return 0;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
     bool sweep = false, quick = false;
     std::string metrics_out;
-    // Consume our own flags (compacting argv) so benchmark::Initialize
-    // only sees what it understands.
-    int kept = 1;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--sweep") == 0)
+        if (std::strcmp(argv[i], "--sweep") == 0) {
             sweep = true;
-        else if (std::strcmp(argv[i], "--quick") == 0)
+        } else if (std::strcmp(argv[i], "--quick") == 0) {
             quick = true;
-        else if (std::strncmp(argv[i], "--metrics-out=", 14) == 0)
+        } else if (std::strncmp(argv[i], "--metrics-out=", 14) == 0) {
             metrics_out = argv[i] + 14;
-        else
-            argv[kept++] = argv[i];
+        } else {
+            std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+            return 2;
+        }
     }
-    argc = kept;
-    int rc = 0;
-    if (sweep) {
-        rc = runThreadSweep(quick);
-    } else {
-        benchmark::Initialize(&argc, argv);
-        if (benchmark::ReportUnrecognizedArguments(argc, argv))
-            return 1;
-        benchmark::RunSpecifiedBenchmarks();
-        benchmark::Shutdown();
-    }
+    int rc = sweep ? runThreadSweep(quick) : runRowSweep(quick);
     if (!metrics_out.empty())
         nazar::obs::writeMetricsFile(metrics_out);
     return rc;

@@ -36,9 +36,19 @@ if [ "$DO_RELEASE" = 1 ]; then
     cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build build-ci -j "$JOBS"
     run_suite build-ci
+    # Flake hunt: the socket/crash tests and the RCA determinism tests
+    # (bitmap counts == row-scan oracle, 1 thread == N) must pass 20
+    # runs in a row at both pool widths.
+    for threads in 1 4; do
+        echo "==== repeat-until-fail x20 (Release, NAZAR_THREADS=$threads) ===="
+        NAZAR_THREADS="$threads" ctest --test-dir build-ci \
+            --output-on-failure --repeat until-fail:20 \
+            -R 'test_server|test_fim|test_property_rca|test_columnar'
+    done
     # Smoke-run the scaling benches in quick mode so a broken bench
     # binary fails CI even though throughput is not asserted.
     ./build-ci/bench/bench_runtime_scaling --quick > /dev/null
+    ./build-ci/bench/bench_fig9d_rca_scaling --quick > /dev/null
     ./build-ci/bench/bench_fig9d_rca_scaling --sweep --quick > /dev/null
     # SQL engine smoke: a query and its EXPLAIN against a generated
     # log. The EXPLAIN must show the planner actually pruned columns

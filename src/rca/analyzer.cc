@@ -37,8 +37,13 @@ Analyzer::analyze(const driftlog::Table &table, AnalysisMode mode) const
     if (table.rowCount() == 0)
         return result;
 
+    // One drift-flag bitset and one bitmap index per call: the miner
+    // counts over them, and the counterfactual walk reuses both.
     Fim fim(table, config_);
-    result.fimTable = fim.mine();
+    RowBitset flags = Fim::driftFlags(table, config_.driftColumn);
+    Fim::Mined mined = fim.mineIndexed(flags);
+    result.fimTable = std::move(mined.causes);
+    const BitmapIndex &index = mined.index;
 
     // Causes that pass all four thresholds, in rank order.
     std::vector<RankedCause> passing;
@@ -63,65 +68,35 @@ Analyzer::analyze(const driftlog::Table &table, AnalysisMode mode) const
 
     // Counterfactual analysis (Algorithm 1): walk associations in rank
     // order; re-check significance against flags with already-accepted
-    // causes marked non-drift. The per-cause count scans inside
-    // computeMetrics are sharded over the runtime pool; acceptance and
-    // flag mutation stay strictly sequential in rank order — each
-    // re-check must observe every higher-ranked cause's absorption, so
-    // this stage's dependency chain is inherent to the algorithm.
-    // (mark_no_drift also writes std::vector<bool>, whose packed bits
-    // must not be flipped concurrently.)
-    std::vector<bool> flags = Fim::driftFlags(table, config_.driftColumn);
-    auto mark_no_drift = [&](const AttributeSet &attrs) {
-        // Resolve the constrained columns to id vectors and the wanted
-        // values to dictionary ids once; the row walk is then pure
-        // uint32 compares. An accepted cause's values always occur in
-        // the table, so idOf never comes back empty here.
-        std::vector<const driftlog::Column::Id *> cols;
-        std::vector<driftlog::Column::Id> wanted;
-        for (const auto &a : attrs.attributes()) {
-            const driftlog::Column &col = table.column(a.column);
-            cols.push_back(col.ids().data());
-            auto id = col.idOf(a.value);
-            NAZAR_CHECK(id.has_value(),
-                        "accepted cause value missing from dictionary");
-            wanted.push_back(*id);
-        }
-        for (size_t r = 0; r < table.rowCount(); ++r) {
-            if (!flags[r])
-                continue;
-            bool match = true;
-            for (size_t i = 0; i < cols.size(); ++i) {
-                if (cols[i][r] != wanted[i]) {
-                    match = false;
-                    break;
-                }
-            }
-            if (match)
-                flags[r] = false;
-        }
-    };
-
+    // causes marked non-drift. Each re-check is two popcount passes
+    // over the index (sharded over the runtime pool), and absorbing a
+    // cause is `flags &= ~cause`. Acceptance and flag mutation stay
+    // strictly sequential in rank order — each re-check must observe
+    // every higher-ranked cause's absorption, so this stage's
+    // dependency chain is inherent to the algorithm. Every cause here
+    // passed the occurrence threshold, so its attributes are frequent
+    // singles and the index holds them.
     NAZAR_SPAN("rca.walk");
     for (const auto &assoc : result.associations) {
         CauseMetrics current =
-            computeMetrics(table, flags, assoc.key.attrs);
+            computeMetrics(index, flags, assoc.key.attrs);
         if (passesThresholds(current, config_)) {
             // Still significant after higher-ranked causes explained
             // their share: accept, then absorb its evidence.
             RankedCause accepted = assoc.key;
             accepted.metrics = current;
             result.rootCauses.push_back(std::move(accepted));
-            mark_no_drift(assoc.key.attrs);
+            index.clearRows(flags, assoc.key.attrs);
         } else {
             // The coarse key is explained away; its finer merged
             // causes may still carry independent signal.
             for (const auto &fine : assoc.merged) {
-                CauseMetrics fm = computeMetrics(table, flags, fine.attrs);
+                CauseMetrics fm = computeMetrics(index, flags, fine.attrs);
                 if (passesThresholds(fm, config_)) {
                     RankedCause accepted = fine;
                     accepted.metrics = fm;
                     result.rootCauses.push_back(std::move(accepted));
-                    mark_no_drift(fine.attrs);
+                    index.clearRows(flags, fine.attrs);
                 }
             }
         }

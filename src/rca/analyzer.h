@@ -11,9 +11,10 @@
  * overlapping evidence is a genuine independent root cause; otherwise
  * its merged finer causes get the same chance.
  *
- * The row scans of every stage run sharded over the runtime pool (see
- * fim.h); the counterfactual walk itself — acceptance decisions and
- * drift-flag absorption — is sequential in rank order by design.
+ * The drift flags are one RowBitset and the walk's re-checks are
+ * popcounts over the bitmap index the miner built (see fim.h); the
+ * walk itself — acceptance decisions and drift-flag absorption
+ * (`flags &= ~cause`) — is sequential in rank order by design.
  */
 #ifndef NAZAR_RCA_ANALYZER_H
 #define NAZAR_RCA_ANALYZER_H

@@ -4,67 +4,29 @@
  *
  * Two executions of the same algorithm live here:
  *
- *  - mine(): the production path. Attribute values are resolved to
- *    dictionary ids up front (on the dispatching thread — that
- *    resolution is the read barrier the Column thread contract
- *    requires), and all row probes are uint32 compares over the dense
- *    id vectors. Level-1 histograms count into per-id arrays instead
- *    of Value-keyed maps.
+ *  - mine(): the production path. Level 1 counts dense per-id
+ *    histograms over the dictionary-id columns; levels 2+ build one
+ *    row bitset per frequent single (bitmap_index.h) and count each
+ *    candidate as popcounts of the AND of its members' bitsets.
  *
- *  - mineReference(): the retained pre-dictionary path, comparing
- *    whole Values over materialized column vectors with Value-keyed
- *    level-1 maps. Same chunking, same merge order, same candidate
- *    generation — the only delta is the cell representation, which is
- *    what makes it both a bit-for-bit oracle and a fair dict-off
- *    baseline for the scaling benchmark.
+ *  - mineReference(): the retained row-scan path, comparing whole
+ *    Values row by row over materialized column vectors with
+ *    Value-keyed level-1 maps. Same candidate generation, same
+ *    integer counts — which is what makes it a bit-for-bit oracle and
+ *    the baseline for the scaling benchmark.
  */
 #include "fim.h"
 
 #include <algorithm>
-#include <array>
 #include <limits>
 #include <map>
 
 #include "common/error.h"
 #include "obs/span.h"
-#include "runtime/thread_pool.h"
 
 namespace nazar::rca {
 
 namespace {
-
-/**
- * Rows per chunk for the sharded table scans. Fixed (never derived
- * from the thread count), so the chunk layout — and therefore every
- * per-chunk partial and the chunk-ordered merge — is identical at any
- * NAZAR_THREADS setting.
- */
-constexpr size_t kRowGrain = 4096;
-
-/**
- * Minimum row count before a scan engages the thread pool. Below this
- * the batch dispatch overhead dominates (the counterfactual pass calls
- * computeMetrics once per candidate cause, often on small logs). The
- * cutoff only selects between running the identical per-chunk kernel
- * inline or on the pool, so results are bit-identical either way.
- */
-constexpr size_t kParallelRowCutoff = 2 * kRowGrain;
-
-/**
- * Chunk-ordered reduce over table rows: below the cutoff the map
- * kernel runs once over [0, n) on the caller (the exact sequential
- * path); above it, per-chunk partials are combined in ascending chunk
- * order by runtime::parallelReduce.
- */
-template <typename T, typename Map, typename Combine>
-T
-rowReduce(size_t n, T identity, Map &&map, Combine &&combine)
-{
-    if (n < kParallelRowCutoff)
-        return map(size_t{0}, n);
-    return runtime::parallelReduce<T>(0, n, kRowGrain,
-                                      std::move(identity), map, combine);
-}
 
 /** Derive the four metrics from raw counts. */
 CauseMetrics
@@ -107,72 +69,24 @@ metricsFromCounts(size_t set_count, size_t set_drift, size_t total_rows,
     return m;
 }
 
-/**
- * Resolve one attribute value into its column's id space. An absent
- * value (possible for caller-supplied sets in computeMetrics; mined
- * sets always resolve) maps to dictSize(), an id no row carries, so
- * the probe keeps its single compare-per-row form.
- */
-driftlog::Column::Id
-wantedId(const driftlog::Column &col, const driftlog::Value &v)
-{
-    auto id = col.idOf(v);
-    return id ? *id : static_cast<driftlog::Column::Id>(col.dictSize());
-}
-
 } // namespace
 
 CauseMetrics
-computeMetrics(const driftlog::Table &table,
-               const std::vector<bool> &drift_flags,
+computeMetrics(const BitmapIndex &index, const RowBitset &drift_flags,
                const AttributeSet &attrs)
 {
     NAZAR_SPAN("rca.metrics");
-    NAZAR_CHECK(drift_flags.size() == table.rowCount(),
-                "drift-flag vector must cover the table");
+    SetCounts c = index.count({attrs}, drift_flags).front();
+    return metricsFromCounts(c.rows, c.drift, index.rows(),
+                             drift_flags.count());
+}
 
-    // Resolve columns and wanted ids once, on this thread (the read
-    // barrier the Column thread contract requires before fanning out).
-    std::vector<const driftlog::Column::Id *> cols;
-    std::vector<driftlog::Column::Id> wanted;
-    for (const auto &a : attrs.attributes()) {
-        const driftlog::Column &col = table.column(a.column);
-        cols.push_back(col.ids().data());
-        wanted.push_back(wantedId(col, a.value));
-    }
-
-    // One sharded scan accumulates all three counts; size_t sums are
-    // order-independent, and the chunk-ordered merge makes the path
-    // bit-identical across thread counts anyway.
-    using Counts = std::array<size_t, 3>; // set, set-and-drift, drift
-    Counts totals = rowReduce<Counts>(
-        table.rowCount(), Counts{0, 0, 0},
-        [&](size_t chunk_begin, size_t chunk_end) {
-            Counts part{0, 0, 0};
-            for (size_t r = chunk_begin; r < chunk_end; ++r) {
-                part[2] += drift_flags[r] ? 1 : 0;
-                bool match = true;
-                for (size_t i = 0; i < cols.size(); ++i) {
-                    if (cols[i][r] != wanted[i]) {
-                        match = false;
-                        break;
-                    }
-                }
-                if (match) {
-                    ++part[0];
-                    if (drift_flags[r])
-                        ++part[1];
-                }
-            }
-            return part;
-        },
-        [](Counts acc, Counts part) {
-            for (size_t i = 0; i < acc.size(); ++i)
-                acc[i] += part[i];
-            return acc;
-        });
-    return metricsFromCounts(totals[0], totals[1], table.rowCount(),
-                             totals[2]);
+CauseMetrics
+computeMetrics(const driftlog::Table &table, const RowBitset &drift_flags,
+               const AttributeSet &attrs)
+{
+    return computeMetrics(BitmapIndex(table, attrs.attributes()),
+                          drift_flags, attrs);
 }
 
 bool
@@ -209,14 +123,26 @@ Fim::Fim(const driftlog::Table &table, const RcaConfig &config)
                 "no such drift column: " + config.driftColumn);
 }
 
-std::vector<bool>
+RowBitset
 Fim::driftFlags(const driftlog::Table &table,
                 const std::string &drift_column)
 {
     const driftlog::Column &col = table.column(drift_column);
-    std::vector<bool> flags(col.size());
-    for (size_t r = 0; r < col.size(); ++r)
-        flags[r] = col.at(r).asBool();
+    std::vector<RowBitset::Word> is_drift(col.dictSize());
+    for (size_t id = 0; id < is_drift.size(); ++id)
+        is_drift[id] =
+            col.dictValue(static_cast<driftlog::Column::Id>(id)).asBool();
+    const driftlog::Column::Id *ids = col.ids().data();
+    RowBitset flags(col.size());
+    RowBitset::Word *words = flags.words();
+    for (size_t w = 0; w < flags.wordCount(); ++w) {
+        const size_t base = w * RowBitset::kWordBits;
+        const size_t end = std::min(col.size(), base + RowBitset::kWordBits);
+        RowBitset::Word word = 0;
+        for (size_t r = base; r < end; ++r)
+            word |= is_drift[ids[r]] << (r - base);
+        words[w] = word;
+    }
     return flags;
 }
 
@@ -227,25 +153,30 @@ Fim::mine() const
 }
 
 std::vector<RankedCause>
-Fim::mine(const std::vector<bool> &drift_flags) const
+Fim::mine(const RowBitset &drift_flags) const
+{
+    return mineIndexed(drift_flags).causes;
+}
+
+Fim::Mined
+Fim::mineIndexed(const RowBitset &drift_flags) const
 {
     NAZAR_SPAN("rca.fim.mine");
     NAZAR_CHECK(drift_flags.size() == table_.rowCount(),
-                "drift-flag vector must cover the table");
+                "drift-flag bitset must cover the table");
     const size_t n = table_.rowCount();
-    size_t total_drift = 0;
-    for (bool f : drift_flags)
-        total_drift += f ? 1 : 0;
+    const size_t total_drift = drift_flags.count();
 
-    std::vector<RankedCause> results;
+    Mined mined;
+    std::vector<RankedCause> &results = mined.causes;
 
     // ---- Level 1: one aggregation pass per attribute column --------
     // Each column's histogram is a dense per-id count array: chunks
     // accumulate into fixed-size vectors indexed by dictionary id and
     // the partials sum element-wise in ascending chunk order. Emission
     // walks the array in id order, which — by the Column invariant
-    // (id order == Value total order) — is exactly the order the old
-    // Value-keyed map produced.
+    // (id order == Value total order) — is exactly the order a
+    // Value-keyed map produces.
     using IdCounts = std::vector<std::pair<size_t, size_t>>;
     std::vector<Attribute> frequent_singles;
     std::vector<AttributeSet> frequent_prev;
@@ -261,8 +192,7 @@ Fim::mine(const std::vector<bool> &drift_flags) const
                 for (size_t r = chunk_begin; r < chunk_end; ++r) {
                     auto &entry = part[ids[r]];
                     ++entry.first;
-                    if (drift_flags[r])
-                        ++entry.second;
+                    entry.second += drift_flags.test(r);
                 }
                 return part;
             },
@@ -293,14 +223,17 @@ Fim::mine(const std::vector<bool> &drift_flags) const
     level1_span.stop();
 
     // ---- Levels 2..maxAttributes ------------------------------------
+    // The vertical index: one row bitset per frequent single. Every
+    // candidate below is a conjunction of frequent singles, so one
+    // AND + popcount pass per level counts them all.
     NAZAR_SPAN_BEGIN(levelk_span, "rca.fim.levelk");
+    mined.index = BitmapIndex(table_, frequent_singles);
     for (size_t level = 2;
          level <= config_.maxAttributes && !frequent_prev.empty();
          ++level) {
         // Candidate generation: extend each frequent (k-1)-set with a
         // frequent single strictly greater than its last attribute and
-        // over a column the set does not constrain yet. (Value-level,
-        // so generation order is independent of the encoding.)
+        // over a column the set does not constrain yet.
         std::vector<AttributeSet> candidates;
         for (const auto &set : frequent_prev) {
             const Attribute &last = set.attributes().back();
@@ -315,63 +248,12 @@ Fim::mine(const std::vector<bool> &drift_flags) const
         if (candidates.empty())
             break;
 
-        // Counting pass: each candidate's attribute values resolve to
-        // dictionary ids once, so the row probe is two or three uint32
-        // compares against the dense id vectors. Within a chunk the
-        // candidate is the OUTER loop, so the inner row loop walks
-        // each candidate's id arrays contiguously. Per-chunk count
-        // arrays sum in chunk order.
-        struct CandidateProbe
-        {
-            std::vector<const driftlog::Column::Id *> cols;
-            std::vector<driftlog::Column::Id> wanted;
-        };
-        std::vector<CandidateProbe> probes(candidates.size());
-        for (size_t i = 0; i < candidates.size(); ++i) {
-            for (const auto &a : candidates[i].attributes()) {
-                const driftlog::Column &col = table_.column(a.column);
-                probes[i].cols.push_back(col.ids().data());
-                probes[i].wanted.push_back(wantedId(col, a.value));
-            }
-        }
-        using CountVec = std::vector<std::pair<size_t, size_t>>;
-        CountVec totals = rowReduce<CountVec>(
-            n, CountVec(probes.size(), {0, 0}),
-            [&](size_t chunk_begin, size_t chunk_end) {
-                CountVec part(probes.size(), {0, 0});
-                for (size_t c = 0; c < probes.size(); ++c) {
-                    const CandidateProbe &probe = probes[c];
-                    size_t count = 0, drift = 0;
-                    for (size_t r = chunk_begin; r < chunk_end; ++r) {
-                        bool match = true;
-                        for (size_t i = 0; i < probe.cols.size(); ++i) {
-                            if (probe.cols[i][r] != probe.wanted[i]) {
-                                match = false;
-                                break;
-                            }
-                        }
-                        if (match) {
-                            ++count;
-                            if (drift_flags[r])
-                                ++drift;
-                        }
-                    }
-                    part[c] = {count, drift};
-                }
-                return part;
-            },
-            [](CountVec acc, CountVec part) {
-                for (size_t i = 0; i < acc.size(); ++i) {
-                    acc[i].first += part[i].first;
-                    acc[i].second += part[i].second;
-                }
-                return acc;
-            });
-
+        std::vector<SetCounts> totals =
+            mined.index.count(candidates, drift_flags);
         std::vector<AttributeSet> frequent_now;
         for (size_t i = 0; i < candidates.size(); ++i) {
             CauseMetrics m = metricsFromCounts(
-                totals[i].first, totals[i].second, n, total_drift);
+                totals[i].rows, totals[i].drift, n, total_drift);
             if (m.setCount == 0)
                 continue; // combination never occurs; not a real set
             results.push_back(RankedCause{candidates[i], m});
@@ -383,7 +265,7 @@ Fim::mine(const std::vector<bool> &drift_flags) const
     levelk_span.stop();
 
     std::sort(results.begin(), results.end(), rankBefore);
-    return results;
+    return mined;
 }
 
 std::vector<RankedCause>
@@ -393,15 +275,15 @@ Fim::mineReference() const
 }
 
 std::vector<RankedCause>
-Fim::mineReference(const std::vector<bool> &drift_flags) const
+Fim::mineReference(const RowBitset &drift_flags) const
 {
     NAZAR_SPAN("rca.fim.mine_reference");
     NAZAR_CHECK(drift_flags.size() == table_.rowCount(),
-                "drift-flag vector must cover the table");
+                "drift-flag bitset must cover the table");
     const size_t n = table_.rowCount();
     size_t total_drift = 0;
-    for (bool f : drift_flags)
-        total_drift += f ? 1 : 0;
+    for (size_t r = 0; r < n; ++r)
+        total_drift += drift_flags.test(r);
 
     // Decode every attribute column up front. The scans below then see
     // what the pre-dictionary implementation saw: contiguous Value
@@ -429,8 +311,7 @@ Fim::mineReference(const std::vector<bool> &drift_flags) const
                 for (size_t r = chunk_begin; r < chunk_end; ++r) {
                     auto &entry = part[col[r]];
                     ++entry.first;
-                    if (drift_flags[r])
-                        ++entry.second;
+                    entry.second += drift_flags.test(r);
                 }
                 return part;
             },
@@ -506,8 +387,7 @@ Fim::mineReference(const std::vector<bool> &drift_flags) const
                         }
                         if (match) {
                             ++count;
-                            if (drift_flags[r])
-                                ++drift;
+                            drift += drift_flags.test(r);
                         }
                     }
                     part[c] = {count, drift};

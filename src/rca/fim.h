@@ -8,25 +8,26 @@
  * closure on occurrence), filters by the four thresholds, and ranks
  * survivors by risk ratio.
  *
- * All table scans (the level-1 value histograms, the level-k candidate
- * counting pass, and computeMetrics) are sharded over src/runtime/
- * with a fixed row grain and chunk-ordered merges, so results are
- * bit-identical at every NAZAR_THREADS setting and NAZAR_THREADS=1
- * runs the exact sequential path.
+ * Level 1 is one histogram pass per attribute column over the
+ * dictionary ids: dense per-id count arrays emitted in id order
+ * (== sorted Value order). Levels 2+ count in the vertical bitmap
+ * layout (bitmap_index.h): each frequent single gets a row bitset,
+ * built once per call, and a candidate's support is the popcount of
+ * the AND of its members' bitsets — its drifted support the popcount
+ * of that AND with the drift-flag bitset. computeMetrics and the
+ * counterfactual walk count the same way. Every scan is sharded over
+ * src/runtime/ in word-aligned chunks with chunk-ordered integer
+ * merges, so results are bit-identical at every NAZAR_THREADS setting.
  *
- * The scans run over dictionary ids: a candidate's attribute values
- * resolve to per-column ids once, each row probe is a uint32 compare
- * against the column's id vector, and the level-1 histograms count
- * into dense per-id arrays emitted in id order (== sorted Value
- * order, the order the old Value-keyed maps produced). mineReference
- * keeps the pre-dictionary Value-comparing pass as the oracle.
+ * mineReference keeps the row-by-row, Value-comparing pass as the
+ * oracle; it is the only row-scan counting path left.
  */
 #ifndef NAZAR_RCA_FIM_H
 #define NAZAR_RCA_FIM_H
 
 #include <vector>
 
-#include "rca/attribute_set.h"
+#include "rca/bitmap_index.h"
 
 namespace nazar::rca {
 
@@ -66,12 +67,21 @@ struct RankedCause
 };
 
 /**
- * Compute the four metrics of one attribute set against the table,
- * using an externally supplied drift-flag vector (the counterfactual
- * pass re-evaluates causes after flipping flags, paper §3.3).
+ * Compute the four metrics of one attribute set using externally
+ * supplied drift flags (the counterfactual pass re-evaluates causes
+ * after clearing flags, paper §3.3). Every attribute of the set must
+ * be indexed in @p index.
+ */
+CauseMetrics computeMetrics(const BitmapIndex &index,
+                            const RowBitset &drift_flags,
+                            const AttributeSet &attrs);
+
+/**
+ * computeMetrics for a caller without an index: indexes the set's own
+ * attributes first. A value absent from its column gives setCount 0.
  */
 CauseMetrics computeMetrics(const driftlog::Table &table,
-                            const std::vector<bool> &drift_flags,
+                            const RowBitset &drift_flags,
                             const AttributeSet &attrs);
 
 /** True when the metrics pass all four thresholds. */
@@ -91,34 +101,50 @@ class Fim
   public:
     Fim(const driftlog::Table &table, const RcaConfig &config);
 
+    /** mine()'s ranked table and the bitmap index it counted over. */
+    struct Mined
+    {
+        std::vector<RankedCause> causes;
+        /** Row bitsets of every frequent single (occurrence >=
+         *  minOccurrence) — a superset of the attributes of any cause
+         *  that passes the thresholds. */
+        BitmapIndex index;
+    };
+
     /**
      * Run apriori with the given drift flags (normally the table's own
-     * drift column; the counterfactual pass supplies modified flags).
+     * drift column), keeping the index so the caller can count more
+     * sets over it — the analyzer's counterfactual walk does.
      */
-    std::vector<RankedCause>
-    mine(const std::vector<bool> &drift_flags) const;
+    Mined mineIndexed(const RowBitset &drift_flags) const;
+
+    /** mineIndexed without the index. */
+    std::vector<RankedCause> mine(const RowBitset &drift_flags) const;
 
     /** Convenience: mine with the table's stored drift column. */
     std::vector<RankedCause> mine() const;
 
     /**
-     * The retained pre-dictionary miner: identical apriori structure
-     * and chunking, but every candidate probe decodes and compares
-     * whole Values over materialized column vectors instead of uint32
-     * dictionary ids. Semantic oracle for differential tests (must
-     * match mine() bit-for-bit) and the dict-off baseline for the RCA
-     * scaling benchmark. Materialization cost is the caller's to
-     * exclude from timings (it happens up front, before the scans).
+     * The retained row-scan miner: identical apriori structure and
+     * chunking, but every candidate probe compares whole Values, row
+     * by row, over materialized column vectors instead of counting
+     * bitsets. Semantic oracle for differential tests (must match
+     * mine() bit-for-bit) and the baseline for the RCA scaling
+     * benchmark. Materialization cost is the caller's to exclude from
+     * timings (it happens up front, before the scans).
      */
     std::vector<RankedCause>
-    mineReference(const std::vector<bool> &drift_flags) const;
+    mineReference(const RowBitset &drift_flags) const;
 
     /** Convenience: mineReference with the stored drift column. */
     std::vector<RankedCause> mineReference() const;
 
-    /** Extract the drift column as a flag vector. */
-    static std::vector<bool> driftFlags(const driftlog::Table &table,
-                                        const std::string &drift_column);
+    /**
+     * Extract the drift column as a flag bitset. Each dictionary id is
+     * decoded once; rows map through their ids.
+     */
+    static RowBitset driftFlags(const driftlog::Table &table,
+                                const std::string &drift_column);
 
   private:
     const driftlog::Table &table_;

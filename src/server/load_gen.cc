@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <latch>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -66,15 +67,22 @@ struct ClientOutcome
 };
 
 void
-driveClient(const LoadConfig &config, int index, ClientOutcome &out)
+driveClient(const LoadConfig &config, int index, std::latch &connected,
+            ClientOutcome &out)
 {
     obs::setThreadName("load.client." + std::to_string(index));
+    bool arrived = false;
     try {
         net::FaultConfig chaos = config.chaos;
         chaos.seed = config.chaos.seed + static_cast<uint64_t>(index);
         net::IngestClient client(config.port, chaos,
                                  "load-" + std::to_string(index),
                                  config.reconnect);
+        // No client sends before every client has finished its
+        // handshake, so anything that happens to the server under
+        // load (a crash, a restart) meets a full set of sessions.
+        arrived = true;
+        connected.arrive_and_wait();
         std::unordered_map<uint64_t, Clock::time_point> inFlight;
         client.setAckObserver([&](const net::WireAck &ack) {
             auto it = inFlight.find(ack.seq);
@@ -102,6 +110,8 @@ driveClient(const LoadConfig &config, int index, ClientOutcome &out)
             out.stats.acksAccepted == out.stats.sent &&
             out.stats.acksRejected == out.stats.duplicates;
     } catch (const NazarError &e) {
+        if (!arrived) // a client that never connects must not hold
+            connected.count_down(); // the others at the start line
         out.error = e.what();
         out.reconciled = false;
     }
@@ -114,12 +124,14 @@ runLoad(const LoadConfig &config)
 {
     NAZAR_CHECK(config.clients >= 1, "load gen: need >= 1 client");
     std::vector<ClientOutcome> outcomes(config.clients);
+    std::latch connected(config.clients);
     auto t0 = Clock::now();
     std::vector<std::thread> threads;
     threads.reserve(config.clients);
     for (int c = 0; c < config.clients; ++c)
-        threads.emplace_back(
-            [&config, &outcomes, c] { driveClient(config, c, outcomes[c]); });
+        threads.emplace_back([&config, &connected, &outcomes, c] {
+            driveClient(config, c, connected, outcomes[c]);
+        });
     for (auto &t : threads)
         t.join();
     auto t1 = Clock::now();

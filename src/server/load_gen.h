@@ -5,7 +5,8 @@
  * (unique device ids, monotone sequence numbers, repeating string
  * pools so the dictionary has something to intern), optionally
  * through the socket chaos layer, then reconcile counters via
- * kBye/kByeAck.
+ * kBye/kByeAck. Every client completes its handshake before any
+ * client sends its first event.
  *
  * Reconciliation invariant (unique (device, seq) pairs): every
  * message put on the wire is accepted exactly once and every chaos

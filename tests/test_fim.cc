@@ -7,20 +7,35 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/error.h"
 #include "paper_example.h"
 #include "rca/fim.h"
+#include "runtime/thread_pool.h"
 
 namespace nazar::rca {
 namespace {
 
+using testing::causesText;
 using testing::findCause;
+using testing::goldenConfig;
+using testing::goldenLog;
 using testing::locationIs;
 using testing::paperConfig;
 using testing::paperTable2;
 using testing::weatherAndLocation;
 using testing::weatherIs;
+
+/** A drift-flag bitset from per-row bools. */
+RowBitset
+flagsOf(const std::vector<bool> &bools)
+{
+    RowBitset flags(bools.size());
+    for (size_t r = 0; r < bools.size(); ++r)
+        flags.set(r, bools[r]);
+    return flags;
+}
 
 TEST(Fim, SnowMetricsMatchPaperText)
 {
@@ -164,7 +179,7 @@ TEST(Fim, DriftFlagsExtraction)
 {
     driftlog::Table t = paperTable2();
     auto flags = Fim::driftFlags(t, "drift");
-    EXPECT_EQ(flags, (std::vector<bool>{false, false, true, true, true}));
+    EXPECT_EQ(flags, flagsOf({false, false, true, true, true}));
 }
 
 TEST(Fim, ExternallySuppliedFlagsOverrideColumn)
@@ -173,7 +188,7 @@ TEST(Fim, ExternallySuppliedFlagsOverrideColumn)
     RcaConfig config = paperConfig();
     Fim fim(t, config);
     // All-false flags: every confidence is zero.
-    auto causes = fim.mine(std::vector<bool>(5, false));
+    auto causes = fim.mine(RowBitset(5));
     for (const auto &c : causes) {
         EXPECT_EQ(c.metrics.confidence, 0.0);
         EXPECT_EQ(c.metrics.support, 0.0);
@@ -195,7 +210,7 @@ TEST(Fim, UniversalSetHasZeroRiskRatio)
     // contrast group, so it must not pass as a cause (its risk ratio
     // is defined as zero).
     driftlog::Table t = paperTable2();
-    std::vector<bool> flags(5, true);
+    RowBitset flags = flagsOf(std::vector<bool>(5, true));
     CauseMetrics m = computeMetrics(t, flags, AttributeSet());
     EXPECT_EQ(m.riskRatio, 0.0);
     EXPECT_EQ(m.confidence, 1.0);
@@ -206,7 +221,7 @@ TEST(Fim, AllDriftOutsideSetGivesInfiniteRiskRatio)
 {
     // Full contrast the other way: drift happens only inside the set.
     driftlog::Table t = paperTable2();
-    std::vector<bool> flags = {false, false, false, true, true};
+    RowBitset flags = flagsOf({false, false, false, true, true});
     CauseMetrics m = computeMetrics(t, flags, weatherIs("snow"));
     EXPECT_TRUE(std::isinf(m.riskRatio));
 }
@@ -240,6 +255,176 @@ TEST(Fim, PassesThresholdsChecksAllFour)
     CauseMetrics low_sup = good;
     low_sup.support = 0.001;
     EXPECT_FALSE(passesThresholds(low_sup, config));
+}
+
+// ---- Vertical bitmap layout -----------------------------------------
+
+using driftlog::Table;
+using driftlog::Value;
+
+/**
+ * Row counts around the bitmap's edges: the empty table, a single
+ * row, both sides of the first word boundary, both sides of one
+ * kRowGrain chunk, and past the kParallelRowCutoff switch with a
+ * one-row tail word.
+ */
+const size_t kEdgeRowCounts[] = {0,    1,    63,   64,  65,
+                                 4095, 4096, 4097, 8193};
+
+static_assert(kRowGrain == 4096 && kParallelRowCutoff == 8192,
+              "kEdgeRowCounts straddles these boundaries");
+
+/** Row-at-a-time counts of a set: the oracle for the popcounts. */
+std::pair<size_t, size_t>
+directCounts(const Table &t, const RowBitset &flags, const AttributeSet &set)
+{
+    size_t rows = 0, drift = 0;
+    for (size_t r = 0; r < t.rowCount(); ++r) {
+        if (set.matchesRow(t, r)) {
+            ++rows;
+            drift += flags.test(r);
+        }
+    }
+    return {rows, drift};
+}
+
+struct FimBitmap : ::testing::Test
+{
+    ~FimBitmap() override
+    {
+        runtime::setThreads(0); // restore the configured default
+    }
+};
+
+TEST_F(FimBitmap, RowBitsetTailWordStaysMasked)
+{
+    for (size_t n : kEdgeRowCounts) {
+        SCOPED_TRACE("rows=" + std::to_string(n));
+        RowBitset bits(n);
+        EXPECT_EQ(bits.wordCount(), (n + 63) / 64);
+        for (size_t r = 0; r < n; ++r)
+            bits.set(r);
+        EXPECT_EQ(bits.count(), n);
+        if (n % 64 != 0) // bits past the last row never get set
+            EXPECT_EQ(bits.words()[n / 64] >> (n % 64), 0u);
+        if (n > 0) {
+            bits.set(n - 1, false);
+            EXPECT_FALSE(bits.test(n - 1));
+            EXPECT_EQ(bits.count(), n - 1);
+        }
+    }
+}
+
+TEST_F(FimBitmap, DriftFlagsMatchTheColumnAtEdgeRowCounts)
+{
+    for (size_t n : kEdgeRowCounts) {
+        SCOPED_TRACE("rows=" + std::to_string(n));
+        Table t = goldenLog(n);
+        RowBitset flags = Fim::driftFlags(t, "drift");
+        ASSERT_EQ(flags.size(), n);
+        size_t drifted = 0;
+        for (size_t r = 0; r < n; ++r) {
+            EXPECT_EQ(flags.test(r), t.at(r, "drift").asBool()) << r;
+            drifted += t.at(r, "drift").asBool();
+        }
+        EXPECT_EQ(flags.count(), drifted);
+    }
+}
+
+TEST_F(FimBitmap, MinerMatchesReferenceAndDirectCountsAtEdgeRowCounts)
+{
+    for (size_t n : kEdgeRowCounts) {
+        SCOPED_TRACE("rows=" + std::to_string(n));
+        Table t = goldenLog(n);
+        RcaConfig config = goldenConfig();
+        config.minOccurrence = 0.0; // every occurring set is counted
+        Fim fim(t, config);
+        RowBitset flags = Fim::driftFlags(t, "drift");
+        runtime::setThreads(1);
+        const std::string sequential = causesText(fim.mine());
+        EXPECT_EQ(sequential, causesText(fim.mineReference()));
+        runtime::setThreads(4);
+        EXPECT_EQ(sequential, causesText(fim.mine()));
+        EXPECT_EQ(sequential, causesText(fim.mineReference()));
+        // Every mined set's counts equal a row-at-a-time scan, and so
+        // do computeMetrics' popcounts.
+        for (const auto &c : fim.mine()) {
+            auto [rows, drift] = directCounts(t, flags, c.attrs);
+            EXPECT_EQ(c.metrics.setCount, rows) << c.attrs.toString();
+            EXPECT_EQ(c.metrics.setDriftCount, drift)
+                << c.attrs.toString();
+            CauseMetrics m = computeMetrics(t, flags, c.attrs);
+            EXPECT_EQ(m.setCount, rows);
+            EXPECT_EQ(m.setDriftCount, drift);
+        }
+    }
+}
+
+TEST_F(FimBitmap, OddValuesCountAsDistinctAttributes)
+{
+    Table t = goldenLog(4097);
+    RowBitset flags = Fim::driftFlags(t, "drift");
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    size_t total = 0;
+    for (Value v : {Value(nan), Value(-0.0), Value(0.0), Value(1.5)}) {
+        AttributeSet set({{"severity", v}});
+        CauseMetrics m = computeMetrics(t, flags, set);
+        auto [rows, drift] = directCounts(t, flags, set);
+        EXPECT_GT(m.setCount, 0u) << v.toString();
+        EXPECT_EQ(m.setCount, rows) << v.toString();
+        EXPECT_EQ(m.setDriftCount, drift) << v.toString();
+        total += m.setCount;
+    }
+    EXPECT_EQ(total, t.rowCount()); // -0.0 and 0.0 do not overlap
+    AttributeSet null_weather({{"weather", Value()}});
+    CauseMetrics m = computeMetrics(t, flags, null_weather);
+    EXPECT_GT(m.setCount, 0u);
+    EXPECT_EQ(m.setCount, directCounts(t, flags, null_weather).first);
+    AttributeSet null_and_nan(
+        {{"weather", Value()}, {"severity", Value(nan)}});
+    auto [rows, drift] = directCounts(t, flags, null_and_nan);
+    m = computeMetrics(t, flags, null_and_nan);
+    EXPECT_EQ(m.setCount, rows);
+    EXPECT_EQ(m.setDriftCount, drift);
+}
+
+TEST_F(FimBitmap, AbsentValueCountsZero)
+{
+    Table t = goldenLog(8193);
+    RowBitset flags = Fim::driftFlags(t, "drift");
+    for (size_t threads : {1u, 4u}) {
+        runtime::setThreads(threads);
+        CauseMetrics hail = computeMetrics(
+            t, flags, AttributeSet({{"weather", Value("hail")}}));
+        EXPECT_EQ(hail.setCount, 0u);
+        EXPECT_EQ(hail.setDriftCount, 0u);
+        EXPECT_EQ(hail.occurrence, 0.0);
+        // Absent beside a present value: the conjunction is empty too.
+        CauseMetrics pair = computeMetrics(
+            t, flags,
+            AttributeSet({{"weather", Value("w1")},
+                          {"severity", Value(2.5)}}));
+        EXPECT_EQ(pair.setCount, 0u);
+        EXPECT_EQ(pair.setDriftCount, 0u);
+    }
+}
+
+TEST_F(FimBitmap, ClearRowsClearsExactlyTheSetsRows)
+{
+    for (size_t n : {65u, 8193u}) {
+        Table t = goldenLog(n);
+        RowBitset flags = Fim::driftFlags(t, "drift");
+        AttributeSet set({{"weather", Value("w1")},
+                          {"severity", Value(-0.0)}});
+        BitmapIndex index(t, set.attributes());
+        RowBitset cleared = flags;
+        index.clearRows(cleared, set);
+        for (size_t r = 0; r < n; ++r)
+            EXPECT_EQ(cleared.test(r),
+                      flags.test(r) && !set.matchesRow(t, r))
+                << r;
+        EXPECT_EQ(computeMetrics(index, cleared, set).setDriftCount, 0u);
+    }
 }
 
 } // namespace

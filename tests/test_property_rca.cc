@@ -10,6 +10,7 @@
 #include <set>
 
 #include "common/rng.h"
+#include "paper_example.h"
 #include "rca/analyzer.h"
 #include "runtime/thread_pool.h"
 
@@ -20,6 +21,9 @@ using driftlog::Schema;
 using driftlog::Table;
 using driftlog::Value;
 using driftlog::ValueType;
+using testing::causesText;
+using testing::goldenConfig;
+using testing::goldenLog;
 
 /** Random drift log over 3 attribute columns. */
 Table
@@ -342,6 +346,63 @@ TEST_F(RcaDeterminism, NanCellsFormASingleAttributeGroup)
             }
         }
         EXPECT_EQ(nan_causes, 1u) << "threads=" << threads;
+    }
+}
+
+// ---- Bitmap counting: edge row counts and the old walk's causes -----
+
+TEST_F(RcaDeterminism, AnalyzeBitIdenticalAcrossThreadsAtEdgeRowCounts)
+{
+    // Word, chunk and parallel-cutoff boundaries; test_fim.cc checks
+    // the miner against mineReference at the same row counts.
+    Analyzer analyzer(goldenConfig());
+    for (size_t n : {0u, 1u, 63u, 64u, 65u, 4095u, 4096u, 4097u, 8193u}) {
+        SCOPED_TRACE("rows=" + std::to_string(n));
+        Table t = goldenLog(n);
+        runtime::setThreads(1);
+        AnalysisResult sequential =
+            analyzer.analyze(t, AnalysisMode::kFull);
+        runtime::setThreads(4);
+        expectBitIdentical(sequential,
+                           analyzer.analyze(t, AnalysisMode::kFull));
+    }
+}
+
+/**
+ * The full pipeline's causes and metrics on goldenLog(9000), as
+ * printed by the row-scan walk this layout replaced (identical at 1
+ * and 4 threads). Pins the bitset walk to the old walk's decisions
+ * and exact doubles, not only to itself.
+ */
+const char *const kGoldenCauses =
+    "{weather=NULL} 1820/1579 0.20222222222222222 0.2956928838951311 "
+    "0.86758241758241761 1.656272735506982\n"
+    "{severity=-0} 2203/1406 0.24477777777777779 0.37383674554639723 "
+    "0.63822060826146165 1.8420320485576029\n"
+    "{device_id=d2, weather=w1} 283/210 "
+    "0.031444444444444442 0.089171974522292988 "
+    "0.74204946996466437 3.0155921816699207\n"
+    "{device_id=d2, severity=nan} 377/216 "
+    "0.041888888888888892 0.10069930069930071 "
+    "0.57294429708222816 2.5611709039606292\n"
+    "{severity=nan, weather=w1} 452/346 "
+    "0.050222222222222224 0.17936754795230689 "
+    "0.76548672566371678 4.1335316051632667\n"
+    "{severity=1.5, weather=w1} 428/223 "
+    "0.047555555555555552 0.14087176247631081 "
+    "0.5210280373831776 3.2840090709180867\n";
+
+TEST_F(RcaDeterminism, FullAnalysisMatchesGoldenCauses)
+{
+    Table t = goldenLog(9000);
+    Analyzer analyzer(goldenConfig());
+    for (size_t threads : {1u, 4u}) {
+        runtime::setThreads(threads);
+        AnalysisResult result = analyzer.analyze(t, AnalysisMode::kFull);
+        EXPECT_EQ(result.associations.size(), 5u);
+        EXPECT_EQ(result.fimTable.size(), 209u);
+        EXPECT_EQ(causesText(result.rootCauses), kGoldenCauses)
+            << "threads=" << threads;
     }
 }
 
