@@ -32,19 +32,35 @@ run_suite() {
     done
 }
 
+# Flake hunt: the socket/crash tests, the RCA determinism tests (bitmap
+# counts == row-scan oracle, 1 thread == N) and the nn exactness tests
+# (every gemm variant == plain loops, golden logits, pool 1 == N) must
+# pass 20 runs in a row at both pool widths.
+repeat_until_fail() {
+    local build_dir="$1" label="$2"
+    local tests='test_server|test_fim|test_property_rca|test_columnar'
+    tests+='|test_matrix|test_property_nn|test_runtime'
+    for threads in 1 4; do
+        echo "==== repeat-until-fail x20 ($label, NAZAR_THREADS=$threads) ===="
+        NAZAR_THREADS="$threads" ctest --test-dir "$build_dir" \
+            --output-on-failure --repeat until-fail:20 -R "$tests"
+    done
+}
+
 if [ "$DO_RELEASE" = 1 ]; then
     cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build build-ci -j "$JOBS"
+    # The nn library is built with -ffp-contract=off: a fused
+    # multiply-add rounds once where the gemm kernel's contract (and
+    # test_matrix's plain-loop oracle) rounds twice.
+    echo "==== no fused multiply-add in libnazar_nn.a (Release) ===="
+    objdump -d build-ci/src/nn/libnazar_nn.a > build-ci/nazar_nn.dis
+    if grep -E 'vfn?m(add|sub)' build-ci/nazar_nn.dis; then
+        echo "libnazar_nn.a contains fused multiply-add instructions" >&2
+        exit 1
+    fi
     run_suite build-ci
-    # Flake hunt: the socket/crash tests and the RCA determinism tests
-    # (bitmap counts == row-scan oracle, 1 thread == N) must pass 20
-    # runs in a row at both pool widths.
-    for threads in 1 4; do
-        echo "==== repeat-until-fail x20 (Release, NAZAR_THREADS=$threads) ===="
-        NAZAR_THREADS="$threads" ctest --test-dir build-ci \
-            --output-on-failure --repeat until-fail:20 \
-            -R 'test_server|test_fim|test_property_rca|test_columnar'
-    done
+    repeat_until_fail build-ci Release
     # Smoke-run the scaling benches in quick mode so a broken bench
     # binary fails CI even though throughput is not asserted.
     ./build-ci/bench/bench_runtime_scaling --quick > /dev/null
@@ -300,6 +316,7 @@ if [ "$DO_TSAN" = 1 ]; then
     # race in the parallel runtime or the sharded RCA scans fails ctest.
     export TSAN_OPTIONS="halt_on_error=1"
     run_suite build-tsan
+    repeat_until_fail build-tsan TSAN
     # Hammer the metrics registry explicitly under TSAN: 8 threads on
     # shared counters/histograms plus concurrent registration.
     echo "==== obs registry stress (TSAN) ===="

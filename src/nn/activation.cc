@@ -19,14 +19,16 @@ Relu::forward(const Matrix &x, Mode mode)
     Matrix y = x;
     // Cache in every mode so eval-mode backward passes work.
     lastMask_ = Matrix(x.rows(), x.cols());
+    // Selects, not a branch: whether an activation is positive is
+    // data, and a mispredicted branch per element costs more than both
+    // writes. NaN and -0.0 map to 0.0, as before.
     for (size_t r = 0; r < y.rows(); ++r) {
         double *a = y.row(r);
+        double *mask = lastMask_.row(r);
         for (size_t c = 0; c < y.cols(); ++c) {
-            if (a[c] > 0.0) {
-                lastMask_(r, c) = 1.0;
-            } else {
-                a[c] = 0.0;
-            }
+            const bool on = a[c] > 0.0;
+            mask[c] = on ? 1.0 : 0.0;
+            a[c] = on ? a[c] : 0.0;
         }
     }
     return y;

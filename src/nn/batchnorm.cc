@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "common/error.h"
 
@@ -28,16 +29,19 @@ BatchNorm1d::forward(const Matrix &x, Mode mode)
     NAZAR_CHECK(x.cols() == features_, "BatchNorm input width mismatch");
 
     if (mode == Mode::kEval) {
+        // 1/sqrt(var + eps) depends only on the column: computed once
+        // per call instead of once per row (same expression, same bits).
+        std::vector<double> inv_std(features_);
+        for (size_t c = 0; c < features_; ++c)
+            inv_std[c] = 1.0 / std::sqrt(runningVar_(0, c) + eps_);
+        const double *gamma = gamma_.value.row(0);
+        const double *beta = beta_.value.row(0);
+        const double *mean = runningMean_.row(0);
         Matrix y = x;
         for (size_t r = 0; r < y.rows(); ++r) {
             double *a = y.row(r);
-            for (size_t c = 0; c < features_; ++c) {
-                double inv_std =
-                    1.0 / std::sqrt(runningVar_(0, c) + eps_);
-                a[c] = gamma_.value(0, c) * (a[c] - runningMean_(0, c)) *
-                           inv_std +
-                       beta_.value(0, c);
-            }
+            for (size_t c = 0; c < features_; ++c)
+                a[c] = gamma[c] * (a[c] - mean[c]) * inv_std[c] + beta[c];
         }
         return y;
     }

@@ -6,9 +6,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <ostream>
 
 #include "common/error.h"
+#include "nn/gemm.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "runtime/thread_pool.h"
@@ -18,13 +20,17 @@ namespace nazar::nn {
 namespace {
 
 /**
- * Minimum multiply-accumulate count before a matmul engages the
- * thread pool. Below this the dispatch overhead dominates (the
- * single-row inference path in sim::Device stays pool-free). The
- * cutoff only selects between executing the same per-row kernel
- * inline or on the pool, so results are bit-identical either way.
+ * Minimum multiply-accumulate count before a product engages the
+ * thread pool, and the least work per pool chunk. Measured with
+ * bench_runtime_scaling's kernel_shapes (4-core AVX2 host): at 2
+ * threads the pool loses or breaks even up to 64 x 96 x 96 (590k
+ * MACs, 0.6-1.5x of inline), and wins from 256 x 96 x 96 (2.4M MACs,
+ * 1.3-2.0x). So every nn-layer product (batch <= 64, width 96) runs
+ * inline. The cutoff only selects between running the same kernel on
+ * the rows inline or on the pool, so results are bit-identical either
+ * way.
  */
-constexpr size_t kParallelFlopCutoff = 32 * 1024;
+constexpr size_t kParallelFlopCutoff = size_t{1} << 20;
 
 /** Rows per chunk so each chunk carries at least the cutoff's work. */
 size_t
@@ -34,20 +40,49 @@ rowGrain(size_t flops_per_row)
                                    std::max<size_t>(1, flops_per_row));
 }
 
-/** Run a per-output-row kernel serially or row-partitioned. */
-template <typename RowFn>
+/**
+ * dst (m.cols() x m.rows()) = m^T, written row by row: a transpose is
+ * bound by its stores, and strided loads from a cached source are the
+ * cheaper side to scatter.
+ */
 void
-forEachRow(size_t rows, size_t flops_per_row, RowFn &&fn)
+transposeInto(const Matrix &m, double *dst)
 {
-    if (rows * flops_per_row < kParallelFlopCutoff) {
-        for (size_t r = 0; r < rows; ++r)
-            fn(r);
+    for (size_t c = 0; c < m.cols(); ++c)
+        for (size_t r = 0; r < m.rows(); ++r)
+            *dst++ = m(r, c);
+}
+
+/** m^T in an uninitialized buffer: operand staging for the products. */
+std::unique_ptr<double[]>
+transposedData(const Matrix &m)
+{
+    auto t = std::make_unique_for_overwrite<double[]>(m.size());
+    transposeInto(m, t.get());
+    return t;
+}
+
+/**
+ * out (m x n) = A (m x k) * B (k x n), all dense row-major, through
+ * the active gemm kernel, row-partitioned on the pool above the
+ * cutoff. The kernel computes each output row on its own with the
+ * same k-ascending accumulation, so the result is bit-identical at
+ * every thread count and chunking.
+ */
+void
+product(const double *a, size_t k, const double *b, Matrix &out)
+{
+    const gemm::Kernel kernel = gemm::active().kernel;
+    const size_t m = out.rows(), n = out.cols();
+    if (m * k * n < kParallelFlopCutoff) {
+        kernel(a, b, out.data(), m, k, n);
         return;
     }
-    runtime::parallelFor(0, rows, rowGrain(flops_per_row),
+    runtime::parallelFor(0, m, rowGrain(k * n),
                          [&](size_t row_begin, size_t row_end) {
-                             for (size_t r = row_begin; r < row_end; ++r)
-                                 fn(r);
+                             kernel(a + row_begin * k, b,
+                                    out.row(row_begin),
+                                    row_end - row_begin, k, n);
                          });
 }
 
@@ -196,21 +231,7 @@ Matrix::matmul(const Matrix &other) const
         obs::Registry::global().counter("nn.matmul.rows");
     rows_processed.add(rows_);
     Matrix out(rows_, other.cols_);
-    // Each output row is produced entirely by one thread with the same
-    // k-ascending accumulation order, so the result is bit-identical
-    // at every thread count.
-    forEachRow(rows_, cols_ * other.cols_, [&](size_t r) {
-        const double *a = row(r);
-        double *o = out.row(r);
-        for (size_t k = 0; k < cols_; ++k) {
-            double av = a[k];
-            if (av == 0.0)
-                continue;
-            const double *b = other.row(k);
-            for (size_t c = 0; c < other.cols_; ++c)
-                o[c] += av * b[c];
-        }
-    });
+    product(data(), cols_, other.data(), out);
     return out;
 }
 
@@ -222,19 +243,7 @@ Matrix::transposeMatmul(const Matrix &other) const
                 "row-count mismatch in transposeMatmul");
     NAZAR_SPAN("nn.transpose_matmul");
     Matrix out(cols_, other.cols_);
-    // Partitioned over output rows i; each out(i, *) accumulates over
-    // n in ascending order exactly as the serial n-outer loop did.
-    forEachRow(cols_, rows_ * other.cols_, [&](size_t i) {
-        double *o = out.row(i);
-        for (size_t n = 0; n < rows_; ++n) {
-            double av = (*this)(n, i);
-            if (av == 0.0)
-                continue;
-            const double *b = other.row(n);
-            for (size_t j = 0; j < other.cols_; ++j)
-                o[j] += av * b[j];
-        }
-    });
+    product(transposedData(*this).get(), rows_, other.data(), out);
     return out;
 }
 
@@ -246,16 +255,7 @@ Matrix::matmulTranspose(const Matrix &other) const
                 "column-count mismatch in matmulTranspose");
     NAZAR_SPAN("nn.matmul_transpose");
     Matrix out(rows_, other.rows_);
-    forEachRow(rows_, other.rows_ * cols_, [&](size_t r) {
-        const double *a = row(r);
-        for (size_t m = 0; m < other.rows_; ++m) {
-            const double *b = other.row(m);
-            double acc = 0.0;
-            for (size_t k = 0; k < cols_; ++k)
-                acc += a[k] * b[k];
-            out(r, m) = acc;
-        }
-    });
+    product(data(), cols_, transposedData(other).get(), out);
     return out;
 }
 
@@ -263,9 +263,7 @@ Matrix
 Matrix::transposed() const
 {
     Matrix out(cols_, rows_);
-    for (size_t r = 0; r < rows_; ++r)
-        for (size_t c = 0; c < cols_; ++c)
-            out(c, r) = (*this)(r, c);
+    transposeInto(*this, out.data());
     return out;
 }
 

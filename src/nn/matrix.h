@@ -4,9 +4,14 @@
  *
  * All model math (activations, gradients, parameters) flows through
  * Matrix. Rows are samples within a batch; columns are features or
- * classes. Sizes in Nazar are small (batch <= a few hundred, feature
- * dims <= a few hundred), so a straightforward implementation with
- * double precision is both fast enough and numerically safe.
+ * classes, in double precision. Sizes are small (a batch of 1 to a few
+ * hundred rows, widths up to 96), and the three products are nearly
+ * all of the nn layer's time: device inference, TENT adaptation and
+ * training. They share one register-tiled kernel (nn/gemm.h),
+ * compiled per instruction set and picked for the host CPU, and
+ * produce the same bits as the plain multiply-then-add loops at every
+ * thread count (tests/test_matrix.cc checks each variant against
+ * those loops).
  */
 #ifndef NAZAR_NN_MATRIX_H
 #define NAZAR_NN_MATRIX_H
@@ -92,7 +97,7 @@ class Matrix
     /** this (rows x k) times other (k x cols). */
     Matrix matmul(const Matrix &other) const;
 
-    /** this^T times other: (k x rows)^T -> contribution per column pair. */
+    /** this^T times other: (n x a)^T (n x b) -> a x b. */
     Matrix transposeMatmul(const Matrix &other) const;
 
     /** this times other^T. */

@@ -157,11 +157,17 @@ Wal::Wal(const fs::path &path, CrashInjector *injector, SyncMode sync,
     if (!scan.validHeader) {
         // Absent or unrecognizable file: start fresh with a header,
         // made durable (file + directory entry) before any record
-        // relies on it.
+        // relies on it. A fault here throws out of the constructor,
+        // which the destructor never sees, so close the file first.
         file_ = env_->open("env.wal.open", path_, "wb");
-        env_->write("env.wal.write", file_, kMagic, sizeof(kMagic));
-        env_->sync("env.wal.sync", file_, syncDepth());
-        env_->syncDir("env.wal.dirsync", parentDir());
+        try {
+            env_->write("env.wal.write", file_, kMagic, sizeof(kMagic));
+            env_->sync("env.wal.sync", file_, syncDepth());
+            env_->syncDir("env.wal.dirsync", parentDir());
+        } catch (...) {
+            env_->close(file_);
+            throw;
+        }
         return;
     }
     if (good < data.size())

@@ -5,9 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "common/error.h"
+#include "matrix_oracle.h"
+#include "nn/gemm.h"
 #include "nn/matrix.h"
+#include "runtime/thread_pool.h"
 
 namespace nazar::nn {
 namespace {
@@ -74,22 +80,104 @@ TEST(Matrix, Matmul)
     EXPECT_THROW(a.matmul(Matrix(3, 2)), NazarError);
 }
 
-TEST(Matrix, TransposeMatmulAgainstExplicit)
+/** Same shape and the same bytes: +0.0 and -0.0 differ, NaNs compare
+ *  by payload. */
+bool
+bitEqual(const Matrix &a, const Matrix &b)
 {
-    Rng rng(1);
-    Matrix a = Matrix::randomNormal(4, 3, 1.0, rng);
-    Matrix b = Matrix::randomNormal(4, 5, 1.0, rng);
-    Matrix expected = a.transposed().matmul(b);
-    EXPECT_TRUE(a.transposeMatmul(b).approxEquals(expected, 1e-9));
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-TEST(Matrix, MatmulTransposeAgainstExplicit)
+/** N(0, 1) entries with about a third replaced by 0.0 or -0.0, as
+ *  after a ReLU or a masked gradient. */
+Matrix
+withZeros(size_t rows, size_t cols, Rng &rng)
 {
-    Rng rng(2);
-    Matrix a = Matrix::randomNormal(4, 3, 1.0, rng);
-    Matrix b = Matrix::randomNormal(6, 3, 1.0, rng);
-    Matrix expected = a.matmul(b.transposed());
-    EXPECT_TRUE(a.matmulTranspose(b).approxEquals(expected, 1e-9));
+    Matrix m = Matrix::randomNormal(rows, cols, 1.0, rng);
+    for (size_t r = 0; r < rows; ++r)
+        for (size_t c = 0; c < cols; ++c) {
+            const double u = rng.uniform(0.0, 1.0);
+            if (u < 0.2)
+                m(r, c) = 0.0;
+            else if (u < 0.35)
+                m(r, c) = -0.0;
+        }
+    return m;
+}
+
+TEST(MatrixExact, DispatchPicksAHostVariant)
+{
+    const auto &variants = gemm::hostVariants();
+    ASSERT_FALSE(variants.empty());
+    EXPECT_STREQ(variants.back().isa, "baseline");
+    EXPECT_EQ(gemm::active().kernel, variants.front().kernel);
+    {
+        gemm::ScopedVariant pin(variants.back());
+        EXPECT_EQ(gemm::active().kernel, variants.back().kernel);
+    }
+    EXPECT_EQ(gemm::active().kernel, variants.front().kernel);
+}
+
+TEST(MatrixExact, ProductsMatchPlainLoopsBitForBit)
+{
+    // Every variant the host runs, at 1 and 4 pool threads, over shapes
+    // that hit every tile and tail width and a second pass over k
+    // (> 256), plus three above the pool cutoff (1M multiply-adds), so
+    // the products also run in row chunks on the pool.
+    struct Shape
+    {
+        size_t m, k, n;
+    };
+    std::vector<Shape> shapes = {{129, 96, 96}, {257, 96, 96}, {40, 300, 96}};
+    for (size_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 33})
+        for (size_t k : {1, 31, 32, 96, 300})
+            for (size_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 96})
+                shapes.push_back({m, k, n});
+    for (size_t threads : {1, 4}) {
+        runtime::setThreads(threads);
+        for (const gemm::Variant &variant : gemm::hostVariants()) {
+            gemm::ScopedVariant pin(variant);
+            Rng rng(97);
+            for (const auto [m, k, n] : shapes) {
+                SCOPED_TRACE(testing::Message()
+                             << variant.isa << " threads " << threads
+                             << " m " << m << " k " << k << " n " << n);
+                const Matrix a = withZeros(m, k, rng);
+                const Matrix b = Matrix::randomNormal(k, n, 1.0, rng);
+                ASSERT_TRUE(bitEqual(a.matmul(b), oracle::matmul(a, b)));
+                const Matrix at = withZeros(k, m, rng);
+                ASSERT_TRUE(bitEqual(at.transposeMatmul(b),
+                                     oracle::transposeMatmul(at, b)));
+                const Matrix bt = Matrix::randomNormal(n, k, 1.0, rng);
+                ASSERT_TRUE(bitEqual(a.matmulTranspose(bt),
+                                     oracle::matmulTranspose(a, bt)));
+            }
+        }
+    }
+    runtime::setThreads(0);
+}
+
+TEST(MatrixExact, ZeroTermsAreSkippedNotMultiplied)
+{
+    // 0 * inf would be NaN: a skipped term keeps the output finite, in
+    // all three products and every variant.
+    const double inf = std::numeric_limits<double>::infinity();
+    const Matrix a = Matrix::fromRows({{0.0, 2.0}, {-0.0, 1.0}});
+    const Matrix b = Matrix::fromRows({{inf, -inf, inf, 1, 2, 3, 4, 5, 6},
+                                       {1, 2, 3, 4, 5, 6, 7, 8, 9}});
+    const Matrix expected = oracle::matmul(a, b);
+    for (const gemm::Variant &variant : gemm::hostVariants()) {
+        gemm::ScopedVariant pin(variant);
+        EXPECT_TRUE(bitEqual(a.matmul(b), expected)) << variant.isa;
+        EXPECT_TRUE(bitEqual(a.transposed().transposeMatmul(b), expected))
+            << variant.isa;
+        EXPECT_TRUE(bitEqual(a.matmulTranspose(b.transposed()), expected))
+            << variant.isa;
+        const Matrix out = a.matmul(b);
+        for (size_t i = 0; i < out.size(); ++i)
+            EXPECT_TRUE(std::isfinite(out.data()[i])) << variant.isa;
+    }
 }
 
 TEST(Matrix, TransposedTwiceIsIdentity)

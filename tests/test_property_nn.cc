@@ -6,13 +6,32 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
 
+#include "adapt/tent.h"
 #include "data/domain.h"
+#include "nn/bn_patch.h"
 #include "nn/classifier.h"
 #include "nn/loss.h"
 
 namespace nazar::nn {
 namespace {
+
+/** Printed by the pre-gemm build of this test (see NnGolden below). */
+const char *const kGoldenLogits =
+    "0.53704041961969995 0.17177789652445508 -0.021521316822403332 "
+    "0.012094263055233345 0.2403529262921664 0.14809797907896491\n"
+    "0.70863009089348306 -0.047258270113576285 0.17261204460332821 "
+    "0.20249662932325599 0.011339625382223485 -0.41987170412980129\n"
+    "-0.19738120639502474 -0.021020803254358962 -0.2612181896733905 "
+    "0.52227812380111949 -0.091903927467760591 -0.3017762439984828\n"
+    "0.016599121961409176 0.74079780895690306 -0.58217907466718211 "
+    "-0.015024912792182878 0.28583414913732569 -0.44606512835066403\n"
+    "0.92713724681363641 0.17299831495261292 -0.69488292050299905 "
+    "0.24304337277778723 -0.079402599176831873 -0.46508943444659639\n"
+    "0.54604817018782947 -0.083930200480122855 -0.5333464894445531 "
+    "0.22294285527696478 0.55847615679517426 0.11129182433401409\n";
 
 /** Probe loss over the whole network: L = sum(logits .* R). */
 double
@@ -187,6 +206,56 @@ TEST(NnInvariants, AdaptForwardMovesTowardBatchDistribution)
         model.logits(shifted, Mode::kAdapt); // stat refresh only
     double after = model.accuracy(shifted, data.labels);
     EXPECT_GE(after + 1e-9, before);
+}
+
+/** Every logit of @p model on @p x as %.17g, one row per line. */
+std::string
+logitText(Classifier &model, const Matrix &x)
+{
+    const Matrix z = model.logits(x);
+    std::string text;
+    char buf[32];
+    for (size_t r = 0; r < z.rows(); ++r) {
+        for (size_t c = 0; c < z.cols(); ++c) {
+            std::snprintf(buf, sizeof buf, "%s%.17g", c ? " " : "",
+                          z(r, c));
+            text += buf;
+        }
+        text += "\n";
+    }
+    return text;
+}
+
+TEST(NnGolden, TrainedResNet50AndTentPatchLogitsAreUnchanged)
+{
+    // Pins the whole nn stack to the bit: supervised training (all
+    // three products, BN train/backward, SGD), TENT adaptation
+    // (adapt-mode forward/backward, Adam) and the eval path with the
+    // adapted BN patch.
+    // The expected text was printed by the plain-loop products that the
+    // gemm kernel replaced; any change in rounding shows up here.
+    data::DomainConfig dc;
+    dc.numClasses = 6;
+    dc.featureDim = 32;
+    dc.seed = 41;
+    data::Domain domain(dc);
+    Rng rng(3);
+    auto train = domain.makeBalancedDataset(40, rng);
+    Classifier base(Architecture::kResNet50, 32, 6, 5);
+    TrainConfig tc;
+    tc.epochs = 3;
+    base.trainSupervised(train.x, train.labels, tc);
+
+    auto drift = domain.makeBalancedDataset(12, rng);
+    drift.x.addRowBroadcast(Matrix(1, 32, 0.75));
+    Classifier adapted = base.clone();
+    adapt::TentAdapter(adapt::AdaptConfig{}).adapt(adapted, drift.x);
+    Classifier patched = base.clone();
+    BnPatch::extract(adapted.net()).apply(patched.net());
+
+    const Matrix probe = Matrix::randomNormal(3, 32, 1.0, rng);
+    EXPECT_EQ(logitText(base, probe) + logitText(patched, probe),
+              kGoldenLogits);
 }
 
 } // namespace
