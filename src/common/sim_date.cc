@@ -63,13 +63,26 @@ SimDate::toString() const
 std::string
 SimDate::toDateTimeString() const
 {
-    char buf[48];
-    int h = secondOfDay_ / 3600;
-    int m = (secondOfDay_ / 60) % 60;
-    int s = secondOfDay_ % 60;
-    std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d %02d:%02d:%02d",
-                  kSimYear, month(), dayOfMonth(), h, m, s);
-    return buf;
+    // "YYYY-MM-DD hh:mm:ss": every field is fixed-width (the year is
+    // kSimYear, month/day/h/m/s are two digits), so the 19 characters
+    // are written in place instead of going through snprintf.
+    static_assert(kSimYear >= 1000 && kSimYear <= 9999);
+    std::string out(19, '-');
+    auto two = [&out](size_t at, int v) {
+        out[at] = static_cast<char>('0' + v / 10);
+        out[at + 1] = static_cast<char>('0' + v % 10);
+    };
+    two(0, kSimYear / 100);
+    two(2, kSimYear % 100);
+    two(5, month());
+    two(8, dayOfMonth());
+    out[10] = ' ';
+    two(11, secondOfDay_ / 3600);
+    out[13] = ':';
+    two(14, (secondOfDay_ / 60) % 60);
+    out[16] = ':';
+    two(17, secondOfDay_ % 60);
+    return out;
 }
 
 std::vector<TimeWindow>

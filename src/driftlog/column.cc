@@ -11,6 +11,35 @@
 
 namespace nazar::driftlog {
 
+Column::Column(ValueType type, std::vector<Value> dictionary,
+               std::vector<Id> ids)
+    : type_(type), dict_(std::move(dictionary)), ids_(std::move(ids))
+{
+    NAZAR_CHECK(dict_.size() <
+                    static_cast<size_t>(std::numeric_limits<Id>::max()),
+                "column dictionary overflow");
+    for (size_t i = 0; i < dict_.size(); ++i) {
+        NAZAR_CHECK(dict_[i].isNull() || dict_[i].type() == type_,
+                    "dictionary entry type does not match column type");
+        NAZAR_CHECK(i == 0 || dict_[i - 1] < dict_[i],
+                    "column dictionary is not strictly ascending");
+        // Sorted keys: every insert lands at the end, O(1) amortized.
+        index_.emplace_hint(index_.end(), dict_[i], static_cast<Id>(i));
+    }
+    std::vector<bool> referenced(dict_.size(), false);
+    for (Id id : ids_) {
+        NAZAR_CHECK(id < dict_.size(), "column id out of range");
+        referenced[id] = true;
+    }
+    NAZAR_CHECK(std::find(referenced.begin(), referenced.end(), false) ==
+                    referenced.end(),
+                "column dictionary has an unreferenced entry");
+    // NULL sorts below every typed value: it can only be entry 0.
+    if (!dict_.empty() && dict_[0].isNull())
+        nullCount_ = static_cast<size_t>(
+            std::count(ids_.begin(), ids_.end(), Id{0}));
+}
+
 const Value &
 Column::dictValue(Id id) const
 {

@@ -63,6 +63,19 @@ class Column
 
     explicit Column(ValueType type) : type_(type) {}
 
+    /**
+     * Adopt an already-encoded column: a sorted @p dictionary and the
+     * per-row @p ids into it (the parts dictionary()/ids() return).
+     * Checks the class invariant instead of rebuilding it, so no
+     * per-row Value is materialized: the dictionary must be strictly
+     * ascending in Value total order with every entry NULL or of
+     * @p type, every id must be below the dictionary size, and every
+     * entry must be referenced by some row. Throws NazarError
+     * otherwise. O(n + m).
+     */
+    Column(ValueType type, std::vector<Value> dictionary,
+           std::vector<Id> ids);
+
     /** Declared type of the column (cells are this type or NULL). */
     ValueType type() const { return type_; }
 

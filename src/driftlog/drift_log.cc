@@ -9,10 +9,8 @@
 
 namespace nazar::driftlog {
 
-namespace {
-
 Schema
-canonicalSchema()
+DriftLog::canonicalSchema()
 {
     return Schema({
         {columns::kDay, ValueType::kInt},
@@ -25,8 +23,6 @@ canonicalSchema()
         {columns::kDrift, ValueType::kBool},
     });
 }
-
-} // namespace
 
 DriftLog::DriftLog() : table_(canonicalSchema())
 {

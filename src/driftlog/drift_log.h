@@ -72,14 +72,18 @@ class DriftLog
      */
     static std::vector<std::string> defaultAttributeColumns();
 
+    /** The canonical schema every drift log has (Table 2's columns). */
+    static Schema canonicalSchema();
+
     /** Materialize one row back into an entry. */
     DriftLogEntry entry(size_t row) const;
 
     /**
      * Adopt a table that already has the canonical schema (e.g. one
-     * read back from a CSV snapshot). Cell-exact: unlike re-adding
-     * entries, no formatting round-trip happens, and the obs ingest
-     * counter is not advanced. Throws NazarError on a schema mismatch.
+     * read back from a CSV file or a snapshot's columns). Cell-exact:
+     * unlike re-adding entries, no formatting round-trip happens, and
+     * the obs ingest counter is not advanced. Throws NazarError on a
+     * schema mismatch.
      */
     static DriftLog fromTable(Table table);
 

@@ -42,6 +42,21 @@ Table::Table(Schema schema) : schema_(std::move(schema))
         columns_.emplace_back(schema_.column(i).type);
 }
 
+Table::Table(Schema schema, std::vector<Column> columns)
+    : schema_(std::move(schema)), columns_(std::move(columns))
+{
+    NAZAR_CHECK(columns_.size() == schema_.columnCount(),
+                "column count does not match schema");
+    for (size_t i = 0; i < columns_.size(); ++i) {
+        NAZAR_CHECK(columns_[i].type() == schema_.column(i).type,
+                    "column type does not match schema: " +
+                        schema_.column(i).name);
+        NAZAR_CHECK(columns_[i].size() == columns_[0].size(),
+                    "columns differ in length");
+    }
+    rowCount_ = columns_.empty() ? 0 : columns_[0].size();
+}
+
 void
 Table::append(const Row &row)
 {

@@ -62,6 +62,13 @@ class Table
   public:
     explicit Table(Schema schema);
 
+    /**
+     * Adopt ready-made columns, one per schema column in order: each
+     * must have its column's declared type, and all must hold the same
+     * number of rows. Throws NazarError otherwise.
+     */
+    Table(Schema schema, std::vector<Column> columns);
+
     const Schema &schema() const { return schema_; }
     size_t rowCount() const { return rowCount_; }
 

@@ -1,10 +1,8 @@
 #include "persist/cloud_persist.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/error.h"
-#include "driftlog/csv.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -23,9 +21,15 @@ blobKey(int64_t id, const char *kind)
     return "versions/" + std::to_string(id) + "/" + kind;
 }
 
-/** Replay one ingest attempt with the same dedup semantics as Cloud. */
+/**
+ * Replay one ingest attempt with the same dedup semantics as Cloud.
+ * The record is decoded in full (every bounds check) and dedup-checked
+ * either way; @p materialize false means a later clear discards the
+ * row, so an accepted row is only counted, not appended.
+ */
 void
-replayIngest(RecoveredState &st, Reader &r, size_t dedup_window)
+replayIngest(RecoveredState &st, Reader &r, size_t dedup_window,
+             bool materialize)
 {
     uint8_t flags = r.getU8();
     int64_t device = r.getI64();
@@ -50,8 +54,12 @@ replayIngest(RecoveredState &st, Reader &r, size_t dedup_window)
             window.seen.erase(window.seen.begin());
         }
     }
-    st.log.add(entry);
     ++st.totalIngested;
+    if (!materialize) {
+        ++st.elidedRows;
+        return;
+    }
+    st.log.add(entry);
     if (upload.has_value())
         st.uploads.push_back(std::move(*upload));
 }
@@ -109,12 +117,12 @@ replayRegistryGc(RecoveredState &st, Reader &r)
 
 void
 applyWalRecord(RecoveredState &st, const WalRecord &rec,
-               size_t dedup_window)
+               size_t dedup_window, bool materialize)
 {
     Reader r(rec.payload);
     switch (rec.type) {
       case WalRecordType::kIngest:
-        replayIngest(st, r, dedup_window);
+        replayIngest(st, r, dedup_window, materialize);
         break;
       case WalRecordType::kCycleCommit:
         replayCycleCommit(st, r);
@@ -132,14 +140,11 @@ applyWalRecord(RecoveredState &st, const WalRecord &rec,
 void
 applySnapshot(RecoveredState &st, SnapshotData &&snap)
 {
-    st.lastWalSeq = snap.lastWalSeq;
     st.logicalTime = snap.logicalTime;
     st.nextVersionId = snap.nextVersionId;
     st.totalIngested = snap.totalIngested;
     st.dedupHits = snap.dedupHits;
-    std::istringstream csv(snap.driftLogCsv);
-    st.log = driftlog::DriftLog::fromTable(
-        driftlog::readCsv(st.log.table().schema(), csv));
+    st.log = std::move(snap.driftLog);
     st.uploads = std::move(snap.uploads);
     st.dedup = std::move(snap.dedup);
     st.blobs = std::move(snap.blobs);
@@ -168,46 +173,47 @@ collectChainFiles(const fs::path &dir)
     return files;
 }
 
-/** What the snapshot-chain loader tells CloudPersistence. */
+/** What chain recovery tells CloudPersistence about the chain head. */
 struct ChainRecovery
 {
-    bool loaded = false; ///< A chain (or legacy snapshot) was applied.
+    bool loaded = false; ///< A chain was applied.
     uint64_t headId = 0;
     uint32_t headCrc = 0;
     uint64_t headLastWalSeq = 0;
     uint64_t deltasSinceFull = 0;
 };
 
-/**
- * Load the newest snapshot chain (or the legacy snapshot.bin) into
- * @p st. A delta whose base is missing or CRC-mismatched is a broken
- * chain: recovery REFUSES (NazarError) rather than silently adopting
- * stale state — the base provably existed when the delta committed,
- * so its absence means the directory was damaged outside the
- * protocol.
- */
-ChainRecovery
-loadSnapshotChain(RecoveredState &st, const fs::path &dir,
-                  size_t dedup_window)
+/** The newest snapshot chain, validated and decoded. */
+struct DecodedChain
 {
-    ChainRecovery out;
+    ChainRecovery head;
+    std::optional<SnapshotData> full;
+    uint64_t fullLastWalSeq = 0; ///< The full file's header lastWalSeq.
+    /** Each delta's records and header lastWalSeq, base first. */
+    std::vector<std::pair<std::vector<WalRecord>, uint64_t>> deltas;
+};
+
+/**
+ * Validate and decode the newest snapshot chain in @p dir. A delta
+ * whose base is missing or CRC-mismatched is a broken chain, and a
+ * payload that fails to decode is corrupt: recovery REFUSES
+ * (NazarError) rather than silently adopting stale state — the base
+ * provably existed when the delta committed, so its absence means
+ * the directory was damaged outside the protocol.
+ */
+DecodedChain
+decodeChain(const fs::path &dir)
+{
+    DecodedChain out;
     std::map<uint64_t, ChainFile> files = collectChainFiles(dir);
-    if (files.empty()) {
-        // Legacy layout (pre-chain): a single snapshot.bin.
-        auto snap = loadSnapshotFile(dir / "snapshot.bin");
-        if (snap.has_value()) {
-            out.headLastWalSeq = snap->lastWalSeq;
-            applySnapshot(st, std::move(*snap));
-            out.loaded = true;
-        }
+    if (files.empty())
         return out;
-    }
 
     // Walk head -> base until a full snapshot anchors the chain.
     const ChainFile *cur = &files.rbegin()->second;
-    out.headId = cur->header.id;
-    out.headCrc = cur->header.payloadCrc;
-    out.headLastWalSeq = cur->header.lastWalSeq;
+    out.head.headId = cur->header.id;
+    out.head.headCrc = cur->header.payloadCrc;
+    out.head.headLastWalSeq = cur->header.lastWalSeq;
     std::vector<const ChainFile *> chain;
     while (true) {
         chain.push_back(cur);
@@ -225,27 +231,74 @@ loadSnapshotChain(RecoveredState &st, const fs::path &dir,
                         " does not match the CRC its delta recorded");
         cur = &base->second;
     }
-    out.deltasSinceFull = chain.size() - 1;
-
-    // Apply base-first: full snapshot, then each delta's records.
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-        const ChainFile &file = **it;
-        if (file.header.kind == ChainKind::kFull) {
-            applySnapshot(st, decodeSnapshot(file.payload));
-        } else {
-            for (const WalRecord &rec :
-                 decodeDeltaRecords(file.payload)) {
-                if (rec.seq <= st.lastWalSeq)
-                    continue;
-                applyWalRecord(st, rec, dedup_window);
-                st.lastWalSeq = rec.seq;
-            }
-        }
-        if (file.header.lastWalSeq > st.lastWalSeq)
-            st.lastWalSeq = file.header.lastWalSeq;
-    }
-    out.loaded = true;
+    out.head.deltasSinceFull = chain.size() - 1;
+    out.full = decodeSnapshot(chain.back()->payload);
+    out.fullLastWalSeq = chain.back()->header.lastWalSeq;
+    for (auto it = chain.rbegin() + 1; it != chain.rend(); ++it)
+        out.deltas.emplace_back(decodeDeltaRecords((*it)->payload),
+                                (*it)->header.lastWalSeq);
+    out.head.loaded = true;
     return out;
+}
+
+/**
+ * The one recovery path: decode the snapshot chain, then call
+ * @p open_wal(lastChainSeq) for the live WAL's records, then replay
+ * the full snapshot, every record above it and every WAL record
+ * above the chain, in seq order. The WAL is opened only after the
+ * chain validated, so a refused recovery leaves wal.log (and its torn
+ * tail) untouched.
+ *
+ * Skip rule: an ingest below the seq of the last kCycleCommit/kFlush
+ * among the replayed records is still decoded, dedup-checked and
+ * counted, but not materialized — that clear empties the log and the
+ * upload buffer, so the result is the same.
+ */
+template <typename OpenWal>
+ChainRecovery
+recoverInto(RecoveredState &st, const fs::path &dir,
+            size_t dedup_window, OpenWal &&open_wal)
+{
+    DecodedChain chain;
+    {
+        NAZAR_SPAN("persist.recover.chain");
+        chain = decodeChain(dir);
+    }
+    NAZAR_SPAN("persist.recover.replay");
+    // Select what to replay, in seq order: each element contributes
+    // the records above everything before it.
+    std::vector<const WalRecord *> plan;
+    uint64_t cut = 0;
+    auto take = [&plan, &cut](const std::vector<WalRecord> &records) {
+        for (const WalRecord &rec : records) {
+            if (rec.seq <= cut)
+                continue; // already inside an earlier element
+            plan.push_back(&rec);
+            cut = rec.seq;
+        }
+    };
+    if (chain.full.has_value())
+        cut = std::max(chain.full->lastWalSeq, chain.fullLastWalSeq);
+    for (const auto &[records, last_seq] : chain.deltas) {
+        take(records);
+        cut = std::max(cut, last_seq);
+    }
+    size_t chain_records = plan.size();
+    take(open_wal(cut));
+    st.replayedRecords = plan.size() - chain_records;
+
+    uint64_t clear_seq = 0;
+    for (const WalRecord *rec : plan)
+        if (rec->type == WalRecordType::kCycleCommit ||
+            rec->type == WalRecordType::kFlush)
+            clear_seq = rec->seq;
+    if (chain.full.has_value())
+        applySnapshot(st, std::move(*chain.full));
+    for (const WalRecord *rec : plan)
+        applyWalRecord(st, *rec, dedup_window, rec->seq >= clear_seq);
+    st.lastWalSeq = cut;
+    st.snapshotLoaded = chain.head.loaded;
+    return chain.head;
 }
 
 } // namespace
@@ -290,21 +343,18 @@ decodeDeltaRecords(const std::string &payload)
 RecoveredState
 recoverDir(const fs::path &dir, size_t dedup_window)
 {
+    NAZAR_SPAN("persist.recover");
     RecoveredState st;
-    ChainRecovery chain = loadSnapshotChain(st, dir, dedup_window);
-    st.snapshotLoaded = chain.loaded;
-    WalScan scan = Wal::scan(dir / "wal.log");
-    NAZAR_CHECK(!scan.unreadable,
-                "recover: " + (dir / "wal.log").string() +
-                    " exists but cannot be read");
-    st.truncatedBytes = scan.truncatedBytes;
-    for (const auto &rec : scan.records) {
-        if (rec.seq <= st.lastWalSeq)
-            continue; // already inside the snapshot
-        applyWalRecord(st, rec, dedup_window);
-        st.lastWalSeq = rec.seq;
-        ++st.replayedRecords;
-    }
+    WalScan scan;
+    recoverInto(st, dir, dedup_window,
+                [&](uint64_t) -> const std::vector<WalRecord> & {
+                    scan = Wal::scan(dir / "wal.log");
+                    NAZAR_CHECK(!scan.unreadable,
+                                "recover: " + (dir / "wal.log").string() +
+                                    " exists but cannot be read");
+                    st.truncatedBytes = scan.truncatedBytes;
+                    return scan.records;
+                });
     return st;
 }
 
@@ -320,45 +370,38 @@ CloudPersistence::CloudPersistence(const PersistConfig &config,
     env_.arm(config_.fault);
 
     fs::path dir(config_.dir);
+    auto open_wal =
+        [&](uint64_t chain_seq) -> const std::vector<WalRecord> & {
+        // A crash during a tmp phase leaves snap-*.tmp orphans; they
+        // were never committed, so discard them.
+        std::error_code ec;
+        std::vector<fs::path> orphans;
+        for (const auto &entry : fs::directory_iterator(dir, ec)) {
+            if (entry.path().extension() == ".tmp")
+                orphans.push_back(entry.path());
+        }
+        for (const auto &orphan : orphans)
+            fs::remove(orphan, ec);
+        wal_ = std::make_unique<Wal>(dir / "wal.log", &injector_,
+                                     config_.sync, &env_);
+        wal_->bumpSeqPast(chain_seq);
+        recovered_.truncatedBytes = wal_->truncatedBytes();
+        return wal_->records();
+    };
     ChainRecovery chain =
-        loadSnapshotChain(recovered_, dir, dedup_window);
-    if (chain.loaded) {
-        recovered_.snapshotLoaded = true;
-        obs::Registry::global()
-            .counter("persist.recover.snapshot_loads")
-            .add(1);
-    }
+        recoverInto(recovered_, dir, dedup_window, open_wal);
+    wal_->dropRecords();
     chainHeadId_ = chain.headId;
     chainHeadCrc_ = chain.headCrc;
     chainLastWalSeq_ = chain.headLastWalSeq;
     deltasSinceFull_ = chain.deltasSinceFull;
-
-    // A crash during a tmp phase leaves orphans (snapshot.tmp or
-    // snap-*.tmp); they were never committed, so discard them.
-    std::error_code ec;
-    std::vector<fs::path> orphans;
-    for (const auto &entry : fs::directory_iterator(dir, ec)) {
-        if (entry.path().extension() == ".tmp")
-            orphans.push_back(entry.path());
-    }
-    for (const auto &orphan : orphans)
-        fs::remove(orphan, ec);
-
-    wal_ = std::make_unique<Wal>(dir / "wal.log", &injector_,
-                                 config_.sync, &env_);
-    wal_->bumpSeqPast(recovered_.lastWalSeq);
-    recovered_.truncatedBytes = wal_->truncatedBytes();
-    for (const auto &rec : wal_->records()) {
-        if (rec.seq <= recovered_.lastWalSeq)
-            continue;
-        applyWalRecord(recovered_, rec, dedup_window);
-        recovered_.lastWalSeq = rec.seq;
-        ++recovered_.replayedRecords;
-    }
-    wal_->dropRecords();
-    obs::Registry::global()
-        .counter("persist.recover.replayed_records")
+    obs::Registry &reg = obs::Registry::global();
+    if (chain.loaded)
+        reg.counter("persist.recover.snapshot_loads").add(1);
+    reg.counter("persist.recover.replayed_records")
         .add(recovered_.replayedRecords);
+    reg.counter("persist.recover.elided_rows")
+        .add(recovered_.elidedRows);
 }
 
 uint64_t
@@ -532,9 +575,9 @@ CloudPersistence::gcSupersededChain()
 {
     // Safety invariant: only called right after a FULL snapshot
     // committed, so the recovery chain is exactly {chainHeadId_} and
-    // every older chain file (and the legacy snapshot.bin) is
-    // superseded. Unlinks are best-effort: a survivor is harmless
-    // (recovery picks the newest chain) and must not poison the log.
+    // every older chain file is superseded. Unlinks are best-effort:
+    // a survivor is harmless (recovery picks the newest chain) and
+    // must not poison the log.
     fs::path dir(config_.dir);
     std::error_code ec;
     std::vector<fs::path> victims;
@@ -544,8 +587,6 @@ CloudPersistence::gcSupersededChain()
         if (parsed.has_value() && parsed->first < chainHeadId_)
             victims.push_back(entry.path());
     }
-    if (fs::exists(dir / "snapshot.bin", ec))
-        victims.push_back(dir / "snapshot.bin");
     uint64_t removed = 0;
     for (const auto &victim : victims) {
         if (env_.remove("env.snap.unlink", victim))
@@ -677,24 +718,6 @@ scrubStateDir(const fs::path &dir)
         }
     }
 
-    // --- legacy snapshot.bin ----------------------------------------
-    if (fs::exists(dir / "snapshot.bin", ec)) {
-        auto snap = loadSnapshotFile(dir / "snapshot.bin");
-        if (snap.has_value()) {
-            report.legacySnapshot = true;
-            if (!valid.empty())
-                report.notes.push_back(
-                    "stale legacy snapshot.bin awaiting GC");
-        } else if (valid.empty()) {
-            report.ok = false;
-            report.issues.push_back(
-                "snapshot.bin is corrupt and no chain exists");
-        } else {
-            report.notes.push_back(
-                "unreadable legacy snapshot.bin (not part of the "
-                "recovery chain)");
-        }
-    }
     return report;
 }
 

@@ -86,7 +86,13 @@ struct RecoveredState
     int64_t cleanPatchTime = 0;
     uint64_t lastWalSeq = 0;
     bool snapshotLoaded = false;
-    uint64_t replayedRecords = 0;
+    uint64_t replayedRecords = 0; ///< Live-WAL records replayed.
+    /**
+     * Accepted ingest rows decoded and dedup-checked but not
+     * materialized, because a later replayed cycle commit or flush
+     * clears them anyway.
+     */
+    uint64_t elidedRows = 0;
     uint64_t truncatedBytes = 0; ///< Torn WAL tail dropped on open.
 };
 
@@ -99,10 +105,11 @@ struct VersionBlobs
 };
 
 /**
- * Read-only recovery: load the snapshot (when valid) and replay the
- * WAL. Used by `nazar_ops recover` and by tests; Cloud recovery goes
- * through CloudPersistence, which additionally opens the WAL for
- * append (truncating any torn tail).
+ * Read-only recovery: load the snapshot chain and replay the WAL.
+ * Used by `nazar_ops recover` and by tests. It runs the same replay
+ * as CloudPersistence, which differs only in opening the WAL for
+ * append (truncating any torn tail) where this one scans it. Throws
+ * NazarError on a broken or undecodable chain.
  *
  * @param dedup_window Dedup window size to replay ingests with; must
  *                     match the CloudConfig the WAL was written under.
@@ -137,7 +144,6 @@ struct ScrubReport
     uint64_t chainFiles = 0;       ///< Valid chain files present.
     uint64_t chainLength = 0;      ///< Elements in the recovery chain.
     uint64_t chainBytes = 0;       ///< Payload bytes across chain files.
-    bool legacySnapshot = false;   ///< A readable snapshot.bin exists.
 };
 
 /**
@@ -262,7 +268,7 @@ class CloudPersistence
   private:
     uint64_t append(WalRecordType type, const std::string &payload);
 
-    /** Unlink chain files older than the head + the legacy snapshot. */
+    /** Unlink chain files older than the head. */
     void gcSupersededChain();
 
     PersistConfig config_;

@@ -9,24 +9,38 @@ namespace nazar::persist {
 
 namespace {
 
-std::array<uint32_t, 256>
-makeCrcTable()
+/**
+ * Slicing-by-8 tables: kCrcTables[0] is the classic byte-at-a-time
+ * table of the reflected 0xEDB88320 polynomial; kCrcTables[k][b] is
+ * the CRC of byte b followed by k zero bytes, so eight table lookups
+ * advance the register by eight input bytes at once.
+ */
+constexpr std::array<std::array<uint32_t, 256>, 8>
+makeCrcTables()
 {
-    std::array<uint32_t, 256> table{};
+    std::array<std::array<uint32_t, 256>, 8> t{};
     for (uint32_t i = 0; i < 256; ++i) {
         uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-        table[i] = c;
+        t[0][i] = c;
     }
-    return table;
+    for (size_t k = 1; k < 8; ++k)
+        for (uint32_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    return t;
 }
 
-const std::array<uint32_t, 256> &
-crcTable()
+constexpr auto kCrcTables = makeCrcTables();
+
+/** Little-endian u32 at @p p (byte-wise, so any alignment and host). */
+inline uint32_t
+loadLe32(const unsigned char *p)
 {
-    static const std::array<uint32_t, 256> table = makeCrcTable();
-    return table;
+    return static_cast<uint32_t>(p[0]) |
+           static_cast<uint32_t>(p[1]) << 8 |
+           static_cast<uint32_t>(p[2]) << 16 |
+           static_cast<uint32_t>(p[3]) << 24;
 }
 
 } // namespace
@@ -34,11 +48,19 @@ crcTable()
 uint32_t
 crc32Update(uint32_t crc, const void *data, size_t len)
 {
-    const auto &table = crcTable();
+    const auto &t = kCrcTables;
     const auto *p = static_cast<const unsigned char *>(data);
     crc ^= 0xFFFFFFFFu;
-    for (size_t i = 0; i < len; ++i)
-        crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+    for (; len >= 8; p += 8, len -= 8) {
+        uint32_t lo = loadLe32(p) ^ crc;
+        uint32_t hi = loadLe32(p + 4);
+        crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+              t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+              t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+              t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+    }
+    for (; len > 0; ++p, --len)
+        crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
     return crc ^ 0xFFFFFFFFu;
 }
 
@@ -234,6 +256,55 @@ getEntry(Reader &r)
     e.modelVersion = r.getI64();
     e.drift = r.getBool();
     return e;
+}
+
+void
+putDriftLog(Writer &w, const driftlog::DriftLog &log)
+{
+    const driftlog::Table &table = log.table();
+    w.putU32(static_cast<uint32_t>(table.schema().columnCount()));
+    for (size_t c = 0; c < table.schema().columnCount(); ++c) {
+        const driftlog::Column &col = table.column(c);
+        w.putU8(static_cast<uint8_t>(col.type()));
+        w.putU64(col.dictionary().size());
+        for (const driftlog::Value &v : col.dictionary())
+            putValue(w, v);
+        w.putU64(col.ids().size());
+        for (driftlog::Column::Id id : col.ids())
+            w.putU32(id);
+    }
+}
+
+driftlog::DriftLog
+getDriftLog(Reader &r)
+{
+    driftlog::Schema schema = driftlog::DriftLog::canonicalSchema();
+    NAZAR_CHECK(r.getU32() == schema.columnCount(),
+                "persist: drift log has the wrong column count");
+    std::vector<driftlog::Column> columns;
+    columns.reserve(schema.columnCount());
+    for (const driftlog::ColumnDef &def : schema.columns()) {
+        NAZAR_CHECK(r.getU8() == static_cast<uint8_t>(def.type),
+                    "persist: drift-log column " + def.name +
+                        " has the wrong type");
+        uint64_t entries = r.getU64();
+        // Every encoded Value takes at least its one-byte tag.
+        NAZAR_CHECK(entries <= r.remaining(),
+                    "persist: drift-log dictionary exceeds buffer");
+        std::vector<driftlog::Value> dict;
+        dict.reserve(static_cast<size_t>(entries));
+        for (uint64_t i = 0; i < entries; ++i)
+            dict.push_back(getValue(r));
+        uint64_t rows = r.getU64();
+        NAZAR_CHECK(rows <= r.remaining() / 4,
+                    "persist: drift-log ids exceed buffer");
+        std::vector<driftlog::Column::Id> ids(static_cast<size_t>(rows));
+        for (auto &id : ids)
+            id = r.getU32();
+        columns.emplace_back(def.type, std::move(dict), std::move(ids));
+    }
+    return driftlog::DriftLog::fromTable(
+        driftlog::Table(std::move(schema), std::move(columns)));
 }
 
 void

@@ -7,15 +7,15 @@
  * doubles (memcpy of the IEEE-754 pattern, so NaN payloads survive a
  * round trip), length-prefixed strings, and composite encoders for
  * the domain types the cloud persists (driftlog::Value,
- * rca::AttributeSet, drift-log entries, uploads). A table-based CRC32
- * (the usual reflected 0xEDB88320 polynomial) guards every WAL record
- * and the snapshot payload; no external compression/CRC library is
- * used.
+ * rca::AttributeSet, drift-log entries, uploads). A CRC32 (the usual
+ * reflected 0xEDB88320 polynomial, computed slicing-by-8: eight table
+ * lookups per eight input bytes, portable C++) guards every WAL
+ * record, chain file and wire frame; no external compression/CRC
+ * library is used.
  *
  * Readers are bounds-checked: a short or corrupt buffer raises
  * NazarError, which the WAL open path converts into torn-tail
- * truncation and the snapshot loader converts into "snapshot invalid,
- * fall back to WAL-only recovery".
+ * truncation and chain recovery into a refusal to adopt the state.
  */
 #ifndef NAZAR_PERSIST_SERIAL_H
 #define NAZAR_PERSIST_SERIAL_H
@@ -104,6 +104,24 @@ rca::AttributeSet getAttributeSet(Reader &r);
  */
 void putEntry(Writer &w, const driftlog::DriftLogEntry &e);
 driftlog::DriftLogEntry getEntry(Reader &r);
+
+/**
+ * A drift log as its dictionary-encoded columns:
+ *
+ *     [u32 columnCount] then per column:
+ *     [u8 ValueType][u64 dictSize][dictSize x putValue, ascending]
+ *     [u64 rows][rows x u32 id]
+ *
+ * written straight from Column::dictionary()/ids(), so neither side
+ * formats, parses or materializes a per-row Value. getDriftLog checks
+ * the canonical column count and types, then hands each column to
+ * Column's from-parts constructor (strictly ascending dictionary,
+ * cells NULL or of the column's type, ids in range, every entry
+ * referenced) and the columns to Table's (equal lengths); any
+ * violation throws NazarError.
+ */
+void putDriftLog(Writer &w, const driftlog::DriftLog &log);
+driftlog::DriftLog getDriftLog(Reader &r);
 
 /** Mirror of sim::Upload, kept here so persist doesn't depend on sim. */
 struct UploadRecord

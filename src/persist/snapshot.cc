@@ -12,7 +12,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kMagic[8] = {'N', 'Z', 'S', 'N', 'A', 'P', '1', 0};
 constexpr char kChainMagic[8] = {'N', 'Z', 'C', 'H', 'N', '1', 0, 0};
 
 /** Closes an Env file on scope exit (fault paths must not leak). */
@@ -54,7 +53,7 @@ slurpFile(const fs::path &path)
 }
 
 /**
- * The rename-on-commit sequence every snapshot artifact uses: write
+ * The rename-on-commit sequence every chain file uses: write
  * @p bytes to @p tmp, fsync it, rename onto @p final, fsync the
  * directory. Without the two fsyncs a "committed" file can be empty
  * or missing after power loss — the Env's kLostFile / kLostRename
@@ -108,7 +107,7 @@ encodeSnapshot(const SnapshotData &data)
     w.putI64(data.nextVersionId);
     w.putU64(data.totalIngested);
     w.putU64(data.dedupHits);
-    w.putString(data.driftLogCsv);
+    putDriftLog(w, data.driftLog);
     w.putU64(data.uploads.size());
     for (const auto &up : data.uploads)
         putUpload(w, up);
@@ -143,7 +142,7 @@ decodeSnapshot(const std::string &payload)
     data.nextVersionId = r.getI64();
     data.totalIngested = r.getU64();
     data.dedupHits = r.getU64();
-    data.driftLogCsv = r.getString();
+    data.driftLog = getDriftLog(r);
     uint64_t uploads = r.getU64();
     for (uint64_t i = 0; i < uploads; ++i)
         data.uploads.push_back(getUpload(r));
@@ -172,44 +171,6 @@ decodeSnapshot(const std::string &payload)
     }
     NAZAR_CHECK(r.atEnd(), "persist: trailing bytes in snapshot payload");
     return data;
-}
-
-void
-writeSnapshotFile(const fs::path &tmp, const fs::path &final,
-                  const SnapshotData &data, CrashInjector &injector,
-                  Env &env)
-{
-    std::string payload = encodeSnapshot(data);
-
-    Writer w;
-    w.putBytes(kMagic, sizeof(kMagic));
-    w.putU64(payload.size());
-    w.putU32(crc32(payload.data(), payload.size()));
-    w.putBytes(payload.data(), payload.size());
-    writeFileAtomic(tmp, final, w.bytes(), injector, env);
-}
-
-std::optional<SnapshotData>
-loadSnapshotFile(const fs::path &path)
-{
-    std::string bytes = slurpFile(path);
-
-    if (bytes.size() < sizeof(kMagic) + 12 ||
-        std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
-        return std::nullopt;
-    Reader head(bytes.data() + sizeof(kMagic), 12);
-    uint64_t len = head.getU64();
-    uint32_t crc = head.getU32();
-    size_t payload_at = sizeof(kMagic) + 12;
-    if (bytes.size() - payload_at != len)
-        return std::nullopt; // torn or trailing garbage
-    if (crc32(bytes.data() + payload_at, static_cast<size_t>(len)) != crc)
-        return std::nullopt;
-    try {
-        return decodeSnapshot(bytes.substr(payload_at));
-    } catch (const NazarError &) {
-        return std::nullopt; // checksum passed but payload malformed
-    }
 }
 
 std::string

@@ -1,26 +1,15 @@
 /**
  * @file
- * Checksummed cloud-state snapshots with atomic rename-on-commit.
+ * Checksummed snapshot chain of the cloud state, committed by atomic
+ * rename.
  *
- * A snapshot is the full cloud state at a safe point — drift-log table
- * (via the CSV codec), upload buffer, per-device dedup windows, the
- * registry's blob store, counters, and the last published clean patch
- * — plus `lastWalSeq`, the highest WAL sequence number the snapshot
- * already includes. Recovery loads the snapshot (if valid) and replays
- * only WAL records with seq > lastWalSeq, so a crash between the
- * snapshot rename and the WAL truncation cannot double-apply.
- *
- * On-disk layout:
- *
- *     [8-byte magic "NZSNAP1\0"][u64 payloadLen][u32 crc32(payload)]
- *     [payload]
- *
- * Writes go to `snapshot.tmp` first and are renamed over
- * `snapshot.bin` only when complete (crash sites
- * "snapshot.tmp.partial", "snapshot.tmp.done", "snapshot.rename.post"
- * cover the three distinct failure windows). A corrupt or torn
- * snapshot file is treated as absent: recovery falls back to replaying
- * the full WAL.
+ * A full snapshot is the whole cloud state at a safe point: the
+ * pending drift log (as its dictionary-encoded columns), upload
+ * buffer, per-device dedup windows, the registry's blob store,
+ * counters and the last published clean patch, plus `lastWalSeq`, the
+ * highest WAL sequence number it already includes. Recovery replays
+ * only records with seq > lastWalSeq, so a crash between a snapshot's
+ * rename and the WAL truncation cannot double-apply.
  */
 #ifndef NAZAR_PERSIST_SNAPSHOT_H
 #define NAZAR_PERSIST_SNAPSHOT_H
@@ -62,7 +51,7 @@ struct DedupWindow
     }
 };
 
-/** Everything a snapshot captures. */
+/** Everything a full snapshot captures. */
 struct SnapshotData
 {
     uint64_t lastWalSeq = 0; ///< Highest WAL seq already included.
@@ -70,7 +59,7 @@ struct SnapshotData
     int64_t nextVersionId = 1;
     uint64_t totalIngested = 0;
     uint64_t dedupHits = 0;
-    std::string driftLogCsv; ///< Pending drift-log table, CSV-encoded.
+    driftlog::DriftLog driftLog; ///< Pending (unanalyzed) rows.
     std::vector<UploadRecord> uploads;
     std::map<int64_t, DedupWindow> dedup;
     /** Registry blob store, key -> bytes, sorted by key. */
@@ -79,31 +68,26 @@ struct SnapshotData
     int64_t cleanPatchTime = 0; ///< logicalTime that produced it.
 };
 
-/** Encode the payload bytes (no header/CRC — the file writer adds it). */
+/**
+ * Encode the payload bytes (no header/CRC — the chain writer adds it):
+ *
+ *     [u64 lastWalSeq][i64 logicalTime][i64 nextVersionId]
+ *     [u64 totalIngested][u64 dedupHits]
+ *     [drift log: putDriftLog's column layout]
+ *     [u64 uploads][putUpload...]
+ *     [u64 devices][per device: i64 id, u64 floor, u64 n, n x u64 seq]
+ *     [u64 blobs][per blob: string key, string bytes]
+ *     [bool hasCleanPatch][string text, i64 time]
+ */
 std::string encodeSnapshot(const SnapshotData &data);
 
-/** Decode a payload; throws NazarError on malformed bytes. */
+/**
+ * Decode a payload; throws NazarError on malformed bytes, including
+ * any drift-log column that breaks the dictionary invariant and the
+ * retired CSV-carrying payload (whose CSV length reads as a wrong
+ * column count).
+ */
 SnapshotData decodeSnapshot(const std::string &payload);
-
-/**
- * Write @p data to @p tmp, then atomically rename onto @p final,
- * fsyncing the tmp file before the rename and the directory after it
- * (a snapshot committed by rename alone can be empty after power
- * loss). Fires the three snapshot crash sites along the way; all I/O
- * goes through @p env ("env.snap.*" sites).
- */
-void writeSnapshotFile(const std::filesystem::path &tmp,
-                       const std::filesystem::path &final,
-                       const SnapshotData &data, CrashInjector &injector,
-                       Env &env);
-
-/**
- * Load a snapshot file. Returns nullopt when the file is absent,
- * torn, or fails its checksum — the caller then recovers from the WAL
- * alone.
- */
-std::optional<SnapshotData>
-loadSnapshotFile(const std::filesystem::path &path);
 
 // ---- incremental snapshot chain ------------------------------------
 //
@@ -115,6 +99,9 @@ loadSnapshotFile(const std::filesystem::path &path);
 // exactly that delta), and links to its base by (baseId, baseCrc).
 // Recovery loads the newest full, replays each delta's records in id
 // order through the ordinary WAL replay, then replays the live WAL.
+// Ingest records below the last cycle commit or flush among those
+// replayed records are decoded, dedup-checked and counted, but their
+// rows and uploads are not materialized: that clear discards them.
 //
 // On-disk layout (file "snap-<id, 6 digits>.full" / ".delta"):
 //
@@ -158,7 +145,9 @@ parseChainFileName(const std::string &name);
 
 /**
  * Write one chain element into @p dir (tmp + fsync + rename + dir
- * fsync, like writeSnapshotFile). @p header.payloadCrc is computed
+ * fsync; crash sites "snapshot.tmp.partial", "snapshot.tmp.done" and
+ * "snapshot.rename.post" cover the three failure windows, all I/O
+ * goes through @p env's "env.snap.*" sites). @p header.payloadCrc is computed
  * here and the final value returned, so the caller can link the next
  * delta to it.
  */

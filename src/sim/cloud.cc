@@ -8,7 +8,6 @@
 
 #include "common/error.h"
 #include "common/logging.h"
-#include "driftlog/csv.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "runtime/thread_pool.h"
@@ -515,9 +514,7 @@ Cloud::writeSnapshotLocked()
     data.nextVersionId = nextVersionId_;
     data.totalIngested = totalIngested_;
     data.dedupHits = dedupHits_;
-    std::ostringstream csv;
-    driftlog::writeCsv(driftLog_.table(), csv);
-    data.driftLogCsv = csv.str();
+    data.driftLog = driftLog_; // encoded as its dictionary columns
     data.uploads.reserve(uploads_.size());
     for (const auto &up : uploads_)
         data.uploads.push_back(

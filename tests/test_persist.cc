@@ -18,6 +18,7 @@
 
 #include "common/error.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "data/apps.h"
 #include "driftlog/csv.h"
 #include "persist/cloud_persist.h"
@@ -25,6 +26,7 @@
 #include "persist/serial.h"
 #include "persist/snapshot.h"
 #include "persist/wal.h"
+#include "persist_oracle.h"
 #include "sim/cloud.h"
 
 namespace nazar::persist {
@@ -64,6 +66,29 @@ TEST(Serial, Crc32KnownVector)
     uint32_t inc = crc32Update(0, "1234", 4);
     inc = crc32Update(inc, "56789", 5);
     EXPECT_EQ(inc, 0xCBF43926u);
+}
+
+TEST(Serial, Crc32MatchesBitwiseOracle)
+{
+    Rng rng(77);
+    std::vector<unsigned char> buf((1u << 20) + 8);
+    for (auto &b : buf)
+        b = static_cast<unsigned char>(rng.index(256));
+    // Every alignment of the eight-byte stride, every tail length.
+    for (size_t off = 0; off < 8; ++off)
+        for (size_t len = 0; len <= 300; ++len)
+            ASSERT_EQ(crc32(buf.data() + off, len),
+                      oracle::crc32Bitwise(buf.data() + off, len))
+                << "offset " << off << " length " << len;
+    // Chunked updates agree with one pass at every split point.
+    const uint32_t whole = oracle::crc32Bitwise(buf.data(), 64);
+    for (size_t split = 0; split <= 64; ++split) {
+        uint32_t crc = crc32Update(0, buf.data(), split);
+        crc = crc32Update(crc, buf.data() + split, 64 - split);
+        ASSERT_EQ(crc, whole) << "split " << split;
+    }
+    EXPECT_EQ(crc32(buf.data(), 1u << 20),
+              oracle::crc32Bitwise(buf.data(), 1u << 20));
 }
 
 TEST(Serial, ScalarRoundTrip)
@@ -366,6 +391,14 @@ TEST(WalTest, SyncModeNamesRoundTrip)
 
 // ---- snapshots ------------------------------------------------------
 
+std::string
+logCsv(const driftlog::DriftLog &log)
+{
+    std::ostringstream csv;
+    driftlog::writeCsv(log.table(), csv);
+    return csv.str();
+}
+
 SnapshotData
 sampleSnapshot()
 {
@@ -384,9 +417,9 @@ sampleSnapshot()
     e.weather = "snow";
     e.drift = true;
     log.add(e);
-    std::ostringstream csv;
-    driftlog::writeCsv(log.table(), csv);
-    data.driftLogCsv = csv.str();
+    e.deviceId = "android_2";
+    log.add(e);
+    data.driftLog = log;
     UploadRecord u;
     u.features = {0.5, -1.0};
     u.context = rca::AttributeSet(
@@ -409,7 +442,7 @@ expectSnapshotEq(const SnapshotData &a, const SnapshotData &b)
     EXPECT_EQ(a.nextVersionId, b.nextVersionId);
     EXPECT_EQ(a.totalIngested, b.totalIngested);
     EXPECT_EQ(a.dedupHits, b.dedupHits);
-    EXPECT_EQ(a.driftLogCsv, b.driftLogCsv);
+    EXPECT_EQ(logCsv(a.driftLog), logCsv(b.driftLog));
     ASSERT_EQ(a.uploads.size(), b.uploads.size());
     for (size_t i = 0; i < a.uploads.size(); ++i) {
         EXPECT_EQ(a.uploads[i].features, b.uploads[i].features);
@@ -429,37 +462,190 @@ TEST(SnapshotTest, EncodeDecodeRoundTrip)
     expectSnapshotEq(data, back);
 }
 
-TEST(SnapshotTest, FileRoundTripAndCorruptionFallback)
-{
-    TempDir dir("snap");
-    fs::path tmp = dir.path / "snapshot.tmp";
-    fs::path final = dir.path / "snapshot.bin";
-    CrashInjector injector;
-    Env env;
-    SnapshotData data = sampleSnapshot();
-    writeSnapshotFile(tmp, final, data, injector, env);
-    EXPECT_FALSE(fs::exists(tmp)); // renamed over the final name
-    auto loaded = loadSnapshotFile(final);
-    ASSERT_TRUE(loaded.has_value());
-    expectSnapshotEq(data, *loaded);
-
-    // A flipped payload byte fails the checksum: treated as absent.
-    uintmax_t size = fs::file_size(final);
-    {
-        std::fstream f(final,
-                       std::ios::binary | std::ios::in | std::ios::out);
-        f.seekp(static_cast<std::streamoff>(size) - 1);
-        f.put('X');
-    }
-    EXPECT_FALSE(loadSnapshotFile(final).has_value());
-    EXPECT_FALSE(loadSnapshotFile(dir.path / "nope.bin").has_value());
-}
-
 TEST(SnapshotTest, DecodeRejectsTruncatedPayload)
 {
     std::string payload = encodeSnapshot(sampleSnapshot());
     payload.resize(payload.size() / 2);
     EXPECT_THROW(decodeSnapshot(payload), NazarError);
+}
+
+// ---- drift-log column codec ----------------------------------------
+
+/** A log with NULL cells and repeated values in every column. */
+driftlog::DriftLog
+mixedLog(size_t rows)
+{
+    driftlog::Table table(driftlog::DriftLog::canonicalSchema());
+    const char *weathers[] = {"snow", "rain", "clear-day"};
+    for (size_t i = 0; i < rows; ++i) {
+        driftlog::Value null;
+        auto n = static_cast<int64_t>(i);
+        SimDate time(static_cast<int>(i % 4), static_cast<int>(i % 2));
+        table.append({i % 5 == 4 ? null : driftlog::Value(n % 3),
+                      time.toDateTimeString(),
+                      "android_" + std::to_string(i % 7),
+                      i % 3 == 1 ? null : driftlog::Value("pixel_6"),
+                      "tibet", weathers[i % 3],
+                      driftlog::Value(n % 2),
+                      i % 6 == 5 ? null : driftlog::Value(i % 2 == 0)});
+    }
+    return driftlog::DriftLog::fromTable(std::move(table));
+}
+
+std::string
+encodeLog(const driftlog::DriftLog &log)
+{
+    Writer w;
+    putDriftLog(w, log);
+    return w.take();
+}
+
+driftlog::DriftLog
+decodeLog(const std::string &bytes)
+{
+    Reader r(bytes);
+    driftlog::DriftLog log = getDriftLog(r);
+    NAZAR_CHECK(r.atEnd(), "trailing bytes after the drift log");
+    return log;
+}
+
+TEST(DriftLogColumns, RoundTripIsExact)
+{
+    for (size_t rows : {0, 1, 2, 37}) {
+        driftlog::DriftLog log = mixedLog(rows);
+        std::string bytes = encodeLog(log);
+        driftlog::DriftLog back = decodeLog(bytes);
+        ASSERT_EQ(back.size(), rows);
+        EXPECT_EQ(logCsv(back), logCsv(log)) << rows << " rows";
+        EXPECT_EQ(encodeLog(back), bytes) << rows << " rows";
+        for (size_t c = 0; c < log.table().schema().columnCount(); ++c) {
+            const auto &want = log.table().column(c);
+            const auto &got = back.table().column(c);
+            EXPECT_EQ(got.dictionary(), want.dictionary());
+            EXPECT_EQ(got.ids(), want.ids());
+            EXPECT_EQ(got.nullCount(), want.nullCount());
+            for (const auto &v : want.dictionary())
+                EXPECT_EQ(got.idOf(v), want.idOf(v));
+        }
+        // The adopted columns keep accepting rows like the original.
+        driftlog::DriftLogEntry e;
+        e.time = SimDate(9, 5);
+        e.deviceId = "android_0"; // an existing dictionary entry
+        e.deviceModel = "aaa";    // a new entry below every other
+        e.location = "zzz";       // a new entry above every other
+        e.weather = "snow";
+        log.add(e);
+        back.add(e);
+        EXPECT_EQ(encodeLog(back), encodeLog(log)) << rows << " rows";
+    }
+}
+
+/** One column's encoded parts, editable to build malformed input. */
+struct ColumnParts
+{
+    uint8_t type;
+    std::vector<driftlog::Value> dict;
+    std::vector<uint32_t> ids;
+};
+
+std::vector<ColumnParts>
+partsOf(const driftlog::DriftLog &log)
+{
+    std::vector<ColumnParts> parts;
+    for (size_t c = 0; c < log.table().schema().columnCount(); ++c) {
+        const driftlog::Column &col = log.table().column(c);
+        parts.push_back({static_cast<uint8_t>(col.type()),
+                         col.dictionary(), col.ids()});
+    }
+    return parts;
+}
+
+std::string
+encodeParts(const std::vector<ColumnParts> &parts)
+{
+    Writer w;
+    w.putU32(static_cast<uint32_t>(parts.size()));
+    for (const ColumnParts &p : parts) {
+        w.putU8(p.type);
+        w.putU64(p.dict.size());
+        for (const auto &v : p.dict)
+            putValue(w, v);
+        w.putU64(p.ids.size());
+        for (uint32_t id : p.ids)
+            w.putU32(id);
+    }
+    return w.take();
+}
+
+TEST(DriftLogColumns, DecodeRejectsEveryInvariantViolation)
+{
+    const std::vector<ColumnParts> good = partsOf(mixedLog(12));
+    ASSERT_EQ(encodeParts(good), encodeLog(mixedLog(12)));
+    ASSERT_NO_THROW(decodeLog(encodeParts(good)));
+    const size_t device = 2; // device_id: string, 7 distinct values
+    ASSERT_GE(good[device].dict.size(), 3u);
+    auto rejects = [](const std::vector<ColumnParts> &parts) {
+        EXPECT_THROW(decodeLog(encodeParts(parts)), NazarError);
+    };
+
+    auto bad = good; // canonical column count
+    bad.pop_back();
+    rejects(bad);
+    bad = good; // canonical column type
+    bad[0].type = static_cast<uint8_t>(driftlog::ValueType::kString);
+    rejects(bad);
+    bad = good; // strictly ascending: two entries swapped
+    std::swap(bad[device].dict[0], bad[device].dict[1]);
+    rejects(bad);
+    bad = good; // strictly ascending: a repeated entry
+    bad[device].dict[1] = bad[device].dict[0];
+    rejects(bad);
+    bad = good; // a cell neither NULL nor the column's type (an int
+                // sorts below every string, so the order still holds)
+    bad[device].dict[0] = driftlog::Value(int64_t{5});
+    rejects(bad);
+    bad = good; // every id below the dictionary size
+    bad[device].ids[3] = static_cast<uint32_t>(bad[device].dict.size());
+    rejects(bad);
+    bad = good; // every dictionary entry referenced
+    bad[device].dict.push_back(driftlog::Value("zzz_unused"));
+    rejects(bad);
+    bad = good; // all columns the same length
+    bad[device].ids.push_back(0);
+    rejects(bad);
+    // And a torn buffer.
+    std::string torn = encodeParts(good);
+    torn.resize(torn.size() - 3);
+    EXPECT_THROW(decodeLog(torn), NazarError);
+}
+
+TEST(DriftLogColumns, CsvCarryingFullSnapshotIsRefused)
+{
+    // The retired full-snapshot payload carried the drift log as one
+    // CSV string where the columns now start. It must fail to decode,
+    // so recovery refuses the dir instead of skipping the snapshot.
+    Writer w;
+    for (int i = 0; i < 5; ++i)
+        w.putU64(0);
+    w.putString(logCsv(mixedLog(3)));
+    w.putU64(0); // uploads
+    w.putU64(0); // dedup windows
+    w.putU64(0); // blobs
+    w.putBool(false);
+    EXPECT_THROW(decodeSnapshot(w.bytes()), NazarError);
+
+    TempDir dir("csv_full");
+    CrashInjector injector;
+    Env env;
+    ChainHeader header;
+    header.kind = ChainKind::kFull;
+    header.id = 1;
+    writeChainFile(dir.path, header, w.bytes(), injector, env);
+    EXPECT_THROW(recoverDir(dir.path), NazarError);
+    PersistConfig config;
+    config.dir = dir.path.string();
+    EXPECT_THROW(CloudPersistence(config, 8), NazarError);
+    EXPECT_FALSE(scrubStateDir(dir.path).ok);
 }
 
 // ---- crash injector -------------------------------------------------
@@ -827,6 +1013,297 @@ TEST_F(PersistCloudTest, RecoverDirMatchesLiveState)
     EXPECT_EQ(st.dedup, live.dedup);
     RecoveredState again = recoverDir(dir.path, 8);
     EXPECT_EQ(again.totalIngested, st.totalIngested);
+}
+
+// ---- replay skip rule vs the plain replay oracle -------------------
+
+constexpr size_t kWindow = 4; // small: exercises floor advancement
+
+/**
+ * A state dir written record by record through CloudPersistence, so a
+ * test places every cycle commit, flush, snapshot and tear exactly.
+ */
+class ScriptedDir
+{
+  public:
+    explicit ScriptedDir(const std::string &tag) : dir_(tag)
+    {
+        config_.dir = dir_.path.string();
+        config_.snapshotEvery = 0; // snapshots only where scripted
+        p_ = std::make_unique<CloudPersistence>(config_, kWindow);
+    }
+
+    const fs::path &path() const { return dir_.path; }
+    const PersistConfig &config() const { return config_; }
+
+    /** Entry @p i from device @p device (-1: the non-dedup path). */
+    void
+    ingest(int64_t device, uint64_t seq, int i)
+    {
+        std::optional<sim::Upload> up = scriptUpload(i);
+        p_->logIngest(device, seq, scriptEntry(i),
+                      up ? &up->features : nullptr,
+                      up ? &up->context : nullptr,
+                      up.has_value() && up->driftFlag);
+    }
+
+    void
+    commit()
+    {
+        ++time_;
+        std::string id = std::to_string(nextId_);
+        p_->logCycleCommit(time_, nextId_ + 1,
+                           {VersionBlobs{nextId_, "meta-" + id,
+                                         "patch-" + id}},
+                           "clean@" + std::to_string(time_), time_);
+        ++nextId_;
+    }
+
+    void flush() { p_->logFlush(); }
+    void gc(int64_t min_version_id) { p_->logRegistryGc(min_version_id); }
+    void delta() { p_->writeDeltaSnapshot(); }
+
+    /** A full snapshot of the state written so far. */
+    void
+    full()
+    {
+        RecoveredState st = oracle::replayAll(dir_.path, kWindow);
+        SnapshotData data;
+        data.logicalTime = st.logicalTime;
+        data.nextVersionId = st.nextVersionId;
+        data.totalIngested = st.totalIngested;
+        data.dedupHits = st.dedupHits;
+        data.driftLog = std::move(st.log);
+        data.uploads = std::move(st.uploads);
+        data.dedup = std::move(st.dedup);
+        data.blobs = std::move(st.blobs);
+        data.cleanPatchText = std::move(st.cleanPatchText);
+        data.cleanPatchTime = st.cleanPatchTime;
+        p_->writeSnapshot(std::move(data));
+    }
+
+    /** Stop writing (closes the WAL). */
+    void close() { p_.reset(); }
+
+  private:
+    TempDir dir_;
+    PersistConfig config_;
+    std::unique_ptr<CloudPersistence> p_;
+    int64_t time_ = 0;
+    int64_t nextId_ = 1;
+};
+
+std::string
+uploadBytes(const std::vector<UploadRecord> &uploads)
+{
+    Writer w;
+    for (const UploadRecord &u : uploads)
+        putUpload(w, u);
+    return w.take();
+}
+
+void
+expectSameRecovery(const RecoveredState &got, const RecoveredState &want)
+{
+    EXPECT_EQ(logCsv(got.log), logCsv(want.log));
+    EXPECT_EQ(encodeLog(got.log), encodeLog(want.log));
+    EXPECT_EQ(uploadBytes(got.uploads), uploadBytes(want.uploads));
+    EXPECT_EQ(got.dedup, want.dedup);
+    EXPECT_EQ(got.dedupHits, want.dedupHits);
+    EXPECT_EQ(got.totalIngested, want.totalIngested);
+    EXPECT_EQ(got.nextVersionId, want.nextVersionId);
+    EXPECT_EQ(got.logicalTime, want.logicalTime);
+    EXPECT_EQ(got.blobs, want.blobs);
+    EXPECT_EQ(got.cleanPatchText, want.cleanPatchText);
+    EXPECT_EQ(got.cleanPatchTime, want.cleanPatchTime);
+    EXPECT_EQ(got.lastWalSeq, want.lastWalSeq);
+    EXPECT_EQ(got.snapshotLoaded, want.snapshotLoaded);
+    EXPECT_EQ(got.replayedRecords, want.replayedRecords);
+    EXPECT_EQ(got.truncatedBytes, want.truncatedBytes);
+}
+
+/**
+ * Close @p sd, then require recoverDir and a reopened
+ * CloudPersistence to equal the plain replay field by field, with
+ * exactly @p elided rows left unmaterialized.
+ */
+void
+expectMatchesOracle(ScriptedDir &sd, uint64_t elided)
+{
+    sd.close();
+    RecoveredState want = oracle::replayAll(sd.path(), kWindow);
+    RecoveredState got = recoverDir(sd.path(), kWindow);
+    expectSameRecovery(got, want);
+    EXPECT_EQ(got.elidedRows, elided);
+    CloudPersistence reopened(sd.config(), kWindow);
+    expectSameRecovery(reopened.recovered(), want);
+    EXPECT_EQ(reopened.recovered().elidedRows, elided);
+}
+
+std::string
+readBytes(const fs::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+void
+appendTornRecord(const fs::path &wal)
+{
+    // A record header promising more body bytes than follow.
+    std::ofstream out(wal, std::ios::binary | std::ios::app);
+    out.write("\x40\x00\x00\x00\x12\x34\x56\x78torn", 12);
+}
+
+class ReplaySkipTest : public QuietLogs
+{
+};
+
+TEST_F(ReplaySkipTest, FlushInTheWalTail)
+{
+    ScriptedDir sd("skip_flush");
+    for (int i = 0; i < 5; ++i)
+        sd.ingest(i % 3, static_cast<uint64_t>(i / 3), i);
+    sd.full(); // 5 rows inside the full snapshot
+    for (int i = 5; i < 12; ++i)
+        sd.ingest(i % 3, static_cast<uint64_t>(i / 3), i);
+    sd.delta();
+    for (int i = 12; i < 17; ++i)
+        sd.ingest(i % 3, static_cast<uint64_t>(i / 3), i);
+    sd.flush();
+    for (int i = 17; i < 20; ++i)
+        sd.ingest(i % 3, static_cast<uint64_t>(i / 3), i);
+    expectMatchesOracle(sd, 12);
+}
+
+TEST_F(ReplaySkipTest, CycleCommitInsideADelta)
+{
+    ScriptedDir sd("skip_commit_delta");
+    sd.full();
+    for (int i = 0; i < 8; ++i)
+        sd.ingest(i % 3, static_cast<uint64_t>(i / 3), i);
+    sd.commit();
+    for (int i = 8; i < 14; ++i)
+        sd.ingest(i % 3, static_cast<uint64_t>(i / 3), i);
+    sd.delta();
+    for (int i = 14; i < 18; ++i)
+        sd.ingest(i % 3, static_cast<uint64_t>(i / 3), i);
+    sd.gc(1);
+    expectMatchesOracle(sd, 8);
+}
+
+TEST_F(ReplaySkipTest, DuplicatesRejectedBeforeAClear)
+{
+    ScriptedDir sd("skip_dups");
+    sd.full();
+    for (int i = 0; i < 12; ++i)
+        sd.ingest(0, static_cast<uint64_t>(i), i); // floor reaches 8
+    sd.ingest(0, 2, 2);   // below the floor: dedup hit
+    sd.ingest(0, 10, 10); // inside the window: dedup hit
+    sd.ingest(-1, 0, 12); // the non-dedup path
+    sd.delta();
+    sd.ingest(1, 0, 13);
+    sd.ingest(1, 0, 13); // retransmission: dedup hit
+    sd.commit();
+    sd.ingest(0, 11, 11); // still a hit after the clear
+    sd.ingest(0, 12, 14);
+    sd.ingest(1, 1, 15);
+    expectMatchesOracle(sd, 14);
+}
+
+TEST_F(ReplaySkipTest, NoClearAtAll)
+{
+    ScriptedDir sd("skip_none");
+    for (int i = 0; i < 6; ++i)
+        sd.ingest(i % 3, static_cast<uint64_t>(i / 3), i);
+    sd.full();
+    for (int i = 6; i < 12; ++i)
+        sd.ingest(i % 3, static_cast<uint64_t>(i / 3), i);
+    sd.delta();
+    sd.gc(3);
+    for (int i = 12; i < 16; ++i)
+        sd.ingest(i % 3, static_cast<uint64_t>(i / 3), i);
+    sd.ingest(0, 1, 3); // retransmission
+    expectMatchesOracle(sd, 0);
+}
+
+TEST_F(ReplaySkipTest, ClearIsTheVeryLastRecord)
+{
+    ScriptedDir sd("skip_last");
+    sd.full();
+    for (int i = 0; i < 6; ++i)
+        sd.ingest(i % 3, static_cast<uint64_t>(i / 3), i);
+    sd.delta();
+    for (int i = 6; i < 10; ++i)
+        sd.ingest(i % 3, static_cast<uint64_t>(i / 3), i);
+    sd.commit();
+    expectMatchesOracle(sd, 10);
+}
+
+TEST_F(ReplaySkipTest, TornTailAfterTheLastClear)
+{
+    ScriptedDir sd("skip_torn");
+    sd.full();
+    for (int i = 0; i < 6; ++i)
+        sd.ingest(i % 3, static_cast<uint64_t>(i / 3), i);
+    sd.delta();
+    for (int i = 6; i < 10; ++i)
+        sd.ingest(i % 3, static_cast<uint64_t>(i / 3), i);
+    sd.commit();
+    for (int i = 10; i < 13; ++i)
+        sd.ingest(i % 3, static_cast<uint64_t>(i / 3), i);
+    sd.close();
+    appendTornRecord(sd.path() / "wal.log");
+    ASSERT_GT(Wal::scan(sd.path() / "wal.log").truncatedBytes, 0u);
+    expectMatchesOracle(sd, 10);
+}
+
+TEST_F(ReplaySkipTest, WalOnlyWithoutAChain)
+{
+    ScriptedDir sd("skip_wal_only");
+    for (int i = 0; i < 7; ++i)
+        sd.ingest(i % 3, static_cast<uint64_t>(i / 3), i);
+    sd.commit();
+    sd.flush();
+    for (int i = 7; i < 9; ++i)
+        sd.ingest(i % 3, static_cast<uint64_t>(i / 3), i);
+    expectMatchesOracle(sd, 7);
+}
+
+TEST_F(ReplaySkipTest, BrokenChainIsRefusedAndTheWalLeftAlone)
+{
+    for (bool missing_base : {true, false}) {
+        ScriptedDir sd(missing_base ? "broken_missing" : "broken_crc");
+        for (int i = 0; i < 4; ++i)
+            sd.ingest(i % 3, static_cast<uint64_t>(i / 3), i);
+        sd.full();
+        for (int i = 4; i < 8; ++i)
+            sd.ingest(i % 3, static_cast<uint64_t>(i / 3), i);
+        sd.delta();
+        for (int i = 8; i < 10; ++i)
+            sd.ingest(i % 3, static_cast<uint64_t>(i / 3), i);
+        sd.close();
+        fs::path base = sd.path() / chainFileName(1, ChainKind::kFull);
+        ASSERT_TRUE(fs::exists(base));
+        if (missing_base) {
+            fs::remove(base);
+        } else {
+            // A valid full snapshot, but not the one the delta links.
+            CrashInjector injector;
+            Env env;
+            ChainHeader header;
+            header.id = 1;
+            writeChainFile(sd.path(), header, encodeSnapshot({}),
+                           injector, env);
+        }
+        fs::path wal = sd.path() / "wal.log";
+        appendTornRecord(wal);
+        const std::string before = readBytes(wal);
+        EXPECT_THROW(recoverDir(sd.path(), kWindow), NazarError);
+        EXPECT_THROW(CloudPersistence(sd.config(), kWindow), NazarError);
+        EXPECT_EQ(readBytes(wal), before) << "missing " << missing_base;
+    }
 }
 
 } // namespace

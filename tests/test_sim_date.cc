@@ -4,6 +4,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "common/error.h"
 #include "common/sim_date.h"
 
@@ -43,6 +46,37 @@ TEST(SimDate, DateTimeStringFormatting)
 {
     SimDate d(17, 6 * 3600 + 2 * 60 + 1);
     EXPECT_EQ(d.toDateTimeString(), "2020-01-18 06:02:01");
+}
+
+/** The snprintf rendering toDateTimeString used to produce. */
+std::string
+printfDateTime(const SimDate &d)
+{
+    char buf[48];
+    int s = d.secondOfDay();
+    std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d %02d:%02d:%02d",
+                  kSimYear, d.month(), d.dayOfMonth(), s / 3600,
+                  (s / 60) % 60, s % 60);
+    return buf;
+}
+
+TEST(SimDate, DateTimeStringMatchesPrintf)
+{
+    // Every second of a leap year's first day and of the day the
+    // 366-day calendar wraps.
+    for (int day : {0, 365})
+        for (int s = 0; s < 86400; ++s) {
+            SimDate d(day, s);
+            ASSERT_EQ(d.toDateTimeString(), printfDateTime(d))
+                << "day " << day << " second " << s;
+        }
+    // Boundary seconds of every day across more than two wraps.
+    for (int day = 0; day <= 800; ++day)
+        for (int s : {0, 1, 59, 3599, 86399}) {
+            SimDate d(day, s);
+            ASSERT_EQ(d.toDateTimeString(), printfDateTime(d))
+                << "day " << day << " second " << s;
+        }
 }
 
 TEST(SimDate, RejectsBadConstruction)

@@ -449,7 +449,8 @@ cmdRecover(const std::string &dir)
     if (st.truncatedBytes > 0)
         std::printf(", torn tail %llu bytes",
                     static_cast<unsigned long long>(st.truncatedBytes));
-    std::printf("\n");
+    std::printf(", %llu rows elided (cleared by a later commit)\n",
+                static_cast<unsigned long long>(st.elidedRows));
 
     size_t versions = 0;
     for (const auto &[key, bytes] : st.blobs)
@@ -489,8 +490,6 @@ cmdScrub(const std::string &dir)
     summary.addRow(
         {"chain length", TablePrinter::num(report.chainLength)});
     summary.addRow({"chain bytes", TablePrinter::num(report.chainBytes)});
-    summary.addRow(
-        {"legacy snapshot", report.legacySnapshot ? "present" : "absent"});
     std::printf("%s: integrity walk\n%s\n", dir.c_str(),
                 summary.toString().c_str());
     for (const auto &note : report.notes)
