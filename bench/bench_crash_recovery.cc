@@ -166,10 +166,14 @@ main(int argc, char **argv)
                           size_t start = 0) {
         nn::BnPatch clean = base.bnPatch();
         for (size_t i = start; i < count; ++i) {
-            cloud.ingestFrom(static_cast<int>(i % 16),
-                             static_cast<uint64_t>(i / 16),
-                             benchEntry(static_cast<int>(i)),
-                             benchUpload(app, static_cast<int>(i)));
+            // A batch of one: one WAL sync per ingest, as a device
+            // uplink without group commit would produce.
+            std::vector<sim::IngestMessage> one;
+            one.push_back(sim::IngestMessage{
+                static_cast<int>(i % 16), static_cast<uint64_t>(i / 16),
+                benchEntry(static_cast<int>(i)),
+                benchUpload(app, static_cast<int>(i))});
+            cloud.ingestBatchFrom(std::move(one));
             if ((i + 1) % 1000 == 0)
                 cloud.runCycle(clean);
         }

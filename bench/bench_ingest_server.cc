@@ -1,14 +1,15 @@
 /**
  * @file
- * Ingest-server throughput benchmark: group commit vs per-record
- * flushing over a real TCP socket, reported as JSON. Seeds
- * BENCH_ingest_server.json.
+ * Ingest-server throughput benchmark: group commit (maxBatch 256) vs
+ * per-record commits (maxBatch 1) over a real TCP socket, reported as
+ * JSON. Seeds BENCH_ingest_server.json.
  *
  * Each point stands up a persisted Cloud (WAL in fdatasync mode, so a
  * sync is a real kernel round-trip, not a stdio flush) behind the
  * IngestServer, then drives it with N chaos-free load-generator
- * clients. Per-record mode pays one WAL sync per message; group
- * commit batches whatever is queued and pays one sync per batch. The
+ * clients. With maxBatch 1 the committer pays one WAL sync per
+ * message; with 256 it batches whatever is queued and pays one sync
+ * per batch. The
  * headline claim: with concurrent clients the committer's queue is
  * never empty, so batches grow and group commit pulls ahead — the
  * classic group-commit win — while recovered state stays identical
@@ -19,8 +20,8 @@
  * from the obs histograms, so the group-commit win is attributable to
  * a stage, not just visible in the end-to-end number.
  *
- * A final "recovery" point measures fault-tolerant ingest: the crash
- * injector kills the server mid-load while reconnect-enabled clients
+ * A final "recovery" point measures fault-tolerant ingest: an Env
+ * crash plan kills the server mid-load while reconnect-enabled clients
  * stream, a harness rebuilds the Cloud from the state dir and
  * restarts the server on the same port, and the row reports the
  * kill-to-first-accepted-ack latency (client-observed outage) plus
@@ -56,7 +57,7 @@ using namespace nazar;
 
 struct Row
 {
-    bool groupCommit;
+    size_t maxBatch;
     size_t clients;
     double eventsPerSec;
     double p50Ms;
@@ -67,7 +68,7 @@ struct Row
 };
 
 Row
-runPoint(bool group, size_t clients, size_t events_per_client)
+runPoint(size_t max_batch, size_t clients, size_t events_per_client)
 {
     // Each point gets a fresh registry so its stage histograms are not
     // polluted by the previous point's samples.
@@ -84,7 +85,7 @@ runPoint(bool group, size_t clients, size_t events_per_client)
     config.persist.sync = persist::SyncMode::kFdatasync;
     sim::Cloud cloud(config, base);
     server::ServerConfig sc;
-    sc.groupCommit = group;
+    sc.maxBatch = max_batch;
     server::IngestServer server(cloud, sc);
     server.start();
 
@@ -97,7 +98,7 @@ runPoint(bool group, size_t clients, size_t events_per_client)
     NAZAR_CHECK(stats.reconciled, "benchmark run failed to reconcile");
 
     Row row;
-    row.groupCommit = group;
+    row.maxBatch = max_batch;
     row.clients = clients;
     row.eventsPerSec = stats.eventsPerSec;
     row.p50Ms = stats.p50Ms;
@@ -143,15 +144,15 @@ runRecoveryPoint(size_t clients, size_t events_per_client)
     // kFlush (the default): the fault model here is a process kill,
     // not a power cut, and the recovery row should measure replay and
     // reconnect cost rather than per-record fdatasync throughput.
-    // Per-record commits take 2 injector hits each, so arming at
-    // clients*events fires deterministically halfway through the load.
-    config.persist.crashAtHit =
-        static_cast<uint64_t>(clients * events_per_client);
+    // Every record is one WAL write (the header is write 1), so
+    // tearing write clients*events/2 fires deterministically halfway
+    // through the load.
+    config.persist.fault = {
+        "env.wal.write",
+        static_cast<uint64_t>(clients * events_per_client / 2),
+        persist::FaultKind::kCrash};
     auto cloud = std::make_unique<sim::Cloud>(config, base);
-    server::ServerConfig sc;
-    sc.groupCommit = false;
-    auto server =
-        std::make_unique<server::IngestServer>(*cloud, sc);
+    auto server = std::make_unique<server::IngestServer>(*cloud);
     server->start();
     const uint16_t port = server->port();
 
@@ -236,10 +237,9 @@ runRecoveryPoint(size_t clients, size_t events_per_client)
     server.reset();
     cloud.reset(); // release the WAL before re-opening the dir
     sim::CloudConfig recovered = config;
-    recovered.persist.crashAtHit = 0;
+    recovered.persist.fault = {};
     cloud = std::make_unique<sim::Cloud>(recovered, base);
     server::ServerConfig rc;
-    rc.groupCommit = false;
     rc.port = port;
     server = std::make_unique<server::IngestServer>(*cloud, rc);
     server->start();
@@ -294,9 +294,9 @@ main(int argc, char **argv)
               : std::vector<size_t>{1, 2, 4, 8};
 
     std::vector<Row> rows;
-    for (bool group : {false, true})
+    for (size_t max_batch : {size_t{1}, size_t{256}})
         for (size_t clients : client_counts)
-            rows.push_back(runPoint(group, clients,
+            rows.push_back(runPoint(max_batch, clients,
                                     events_per_client));
     const size_t recovery_events = quick ? 600 : 2000;
     RecoveryRow recovery = runRecoveryPoint(4, recovery_events);
@@ -311,10 +311,10 @@ main(int argc, char **argv)
     for (size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];
         std::printf(
-            "    {\"groupCommit\": %s, \"clients\": %zu, "
+            "    {\"maxBatch\": %zu, \"clients\": %zu, "
             "\"eventsPerSec\": %.0f, \"p50Ms\": %.3f, "
             "\"p99Ms\": %.3f, \"messages\": %zu, \"batches\": %zu,\n",
-            r.groupCommit ? "true" : "false", r.clients,
+            r.maxBatch, r.clients,
             r.eventsPerSec, r.p50Ms, r.p99Ms, r.messages, r.batches);
         std::printf("     \"stages\": [");
         for (size_t s = 0; s < r.stages.size(); ++s) {

@@ -133,8 +133,9 @@ if [ "$DO_RELEASE" = 1 ]; then
          }
          END { if (!found) exit 1 }' build-ci/chaos_smoke.log
     ./build-ci/bench/bench_fault_sweep --quick > /dev/null
-    # Crash-recovery smoke: a lossy sim with durability on and the
-    # crash injector armed must lose the cloud mid-run, rebuild it
+    # Crash-recovery smoke: a lossy sim with durability on and a
+    # crash armed on the WAL write path must lose the cloud mid-run
+    # (a torn record), rebuild it
     # from the WAL+snapshot directory, finish every window, and hold
     # the same accuracy floor as the chaos smoke. The state directory
     # it leaves behind must then be loadable offline.
@@ -142,7 +143,8 @@ if [ "$DO_RELEASE" = 1 ]; then
     rm -rf build-ci/crash_state
     ./build-ci/tools/nazar_ops sim 2 --drop=0.1 --dup=0.05 \
         --persist-dir=build-ci/crash_state --snapshot-every=64 \
-        --crash-at=333 > build-ci/crash_smoke.log
+        --fault-site=env.wal.write --fault-kind=crash --fault-hit=333 \
+        > build-ci/crash_smoke.log
     grep -q '^cloudCrashes [1-9]' build-ci/crash_smoke.log || {
         echo "crash smoke: injected crash never fired" >&2; exit 1; }
     awk '/^avgAccuracyDrifted/ {
@@ -354,7 +356,8 @@ if [ "$DO_ASAN" = 1 ]; then
     rm -rf build-asan/crash_state
     ./build-asan/tools/nazar_ops sim 1 \
         --persist-dir=build-asan/crash_state --snapshot-every=64 \
-        --crash-at=333 > /dev/null
+        --fault-site=env.wal.write --fault-kind=crash --fault-hit=333 \
+        > /dev/null
     # Disk-fault smoke under ASAN: the Env fault paths (short write,
     # latch, dropped dirty tail) and the faulted-cloud rebuild must
     # neither leak the poisoned WAL handle nor touch freed buffers.

@@ -48,7 +48,11 @@ Nazar::infer(int device_id, const data::StreamEvent &event)
     if (rng_.bernoulli(config_.uploadSampleRate))
         upload = sim::Upload{event.features, dev.contextFor(event),
                              out.driftFlag};
-    cloud_->ingest(dev.makeLogEntry(event, out), std::move(upload));
+    std::vector<sim::IngestMessage> batch(1);
+    batch[0].device = -1; // in-process: no retransmissions to dedup
+    batch[0].entry = dev.makeLogEntry(event, out);
+    batch[0].upload = std::move(upload);
+    cloud_->ingestBatchFrom(std::move(batch));
     ++entriesSinceCycle_;
 
     if (config_.autopilotEveryEntries > 0 &&

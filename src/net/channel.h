@@ -18,7 +18,7 @@
  *    analysis window; `deliverPush` draws one downlink push.
  *
  * Every message carries a per-device monotone sequence number, which
- * is how the cloud's idempotent ingest (sim::Cloud::ingestFrom)
+ * is how the cloud's idempotent ingest (sim::Cloud::ingestBatchFrom)
  * de-duplicates retransmissions — at-least-once delivery plus a
  * bounded dedup window gives effectively-once counting.
  *

@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <cstring>
+#include <limits>
 
 #include "common/error.h"
 
@@ -222,6 +223,11 @@ decodeIngest(const std::string &payload, StringDict &dict)
     Reader r(payload);
     WireIngest m;
     m.device = r.getI64();
+    // Device ids key the cloud's dedup windows (an int there); a
+    // negative id would be ingested without dedup.
+    NAZAR_CHECK(m.device >= 0 &&
+                    m.device <= std::numeric_limits<int>::max(),
+                "wire: device id out of range");
     m.seq = r.getU64();
     int day = static_cast<int>(r.getU32());
     int second = static_cast<int>(r.getU32());

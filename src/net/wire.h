@@ -162,7 +162,7 @@ class StringDict
 /** kIngest extension tags (see the extension-block format above). */
 inline constexpr uint8_t kExtTraceContext = 1;
 
-/** One kIngest payload: what ingestFrom() takes, in persist types. */
+/** One kIngest payload: one sim::IngestMessage, in persist types. */
 struct WireIngest
 {
     int64_t device = 0;

@@ -366,7 +366,6 @@ CloudPersistence::CloudPersistence(const PersistConfig &config,
     NAZAR_CHECK(config_.enabled(),
                 "CloudPersistence requires a state directory");
     fs::create_directories(config_.dir);
-    injector_.armAtHit(config_.crashAtHit);
     env_.arm(config_.fault);
 
     fs::path dir(config_.dir);
@@ -382,8 +381,8 @@ CloudPersistence::CloudPersistence(const PersistConfig &config,
         }
         for (const auto &orphan : orphans)
             fs::remove(orphan, ec);
-        wal_ = std::make_unique<Wal>(dir / "wal.log", &injector_,
-                                     config_.sync, &env_);
+        wal_ = std::make_unique<Wal>(dir / "wal.log", config_.sync,
+                                     &env_);
         wal_->bumpSeqPast(chain_seq);
         recovered_.truncatedBytes = wal_->truncatedBytes();
         return wal_->records();
@@ -437,18 +436,6 @@ CloudPersistence::encodeIngest(int64_t device, uint64_t seq,
         w.putBool(drift_flag);
     }
     return w.bytes();
-}
-
-void
-CloudPersistence::logIngest(int64_t device, uint64_t seq,
-                            const driftlog::DriftLogEntry &entry,
-                            const std::vector<double> *features,
-                            const rca::AttributeSet *context,
-                            bool drift_flag)
-{
-    append(WalRecordType::kIngest,
-           encodeIngest(device, seq, entry, features, context,
-                        drift_flag));
 }
 
 void
@@ -527,7 +514,7 @@ CloudPersistence::writeSnapshot(SnapshotData data)
     header.id = chainHeadId_ + 1;
     header.lastWalSeq = data.lastWalSeq;
     chainHeadCrc_ = writeChainFile(fs::path(config_.dir), header,
-                                   encodeSnapshot(data), injector_, env_);
+                                   encodeSnapshot(data), env_);
     chainHeadId_ = header.id;
     chainLastWalSeq_ = data.lastWalSeq;
     deltasSinceFull_ = 0;
@@ -562,7 +549,7 @@ CloudPersistence::writeDeltaSnapshot()
     header.lastWalSeq = last_seq;
     chainHeadCrc_ =
         writeChainFile(fs::path(config_.dir), header,
-                       encodeDeltaRecords(records), injector_, env_);
+                       encodeDeltaRecords(records), env_);
     chainHeadId_ = header.id;
     chainLastWalSeq_ = last_seq;
     ++deltasSinceFull_;

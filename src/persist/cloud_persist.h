@@ -22,8 +22,8 @@
  *    that sequence.
  *
  * Determinism contract: with persistence off, Cloud never calls in
- * here. With persistence on and the injector disarmed, no RNG is
- * consumed and no result changes — only files are written.
+ * here. With persistence on and the Env disarmed, no RNG is consumed
+ * and no result changes — only files are written.
  */
 #ifndef NAZAR_PERSIST_CLOUD_PERSIST_H
 #define NAZAR_PERSIST_CLOUD_PERSIST_H
@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "driftlog/drift_log.h"
-#include "persist/crash_point.h"
 #include "persist/env.h"
 #include "persist/snapshot.h"
 #include "persist/wal.h"
@@ -56,9 +55,10 @@ struct PersistConfig
      * on top of it (1 = always full, the pre-chain behaviour).
      */
     uint64_t fullEvery = 8;
-    /** Arm the crash injector at the Nth site hit (0 = disarmed). */
-    uint64_t crashAtHit = 0;
-    /** Arm the I/O environment's disk fault (disarmed by default). */
+    /**
+     * Arm the I/O environment's fault (disarmed by default); a kCrash
+     * plan kills the cloud at that site instead.
+     */
     DiskFaultPlan fault;
     /**
      * WAL durability: kFlush matches the process-kill fault model;
@@ -173,19 +173,9 @@ class CloudPersistence
     void dropRecovered() { recovered_ = RecoveredState{}; }
 
     /**
-     * Log one ingest attempt (WAL-first: call before applying).
-     * @p device is -1 for the non-deduped ingest() path; @p features
-     * is null when the entry carries no upload.
-     */
-    void logIngest(int64_t device, uint64_t seq,
-                   const driftlog::DriftLogEntry &entry,
-                   const std::vector<double> *features,
-                   const rca::AttributeSet *context, bool drift_flag);
-
-    /**
-     * Encode one ingest attempt as a kIngest payload (the bytes
-     * logIngest appends). Exposed so callers can pre-encode a batch
-     * for logIngestBatch.
+     * Encode one ingest attempt as a kIngest payload for
+     * logIngestBatch. @p device is -1 for a row exempt from dedup;
+     * @p features is null when the entry carries no upload.
      */
     static std::string encodeIngest(int64_t device, uint64_t seq,
                                     const driftlog::DriftLogEntry &entry,
@@ -194,11 +184,13 @@ class CloudPersistence
                                     bool drift_flag);
 
     /**
-     * Group commit: append every payload (from encodeIngest) with ONE
-     * sync for the whole batch. A crash mid-batch leaves at most a
-     * torn tail; records before the tear replay, the rest were never
-     * acknowledged. Callers must serialize against other WAL writers
-     * (the ingest server's committer thread is the sole writer).
+     * Log ingest attempts (WAL-first: call before applying). Group
+     * commit: append every payload (from encodeIngest) with ONE sync
+     * for the whole batch; a batch of one is exactly a per-record
+     * append. A crash mid-batch leaves at most a torn tail; records
+     * before the tear replay, the rest were never acknowledged.
+     * Callers must serialize against other WAL writers (a persisted
+     * Cloud has one writer — see sim::Cloud).
      */
     void logIngestBatch(const std::vector<std::string> &payloads);
 
@@ -251,7 +243,6 @@ class CloudPersistence
     /** Site of the latched disk fault ("" when healthy). */
     std::string diskFaultSite() const { return env_.faultSite(); }
 
-    CrashInjector &injector() { return injector_; }
     Env &env() { return env_; }
     const PersistConfig &config() const { return config_; }
     const Wal &wal() const { return *wal_; }
@@ -272,7 +263,6 @@ class CloudPersistence
     void gcSupersededChain();
 
     PersistConfig config_;
-    CrashInjector injector_;
     Env env_;
     std::unique_ptr<Wal> wal_;
     RecoveredState recovered_;

@@ -30,9 +30,11 @@ faultKindFromString(const std::string &name)
         return FaultKind::kLostRename;
     if (name == "lost_file")
         return FaultKind::kLostFile;
+    if (name == "crash")
+        return FaultKind::kCrash;
     throw NazarError("unknown fault kind '" + name +
                      "' (expected none|short_write|enospc|eio|"
-                     "sync_fail|lost_rename|lost_file)");
+                     "sync_fail|lost_rename|lost_file|crash)");
 }
 
 const char *
@@ -53,6 +55,8 @@ faultKindName(FaultKind kind)
         return "lost_rename";
     case FaultKind::kLostFile:
         return "lost_file";
+    case FaultKind::kCrash:
+        return "crash";
     }
     return "?";
 }
@@ -129,6 +133,19 @@ Env::latch(const std::string &site, const std::string &detail)
     throw DiskFault(site, detail);
 }
 
+void
+Env::crash(const char *site)
+{
+    uint64_t hit = 0;
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        faulted_ = true;
+        faultSite_ = site;
+        hit = hits_[site];
+    }
+    throw CrashInjected(site, hit);
+}
+
 Env::File *
 Env::open(const char *site, const fs::path &path, const char *mode)
 {
@@ -151,6 +168,10 @@ Env::open(const char *site, const fs::path &path, const char *mode)
     // Existing bytes were synced by whoever wrote them (or recovery
     // already truncated the torn tail); new dirt starts at length.
     f->syncedLen = f->length;
+    if (kind == FaultKind::kCrash) {
+        close(f); // the file exists (or was truncated); the handle dies
+        crash(site);
+    }
     return f;
 }
 
@@ -176,6 +197,14 @@ Env::write(const char *site, File *f, const void *data, size_t n)
     case FaultKind::kEio:
         latch(site,
               "I/O error writing " + f->path.string() + " (injected EIO)");
+    case FaultKind::kCrash: {
+        // The process dies mid-write: a torn prefix reaches the file.
+        size_t torn = n / 2;
+        std::fwrite(data, 1, torn, f->fp);
+        std::fflush(f->fp);
+        f->length += torn;
+        crash(site);
+    }
     default:
         break;
     }
@@ -215,6 +244,8 @@ Env::sync(const char *site, File *f, int deep)
                             std::strerror(errno));
     }
     f->syncedLen = f->length;
+    if (kind == FaultKind::kCrash)
+        crash(site);
 }
 
 void
@@ -275,6 +306,8 @@ Env::rename(const char *site, const fs::path &from, const fs::path &to)
         // A writer that fsyncs before renaming never gets here.
         fs::resize_file(to, 0, ec);
     }
+    if (kind == FaultKind::kCrash)
+        crash(site);
 }
 
 void
@@ -301,13 +334,15 @@ Env::syncDir(const char *site, const fs::path &dir)
     if (rc != 0)
         latch(site, "fsync failed for directory " + dir.string() + ": " +
                         std::strerror(saved));
+    if (kind == FaultKind::kCrash)
+        crash(site);
 }
 
 void
 Env::resize(const char *site, const fs::path &path, uint64_t len)
 {
     FaultKind kind = maybeFault(site);
-    if (kind != FaultKind::kNone)
+    if (kind != FaultKind::kNone && kind != FaultKind::kCrash)
         latch(site, "resize of " + path.string() + " failed (injected " +
                         std::string(faultKindName(kind)) + ")");
     std::error_code ec;
@@ -315,6 +350,8 @@ Env::resize(const char *site, const fs::path &path, uint64_t len)
     if (ec)
         latch(site, "resize of " + path.string() + " failed: " +
                         ec.message());
+    if (kind == FaultKind::kCrash)
+        crash(site);
 }
 
 bool
@@ -322,7 +359,9 @@ Env::remove(const char *site, const fs::path &path)
 {
     // Best-effort: GC unlinks must never poison the log — a stale
     // file that survives is harmless (recovery picks the newest
-    // chain), so failures are reported, not latched.
+    // chain), so failures are reported, not latched. Only a crash
+    // (after the unlink) stops the instance.
+    FaultKind kind = FaultKind::kNone;
     {
         std::lock_guard<std::mutex> lk(mu_);
         if (faulted_)
@@ -331,11 +370,16 @@ Env::remove(const char *site, const fs::path &path)
         if (plan_.armed() && !fired_ && plan_.site == site &&
             hit == plan_.hit) {
             fired_ = true;
-            return false;
+            kind = plan_.kind;
         }
     }
+    if (kind != FaultKind::kNone && kind != FaultKind::kCrash)
+        return false;
     std::error_code ec;
-    return fs::remove(path, ec) && !ec;
+    bool removed = fs::remove(path, ec) && !ec;
+    if (kind == FaultKind::kCrash)
+        crash(site);
+    return removed;
 }
 
 } // namespace nazar::persist

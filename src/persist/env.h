@@ -6,13 +6,15 @@
  * goes through a persist::Env. The Env does three jobs:
  *
  *  1. **Injection.** A DiskFaultPlan arms one fault — a (site, hit,
- *     kind) triple, mirroring CrashInjector's counted-hit model — and
- *     the Nth operation at that site misbehaves the way a real disk
- *     would: a short write, ENOSPC, EIO, a failed fsync that *drops
- *     the dirty pages*, a rename whose directory entry never reaches
- *     the platter, or a renamed file whose contents were lost because
- *     the writer skipped the pre-rename fsync. A disarmed Env only
- *     counts hits; it draws no randomness and changes no behaviour.
+ *     kind) triple — and the Nth operation at that site misbehaves
+ *     the way a real disk would: a short write, ENOSPC, EIO, a failed
+ *     fsync that *drops the dirty pages*, a rename whose directory
+ *     entry never reaches the platter, or a renamed file whose
+ *     contents were lost because the writer skipped the pre-rename
+ *     fsync. The kCrash kind instead kills the process there (throws
+ *     CrashInjected), leaving the wreckage a process kill leaves. A
+ *     disarmed Env only counts hits; it draws no randomness and
+ *     changes no behaviour.
  *
  *  2. **Fail-safe latching (the fsync gate).** The first injected or
  *     real I/O failure latches the Env: `faulted()` turns true and
@@ -34,7 +36,7 @@
  *
  * Determinism contract: sites are hit in a fixed order for a fixed
  * operation sequence, so (scenario, site, hit) fully reproduces a
- * disk fault, exactly like CrashInjector's (scenario, hit).
+ * disk fault or a crash.
  */
 #ifndef NAZAR_PERSIST_ENV_H
 #define NAZAR_PERSIST_ENV_H
@@ -78,6 +80,13 @@ enum class FaultKind : uint8_t {
      * the tmp file before renaming is immune.
      */
     kLostFile = 6,
+    /**
+     * Process death at this op. write: the first half of the bytes
+     * reach the file (a torn record), then CrashInjected. Every other
+     * op: the op completes, then CrashInjected. The Env latches like
+     * any other fault, so the dead instance does no more I/O.
+     */
+    kCrash = 7,
 };
 
 /** Parse "short_write" / "enospc" / ...; throws NazarError otherwise. */
@@ -94,6 +103,27 @@ struct DiskFaultPlan
     FaultKind kind = FaultKind::kNone;
 
     bool armed() const { return !site.empty() && kind != FaultKind::kNone; }
+};
+
+/** Thrown at an armed kCrash site: the "process death" of the cloud. */
+class CrashInjected : public std::runtime_error
+{
+  public:
+    CrashInjected(std::string site, uint64_t hit)
+        : std::runtime_error("injected crash at site '" + site +
+                             "' (hit " + std::to_string(hit) + ")"),
+          site_(std::move(site)), hit_(hit)
+    {}
+
+    /** The Env site that fired, e.g. "env.wal.write". */
+    const std::string &site() const { return site_; }
+
+    /** 1-based hit index at that site. */
+    uint64_t hit() const { return hit_; }
+
+  private:
+    std::string site_;
+    uint64_t hit_;
 };
 
 /**
@@ -201,6 +231,8 @@ class Env
     FaultKind maybeFault(const char *site);
     [[noreturn]] void latch(const std::string &site,
                             const std::string &detail);
+    /** Latch the Env and throw CrashInjected (the kCrash tail). */
+    [[noreturn]] void crash(const char *site);
 
     mutable std::mutex mu_;
     DiskFaultPlan plan_;

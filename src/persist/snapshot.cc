@@ -57,30 +57,22 @@ slurpFile(const fs::path &path)
  * @p bytes to @p tmp, fsync it, rename onto @p final, fsync the
  * directory. Without the two fsyncs a "committed" file can be empty
  * or missing after power loss — the Env's kLostFile / kLostRename
- * faults regression-test exactly that.
+ * faults regression-test exactly that. A crash before the rename
+ * leaves a torn or complete tmp that recovery never reads (the next
+ * open removes it); one after it leaves the snapshot committed but
+ * the WAL untruncated, and replay skips records with seq <=
+ * lastWalSeq, so nothing is double-applied.
  */
 void
 writeFileAtomic(const fs::path &tmp, const fs::path &final,
-                const std::string &bytes, CrashInjector &injector,
-                Env &env)
+                const std::string &bytes, Env &env)
 {
     FileGuard guard{env, env.open("env.snap.create", tmp, "wb")};
-    if (injector.fires("snapshot.tmp.partial")) {
-        // Torn tmp file: roughly half the bytes. Harmless — recovery
-        // never reads tmp files, and the next open removes them.
-        std::fwrite(bytes.data(), 1, bytes.size() / 2, guard.f->fp);
-        std::fflush(guard.f->fp);
-        guard.closeNow();
-        throw CrashInjected("snapshot.tmp.partial", injector.hitCount());
-    }
     env.write("env.snap.write", guard.f, bytes.data(), bytes.size());
     // fsync BEFORE the rename: the commit must never point at data
     // pages that were still dirty when the name changed.
     env.sync("env.snap.sync", guard.f, /*deep=*/2);
     guard.closeNow();
-    // Crash here leaves a complete tmp that was never committed; the
-    // old snapshot (or the bare WAL) still fully describes the state.
-    injector.check("snapshot.tmp.done");
 
     env.rename("env.snap.rename", tmp, final); // commit point
     fs::path parent = final.parent_path();
@@ -90,10 +82,6 @@ writeFileAtomic(const fs::path &tmp, const fs::path &final,
     obs::Registry::global()
         .counter("persist.snapshot.bytes")
         .add(bytes.size());
-    // Crash here: the snapshot is committed but the WAL has not been
-    // truncated yet. Replay skips records with seq <= lastWalSeq, so
-    // nothing is double-applied.
-    injector.check("snapshot.rename.post");
 }
 
 } // namespace
@@ -211,8 +199,7 @@ parseChainFileName(const std::string &name)
 
 uint32_t
 writeChainFile(const fs::path &dir, ChainHeader header,
-               const std::string &payload, CrashInjector &injector,
-               Env &env)
+               const std::string &payload, Env &env)
 {
     header.payloadCrc = crc32(payload.data(), payload.size());
 
@@ -228,8 +215,7 @@ writeChainFile(const fs::path &dir, ChainHeader header,
     w.putBytes(payload.data(), payload.size());
 
     std::string name = chainFileName(header.id, header.kind);
-    writeFileAtomic(dir / (name + ".tmp"), dir / name, w.bytes(),
-                    injector, env);
+    writeFileAtomic(dir / (name + ".tmp"), dir / name, w.bytes(), env);
     return header.payloadCrc;
 }
 

@@ -22,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "persist/crash_point.h"
 #include "persist/env.h"
 #include "persist/serial.h"
 
@@ -145,15 +144,15 @@ parseChainFileName(const std::string &name);
 
 /**
  * Write one chain element into @p dir (tmp + fsync + rename + dir
- * fsync; crash sites "snapshot.tmp.partial", "snapshot.tmp.done" and
- * "snapshot.rename.post" cover the three failure windows, all I/O
- * goes through @p env's "env.snap.*" sites). @p header.payloadCrc is computed
- * here and the final value returned, so the caller can link the next
- * delta to it.
+ * fsync; all I/O goes through @p env's "env.snap.*" sites, so crashes
+ * at "env.snap.write", "env.snap.sync" and "env.snap.dirsync" cover
+ * the torn-tmp, complete-tmp and committed-but-WAL-untruncated
+ * windows). @p header.payloadCrc is computed here and the final value
+ * returned, so the caller can link the next delta to it.
  */
 uint32_t writeChainFile(const std::filesystem::path &dir,
                         ChainHeader header, const std::string &payload,
-                        CrashInjector &injector, Env &env);
+                        Env &env);
 
 /**
  * Load one chain file. Returns nullopt when absent, torn, or failing

@@ -133,11 +133,9 @@ Wal::scan(const fs::path &path)
     return scan;
 }
 
-Wal::Wal(const fs::path &path, CrashInjector *injector, SyncMode sync,
-         Env *env)
-    : path_(path), injector_(injector), sync_(sync)
+Wal::Wal(const fs::path &path, SyncMode sync, Env *env)
+    : path_(path), sync_(sync)
 {
-    NAZAR_CHECK(injector_ != nullptr, "Wal: null crash injector");
     if (env == nullptr) {
         ownedEnv_ = std::make_unique<Env>();
         env = ownedEnv_.get();
@@ -227,16 +225,6 @@ Wal::appendBuffered(WalRecordType type, const std::string &payload)
     frame.putU32(crc32(body.bytes().data(), body.size()));
     frame.putBytes(body.bytes().data(), body.size());
     const std::string &bytes = frame.bytes();
-
-    if (injector_->fires("wal.append.partial")) {
-        // Torn write: the frame header plus roughly half the body
-        // reaches disk before the "process" dies. The record fails
-        // its CRC on reopen, so the operation was never durable.
-        size_t torn = 8 + (body.size() + 1) / 2;
-        std::fwrite(bytes.data(), 1, torn, file_->fp);
-        std::fflush(file_->fp);
-        throw CrashInjected("wal.append.partial", injector_->hitCount());
-    }
     env_->write("env.wal.write", file_, bytes.data(), bytes.size());
     uint64_t seq = nextSeq_++;
     obs::Registry::global().counter("persist.wal.appends").add(1);
@@ -248,7 +236,6 @@ Wal::sync()
 {
     env_->sync("env.wal.sync", file_, syncDepth());
     obs::Registry::global().counter("persist.wal.syncs").add(1);
-    injector_->check("wal.append.post");
 }
 
 void
@@ -260,7 +247,6 @@ Wal::truncateAll()
     file_ = env_->open("env.wal.open", path_, "ab");
     env_->syncDir("env.wal.dirsync", parentDir());
     obs::Registry::global().counter("persist.wal.truncations").add(1);
-    injector_->check("wal.truncate.post");
 }
 
 void

@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "persist/crash_point.h"
 #include "persist/env.h"
 
 namespace nazar::persist {
@@ -69,8 +68,8 @@ struct WalScan
  * How append() makes a record durable.
  *
  * kFlush (the default) only pushes stdio buffers into the page cache —
- * enough for the process-kill fault model the crash injector
- * simulates, but not for power loss. kFdatasync/kFsync add a real
+ * enough for the process-kill fault model (FaultKind::kCrash), but
+ * not for power loss. kFdatasync/kFsync add a real
  * fdatasync(2)/fsync(2) per sync() call; group commit (see
  * appendBuffered) amortizes that cost over a batch.
  */
@@ -102,19 +101,19 @@ class Wal
      * "env.wal.write", "env.wal.sync", "env.wal.truncate",
      * "env.wal.dirsync"); when null the Wal owns a fault-free Env.
      */
-    Wal(const std::filesystem::path &path, CrashInjector *injector,
-        SyncMode sync = SyncMode::kFlush, Env *env = nullptr);
+    explicit Wal(const std::filesystem::path &path,
+                 SyncMode sync = SyncMode::kFlush, Env *env = nullptr);
     ~Wal();
 
     Wal(const Wal &) = delete;
     Wal &operator=(const Wal &) = delete;
 
     /**
-     * Append one record durably (write + sync) and return its seq.
-     * Crash sites: "wal.append.partial" fires after writing a torn
-     * prefix of the record (the operation is NOT durable);
-     * "wal.append.post" fires after the full record is on disk (the
-     * operation IS durable, the in-memory apply was lost).
+     * Append one record durably (write + sync) and return its seq. A
+     * crash at "env.wal.write" leaves a torn prefix of the record (the
+     * operation is NOT durable); one at "env.wal.sync" fires after the
+     * full record is on disk (the operation IS durable, the in-memory
+     * apply was lost).
      */
     uint64_t append(WalRecordType type, const std::string &payload);
 
@@ -122,17 +121,14 @@ class Wal
      * Group commit: append one record into the stdio buffer WITHOUT
      * syncing, and return its seq. The record is not durable until
      * the next sync(); a crash in between leaves at most a torn tail,
-     * which the open-time scan truncates. Fires "wal.append.partial"
-     * exactly like append().
+     * which the open-time scan truncates.
      */
     uint64_t appendBuffered(WalRecordType type, const std::string &payload);
 
     /**
      * Make every buffered append durable: one flush (plus one
      * fdatasync/fsync when the mode asks for it) for the whole batch.
-     * Fires "wal.append.post" once. append() is exactly
-     * appendBuffered() + sync(), so per-record callers hit the crash
-     * sites in the historical order.
+     * append() is exactly appendBuffered() + sync().
      */
     void sync();
 
@@ -141,8 +137,8 @@ class Wal
     /**
      * Drop all records: truncate the file back to the bare header.
      * The seq counter keeps counting — snapshots rely on seq being
-     * unique across the whole history. Crash site:
-     * "wal.truncate.post" after the truncation took effect.
+     * unique across the whole history. A crash at "env.wal.dirsync"
+     * fires after the truncation took effect.
      */
     void truncateAll();
 
@@ -194,7 +190,6 @@ class Wal
     std::filesystem::path parentDir() const;
 
     std::filesystem::path path_;
-    CrashInjector *injector_; ///< Never null; owned by CloudPersistence.
     std::unique_ptr<Env> ownedEnv_; ///< Set when no Env was supplied.
     Env *env_ = nullptr;
     Env::File *file_ = nullptr;

@@ -498,54 +498,29 @@ IngestServer::commitBatch(std::vector<WorkItem> &batch)
         obs::recordSpan(queueWaitSite, item.enqueueTime, tDequeue,
                         ingestContext(item.ingest));
 
-    std::vector<bool> accepted;
-    accepted.reserve(batch.size());
-    if (config_.groupCommit) {
-        std::vector<sim::IngestMessage> msgs;
-        msgs.reserve(batch.size());
-        for (auto &item : batch) {
-            sim::IngestMessage m;
-            m.device = static_cast<int>(item.ingest.device);
-            m.seq = item.ingest.seq;
-            m.entry = item.ingest.entry;
-            if (item.ingest.upload.has_value()) {
-                sim::Upload up;
-                up.features = std::move(item.ingest.upload->features);
-                up.context = std::move(item.ingest.upload->context);
-                up.driftFlag = item.ingest.upload->driftFlag;
-                m.upload = std::move(up);
-            }
-            msgs.push_back(std::move(m));
+    std::vector<sim::IngestMessage> msgs;
+    msgs.reserve(batch.size());
+    for (auto &item : batch) {
+        sim::IngestMessage m;
+        m.device = static_cast<int>(item.ingest.device);
+        m.seq = item.ingest.seq;
+        m.entry = item.ingest.entry;
+        if (item.ingest.upload.has_value()) {
+            sim::Upload up;
+            up.features = std::move(item.ingest.upload->features);
+            up.context = std::move(item.ingest.upload->context);
+            up.driftFlag = item.ingest.upload->driftFlag;
+            m.upload = std::move(up);
         }
-        auto tEncoded = std::chrono::steady_clock::now();
-        accepted = cloud_.ingestBatchFrom(std::move(msgs));
-        auto tCommitted = std::chrono::steady_clock::now();
-        for (const auto &item : batch) {
-            obs::TraceContext ctx = ingestContext(item.ingest);
-            obs::recordSpan(encodeSite, tDequeue, tEncoded, ctx);
-            obs::recordSpan(walSyncSite, tEncoded, tCommitted, ctx);
-        }
-    } else {
-        // Per-record mode interleaves conversion and commit, so the
-        // whole loop is attributed to the commit stage (no separate
-        // encode stage in this configuration).
-        for (auto &item : batch) {
-            std::optional<sim::Upload> up;
-            if (item.ingest.upload.has_value()) {
-                sim::Upload u;
-                u.features = std::move(item.ingest.upload->features);
-                u.context = std::move(item.ingest.upload->context);
-                u.driftFlag = item.ingest.upload->driftFlag;
-                up = std::move(u);
-            }
-            auto t0 = std::chrono::steady_clock::now();
-            accepted.push_back(cloud_.ingestFrom(
-                static_cast<int>(item.ingest.device), item.ingest.seq,
-                item.ingest.entry, std::move(up)));
-            obs::recordSpan(walSyncSite, t0,
-                            std::chrono::steady_clock::now(),
-                            ingestContext(item.ingest));
-        }
+        msgs.push_back(std::move(m));
+    }
+    auto tEncoded = std::chrono::steady_clock::now();
+    std::vector<bool> accepted = cloud_.ingestBatchFrom(std::move(msgs));
+    auto tCommitted = std::chrono::steady_clock::now();
+    for (const auto &item : batch) {
+        obs::TraceContext ctx = ingestContext(item.ingest);
+        obs::recordSpan(encodeSite, tDequeue, tEncoded, ctx);
+        obs::recordSpan(walSyncSite, tEncoded, tCommitted, ctx);
     }
     for (size_t i = 0; i < batch.size(); ++i) {
         net::WireAck ack;

@@ -33,8 +33,8 @@
  * close that connection and count in stats().protocolErrors; they
  * never take the server down.
  *
- * Crash–restart: crash injection on the fronted cloud may be armed.
- * When a committer-side persist::CrashInjected fires, the server
+ * Crash–restart: a kCrash fault plan on the fronted cloud's Env may
+ * be armed. When a committer-side persist::CrashInjected fires, the server
  * treats it as its process death: the listener stops, every
  * connection is severed, and crashed()/crashSite() report the site.
  * A harness then rebuilds the Cloud from the same state dir (WAL
@@ -89,7 +89,6 @@
 
 #include "net/tcp.h"
 #include "net/wire.h"
-#include "persist/crash_point.h"
 #include "persist/env.h"
 #include "sim/cloud.h"
 
@@ -100,12 +99,10 @@ struct ServerConfig
     /** Listen port; 0 binds an ephemeral port (see port()). */
     uint16_t port = 0;
     /**
-     * Batch consecutive kIngest items into Cloud::ingestBatchFrom
-     * (one WAL sync per batch). Off = one ingestFrom + sync per
-     * record, the configuration group commit is benchmarked against.
+     * Largest group-commit batch the committer will assemble into
+     * one Cloud::ingestBatchFrom call (one WAL sync per batch);
+     * 1 = a sync per record.
      */
-    bool groupCommit = true;
-    /** Largest group-commit batch the committer will assemble. */
     size_t maxBatch = 256;
     /**
      * Committer queue bound (0 = unbounded, the historical
@@ -151,7 +148,7 @@ class IngestServer
     /**
      * @param cloud The cloud this server fronts. Must outlive the
      *              server; the committer thread is its only writer
-     *              while the server runs. Crash injection may be
+     *              while the server runs. A crash plan may be
      *              armed: a CrashInjected firing in the committer
      *              plays the part of the server process dying — see
      *              crashed()/waitCrashed() and the crash–restart

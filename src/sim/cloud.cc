@@ -65,46 +65,13 @@ Cloud::adoptRecovered(persist::RecoveredState &st)
     }
 }
 
-void
-Cloud::ingestLocked(const driftlog::DriftLogEntry &entry,
-                    std::optional<Upload> upload)
-{
-    driftLog_.add(entry);
-    ++totalIngested_;
-    if (upload.has_value())
-        uploads_.push_back(std::move(*upload));
-}
-
-void
-Cloud::ingest(const driftlog::DriftLogEntry &entry,
-              std::optional<Upload> upload)
-{
-    static obs::Counter &rows =
-        obs::Registry::global().counter("sim.ingest.rows");
-    static obs::Counter &uploads =
-        obs::Registry::global().counter("sim.uploads");
-    rows.add(1);
-    if (upload.has_value())
-        uploads.add(1);
-    std::lock_guard<std::mutex> lk(ingestMutex_);
-    if (persist_) {
-        // WAL-first: the attempt is durable before the apply, so a
-        // crash between the two replays the row instead of losing it.
-        persist_->logIngest(
-            /*device=*/-1, /*seq=*/0, entry,
-            upload ? &upload->features : nullptr,
-            upload ? &upload->context : nullptr,
-            upload ? upload->driftFlag : false);
-    }
-    ingestLocked(entry, std::move(upload));
-    maybeSnapshotLocked();
-}
-
 bool
 Cloud::dedupAcceptLocked(int device, uint64_t seq)
 {
     static obs::Counter &dedup_hits =
         obs::Registry::global().counter("net.dedup_hits");
+    if (device < 0)
+        return true;
     DedupState &state = dedup_[device];
     if (seq < state.floor || state.seen.count(seq) > 0) {
         ++dedupHits_;
@@ -116,38 +83,6 @@ Cloud::dedupAcceptLocked(int device, uint64_t seq)
         state.floor = *state.seen.begin() + 1;
         state.seen.erase(state.seen.begin());
     }
-    return true;
-}
-
-bool
-Cloud::ingestFrom(int device, uint64_t seq,
-                  const driftlog::DriftLogEntry &entry,
-                  std::optional<Upload> upload)
-{
-    static obs::Counter &rows =
-        obs::Registry::global().counter("sim.ingest.rows");
-    static obs::Counter &uploads =
-        obs::Registry::global().counter("sim.uploads");
-
-    std::lock_guard<std::mutex> lk(ingestMutex_);
-    if (persist_) {
-        // Log the *attempt* before the dedup check: replay re-runs the
-        // dedup logic, so accepted rows, rejected duplicates, and the
-        // per-device windows are all reproduced exactly.
-        persist_->logIngest(
-            device, seq, entry, upload ? &upload->features : nullptr,
-            upload ? &upload->context : nullptr,
-            upload ? upload->driftFlag : false);
-    }
-    if (!dedupAcceptLocked(device, seq)) {
-        maybeSnapshotLocked();
-        return false;
-    }
-    rows.add(1);
-    if (upload.has_value())
-        uploads.add(1);
-    ingestLocked(entry, std::move(upload));
-    maybeSnapshotLocked();
     return true;
 }
 
@@ -166,9 +101,12 @@ Cloud::ingestBatchFrom(std::vector<IngestMessage> batch)
         return accepted;
     batches.add(1);
     if (persist_) {
-        // Group commit: every attempt of the batch becomes durable
-        // with a single sync, before the ingest lock is touched
-        // (WAL-first still holds — durability precedes the apply).
+        // WAL-first, and the *attempt* is logged before the dedup
+        // check: replay re-runs the dedup logic, so accepted rows,
+        // rejected duplicates and the per-device windows are all
+        // reproduced exactly. Group commit: the whole batch becomes
+        // durable with a single sync, before the ingest lock is
+        // touched.
         std::vector<std::string> payloads;
         payloads.reserve(batch.size());
         for (const auto &m : batch) {
@@ -187,9 +125,12 @@ Cloud::ingestBatchFrom(std::vector<IngestMessage> batch)
         if (!dedupAcceptLocked(m.device, m.seq))
             continue;
         rows.add(1);
-        if (m.upload.has_value())
+        driftLog_.add(m.entry);
+        ++totalIngested_;
+        if (m.upload.has_value()) {
             uploads.add(1);
-        ingestLocked(m.entry, std::move(m.upload));
+            uploads_.push_back(std::move(*m.upload));
+        }
         accepted[i] = true;
     }
     maybeSnapshotLocked();

@@ -33,7 +33,11 @@ struct Upload
     bool driftFlag = false;    ///< The on-device detector's verdict.
 };
 
-/** One sequenced ingest attempt, as batched by the ingest server. */
+/**
+ * One ingest attempt: a drift-log entry, optionally its sampled input,
+ * and the sender's (device, seq). A negative @p device marks a row
+ * exempt from dedup (an in-process emitter with no retransmissions).
+ */
 struct IngestMessage
 {
     int device = 0;
@@ -56,10 +60,10 @@ struct CloudConfig
     size_t maxCausesPerCycle = 0;
     /**
      * Per-device sequence numbers remembered by the idempotent ingest
-     * path (ingestFrom). Retransmissions whose sequence number is
-     * still inside the window — or older than anything retained — are
-     * rejected as duplicates, so at-least-once delivery counts each
-     * drift row effectively once.
+     * path. Retransmissions whose sequence number is still inside the
+     * window — or older than anything retained — are rejected as
+     * duplicates, so at-least-once delivery counts each drift row
+     * effectively once.
      */
     size_t ingestDedupWindow = 4096;
     /**
@@ -87,6 +91,14 @@ struct CycleResult
 /**
  * Cloud orchestrator. Owns the drift log and the upload buffer;
  * produces model versions at analysis-window boundaries.
+ *
+ * One-writer rule for persisted clouds: with CloudConfig::persist on,
+ * ingestBatchFrom, runCycle, flush, gcRegistryBelow and checkpoint
+ * must not overlap — WAL appends happen outside the ingest lock, so
+ * readers never wait on an fsync. The ingest server's committer
+ * thread and the runner's window loop are each a cloud's sole writer.
+ * Without persistence, concurrent ingestBatchFrom calls are safe (the
+ * apply serializes on the ingest lock); readers are always safe.
  */
 class Cloud
 {
@@ -99,39 +111,19 @@ class Cloud
     Cloud(CloudConfig config, const nn::Classifier &base);
 
     /**
-     * Ingest one drift-log entry and optionally its sampled input.
-     * Thread-safe: concurrent emitters (fleet shards) serialize on an
-     * internal mutex. Callers needing a deterministic log order must
-     * order their calls themselves (sim::Runner buffers per shard and
-     * emits in event order).
-     */
-    void ingest(const driftlog::DriftLogEntry &entry,
-                std::optional<Upload> upload);
-
-    /**
-     * Idempotent ingest for messages arriving over an unreliable
-     * channel: @p seq is the sender's per-device monotone sequence
-     * number. Duplicate (retried or duplicated-in-flight) messages
-     * are dropped against a bounded per-device dedup window and
-     * counted in `net.dedup_hits`. Returns true when the entry was
-     * accepted, false on a dedup hit. Thread-safe like ingest().
-     */
-    bool ingestFrom(int device, uint64_t seq,
-                    const driftlog::DriftLogEntry &entry,
-                    std::optional<Upload> upload);
-
-    /**
-     * Group-committed batch of ingestFrom() calls: every attempt is
-     * appended to the WAL first with ONE sync for the whole batch
-     * (vs one per record), and the WAL work happens before the ingest
-     * lock is taken, so readers never stall behind an fsync. Dedup
-     * semantics per message are identical to ingestFrom(). Returns
-     * per-message acceptance (false = dedup hit).
+     * The cloud's one ingest entry point. Messages with a device id
+     * arrive over an unreliable channel and are idempotent: @p seq is
+     * the sender's per-device monotone sequence number, and duplicates
+     * (retried or duplicated in flight) are dropped against a bounded
+     * per-device dedup window and counted in `net.dedup_hits`.
+     * Messages with device -1 are always accepted.
      *
-     * Single-writer: callers must not overlap this with other
-     * ingest/cycle/flush calls — the ingest server's committer thread
-     * is the sole writer, which is what makes the out-of-lock WAL
-     * appends safe.
+     * With persistence on, every attempt is appended to the WAL first
+     * with ONE sync for the whole batch (a batch of one is a
+     * per-record commit), before the ingest lock is taken. Entries
+     * land in batch order; callers needing a deterministic log order
+     * order the batch themselves. Returns per-message acceptance
+     * (false = dedup hit).
      */
     std::vector<bool> ingestBatchFrom(std::vector<IngestMessage> batch);
 
@@ -253,14 +245,10 @@ class Cloud
         uint64_t floor = 0;
     };
 
-    /** Shared tail of ingest()/ingestFrom(); ingestMutex_ held. */
-    void ingestLocked(const driftlog::DriftLogEntry &entry,
-                      std::optional<Upload> upload);
-
     /**
      * Run one (device, seq) through the dedup window (ingestMutex_
      * held). Returns false on a duplicate; true admits the seq into
-     * the window.
+     * the window. A negative device is never a duplicate.
      */
     bool dedupAcceptLocked(int device, uint64_t seq);
 

@@ -276,12 +276,12 @@ Runner::run()
     nn::BnPatch global_patch = clean_patch;
 
     // Crash-restart: an injected crash "kills" the cloud process; the
-    // runner rebuilds it from the state directory with the injector
-    // disarmed (the armed site already fired). A latched disk fault
+    // runner rebuilds it from the state directory with the fault plan
+    // cleared (the armed site already fired). A latched disk fault
     // follows the same discipline — the environment's fsync gate
-    // poisons the incarnation, and the rebuild (with the fault plan
-    // cleared, standing in for the operator fixing the disk) recovers
-    // from the last durable state. The clean patch is cloud-side
+    // poisons the incarnation, and the rebuild (the cleared plan
+    // standing in for the operator fixing the disk) recovers from the
+    // last durable state. The clean patch is cloud-side
     // state, so it too comes back from disk — the last *committed*
     // cycle's patch, which is exactly what a re-run of an uncommitted
     // cycle must start from.
@@ -292,7 +292,6 @@ Runner::run()
     int64_t cycles_done = cloud ? cloud->logicalTime() : 0;
     auto rebuild_cloud = [&](bool disk_fault = false) {
         CloudConfig recover_config = cloud_config;
-        recover_config.persist.crashAtHit = 0;
         recover_config.persist.fault = {};
         cloud.reset(); // release the WAL handle before reopening
         cloud = std::make_unique<Cloud>(recover_config, *base_);
@@ -418,8 +417,7 @@ Runner::run()
                         UplinkPayload{device.makeLogEntry(ev, out),
                                       std::move(upload)});
         }
-        bool cloud_down = false;
-        bool disk_down = false;
+        std::vector<IngestMessage> delivered;
         uplink.deliver([&](size_t device, uint64_t seq,
                            UplinkPayload &&payload) {
             if (remote) {
@@ -440,26 +438,27 @@ Runner::run()
                 remote->sendIngest(m);
                 return;
             }
-            if (cloud_down)
-                return; // cloud is down; telemetry in flight is lost
+            delivered.push_back(IngestMessage{
+                static_cast<int>(device), seq, std::move(payload.entry),
+                std::move(payload.upload)});
+        });
+        // The window's surviving telemetry is one group-committed
+        // batch. If the cloud dies in it, the rows that reached the
+        // WAL come back with the rebuild; the rest are lost in flight.
+        if (!delivered.empty()) {
             try {
-                cloud->ingestFrom(static_cast<int>(device), seq,
-                                  payload.entry,
-                                  std::move(payload.upload));
+                cloud->ingestBatchFrom(std::move(delivered));
             } catch (const persist::CrashInjected &crash) {
                 logInfo() << "cloud crash injected at "
                           << crash.site() << " (hit " << crash.hit()
                           << ") during ingest";
-                cloud_down = true;
+                rebuild_cloud();
             } catch (const persist::DiskFault &fault) {
                 logInfo() << "cloud disk fault latched at "
                           << fault.site() << " during ingest";
-                cloud_down = true;
-                disk_down = true;
+                rebuild_cloud(/*disk_fault=*/true);
             }
-        });
-        if (cloud_down)
-            rebuild_cloud(disk_down);
+        }
 
         // ---- Window boundary: run the strategy's adaptation ----------
         switch (config_.strategy) {
@@ -527,7 +526,7 @@ Runner::run()
                 } else {
                     // Uncommitted: WAL replay restored the claimed
                     // buffers, and the rebuilt cloud re-runs the cycle
-                    // deterministically (the injector is disarmed),
+                    // deterministically (the fault plan is cleared),
                     // reassigning identical version ids.
                     new_versions =
                         apply_cycle(cloud->runCycle(clean_patch));

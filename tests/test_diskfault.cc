@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "cloud_script.h"
 #include "common/error.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -217,237 +218,12 @@ TEST(EnvTest, RemoveIsBestEffortAndNeverLatches)
     EXPECT_FALSE(env.faulted());
 }
 
-// ---- scripted cloud scenario ----------------------------------------
+// ---- scripted cloud scenario ---------------------------------------
 //
-// The same deterministic script as test_persist.cc's crash sweep: two
-// analysis cycles over planted-cause telemetry with duplicate seqs
-// sprinkled in, a baseline flush, and a tail of pending rows left
-// unanalyzed. Config differences: the snapshot chain is exercised
-// (fullEvery = 4, so fulls AND deltas occur inside the script) and
-// faults come from the Env, not the CrashInjector.
+// The scenario and its retry loop live in cloud_script.h, shared with
+// test_persist.cc's crash sweep; here the Env arms disk faults.
 
-data::AppSpec &
-scriptApp()
-{
-    static data::AppSpec app = data::makeAnimalsApp(13, 8);
-    return app;
-}
-
-nn::Classifier &
-scriptBase()
-{
-    static nn::Classifier base(nn::Architecture::kResNet18,
-                               scriptApp().domain.featureDim(),
-                               scriptApp().domain.numClasses(), 5);
-    return base;
-}
-
-sim::CloudConfig
-scriptConfig(const std::string &dir, const DiskFaultPlan &plan,
-             uint64_t full_every = 4)
-{
-    sim::CloudConfig config;
-    config.minAdaptSamples = 4;
-    config.ingestDedupWindow = 8;
-    config.persist.dir = dir;
-    config.persist.snapshotEvery = 8;
-    config.persist.fullEvery = full_every;
-    config.persist.fault = plan;
-    return config;
-}
-
-driftlog::DriftLogEntry
-scriptEntry(int i)
-{
-    driftlog::DriftLogEntry e;
-    e.time = SimDate(i % 14, (i * 37) % 86400);
-    int device = i % 3;
-    e.deviceId = data::deviceName(device);
-    e.deviceModel = data::deviceModel(device);
-    e.location = "tibet";
-    e.weather = i % 3 == 0 ? "snow" : "clear-day";
-    e.drift = i % 3 == 0;
-    return e;
-}
-
-std::optional<sim::Upload>
-scriptUpload(int i)
-{
-    if (i % 4 == 3)
-        return std::nullopt;
-    driftlog::DriftLogEntry e = scriptEntry(i);
-    sim::Upload up;
-    Rng rng(static_cast<uint64_t>(1000 + i));
-    int label =
-        static_cast<int>(rng.index(scriptApp().domain.numClasses()));
-    up.features = scriptApp().domain.sample(label, rng);
-    up.context = rca::AttributeSet({
-        {driftlog::columns::kWeather, driftlog::Value(e.weather)},
-        {driftlog::columns::kLocation, driftlog::Value(e.location)},
-        {driftlog::columns::kDeviceId, driftlog::Value(e.deviceId)},
-        {driftlog::columns::kDeviceModel,
-         driftlog::Value(e.deviceModel)},
-    });
-    up.driftFlag = e.drift;
-    return up;
-}
-
-/** Everything the sweep compares between a faulted run and the oracle. */
-struct CloudState
-{
-    std::string driftCsv;
-    size_t uploadCount = 0;
-    size_t totalIngested = 0;
-    size_t dedupHits = 0;
-    int64_t nextVersionId = 1;
-    int64_t logicalTime = 0;
-    std::vector<int64_t> versionIds;
-    std::vector<std::pair<std::string, std::string>> blobs;
-    std::map<int64_t, DedupWindow> dedup;
-};
-
-CloudState
-captureState(sim::Cloud &cloud)
-{
-    CloudState st;
-    std::ostringstream csv;
-    driftlog::writeCsv(cloud.driftLog().table(), csv);
-    st.driftCsv = csv.str();
-    st.uploadCount = cloud.uploadCount();
-    st.totalIngested = cloud.totalIngested();
-    st.dedupHits = cloud.dedupHits();
-    st.nextVersionId = cloud.nextVersionId();
-    st.logicalTime = cloud.logicalTime();
-    st.versionIds = cloud.registry().versionIds();
-    for (const auto &key : cloud.blobStore().list())
-        st.blobs.emplace_back(key, cloud.blobStore().get(key));
-    st.dedup = cloud.dedupSnapshot();
-    return st;
-}
-
-void
-expectStateEq(const CloudState &got, const CloudState &want,
-              const std::string &label, size_t fault_slack = 0)
-{
-    EXPECT_EQ(got.driftCsv, want.driftCsv) << label;
-    EXPECT_EQ(got.uploadCount, want.uploadCount) << label;
-    EXPECT_EQ(got.totalIngested, want.totalIngested) << label;
-    EXPECT_EQ(got.nextVersionId, want.nextVersionId) << label;
-    EXPECT_EQ(got.logicalTime, want.logicalTime) << label;
-    EXPECT_EQ(got.versionIds, want.versionIds) << label;
-    EXPECT_EQ(got.blobs, want.blobs) << label;
-    EXPECT_EQ(got.dedup, want.dedup) << label;
-    // A fault after the WAL append but before the in-memory apply
-    // makes the retry a retransmission the dedup window absorbs, at
-    // the cost of at most one extra dedup hit per fault.
-    EXPECT_GE(got.dedupHits, want.dedupHits) << label;
-    EXPECT_LE(got.dedupHits, want.dedupHits + fault_slack) << label;
-}
-
-/**
- * Run the scripted scenario, surviving injected disk faults with the
- * production discipline: a DiskFault latches the durability layer, so
- * the owner rebuilds from the last durable state (a fresh Cloud over
- * the same directory with a fresh, unfaulted Env) and retries exactly
- * like the crash path — ingests re-sent (dedup absorbs the
- * retransmission), a cycle whose commit landed not re-run, flushes
- * retried. Cloud construction itself is inside the retry loop: the
- * WAL-open sites fire in the constructor.
- */
-std::unique_ptr<sim::Cloud>
-driveFaultScript(const std::string &dir, const DiskFaultPlan &plan,
-                 size_t *faults, std::vector<std::string> *sites,
-                 uint64_t full_every = 4)
-{
-    sim::CloudConfig config = scriptConfig(dir, plan, full_every);
-    auto onFault = [&](const DiskFault &e) {
-        if (sites != nullptr)
-            sites->push_back(e.site());
-        if (faults != nullptr)
-            ++*faults;
-        // Clearing the fault = rebuilding the persistence layer with
-        // a fresh Env; the armed plan fired once and must not re-arm.
-        config.persist.fault = {};
-    };
-    std::unique_ptr<sim::Cloud> cloud;
-    auto rebuild = [&]() {
-        cloud.reset();
-        for (;;) {
-            try {
-                cloud = std::make_unique<sim::Cloud>(config,
-                                                     scriptBase());
-                return;
-            } catch (const DiskFault &e) {
-                onFault(e);
-            }
-        }
-    };
-    rebuild();
-    nn::BnPatch clean = cloud->recoveredCleanPatch().has_value()
-                            ? *cloud->recoveredCleanPatch()
-                            : scriptBase().bnPatch();
-    auto recover = [&]() {
-        rebuild();
-        clean = cloud->recoveredCleanPatch().has_value()
-                    ? *cloud->recoveredCleanPatch()
-                    : scriptBase().bnPatch();
-    };
-    auto ingest = [&](int device, uint64_t seq, int i) {
-        for (;;) {
-            try {
-                cloud->ingestFrom(device, seq, scriptEntry(i),
-                                  scriptUpload(i));
-                return;
-            } catch (const DiskFault &e) {
-                onFault(e);
-                recover();
-            }
-        }
-    };
-    auto cycle = [&]() {
-        int64_t before = cloud->logicalTime();
-        for (;;) {
-            try {
-                sim::CycleResult result = cloud->runCycle(clean);
-                if (result.newCleanPatch.has_value())
-                    clean = *result.newCleanPatch;
-                return;
-            } catch (const DiskFault &e) {
-                onFault(e);
-                recover();
-                if (cloud->logicalTime() > before)
-                    return; // commit record landed before the fault
-            }
-        }
-    };
-    auto flush = [&]() {
-        for (;;) {
-            try {
-                cloud->flush();
-                return;
-            } catch (const DiskFault &e) {
-                onFault(e);
-                recover();
-            }
-        }
-    };
-
-    for (int i = 0; i < 24; ++i) {
-        ingest(i % 3, static_cast<uint64_t>(i / 3), i);
-        if (i % 5 == 0 && i > 0) // retransmission: must dedup
-            ingest(i % 3, static_cast<uint64_t>(i / 3), i);
-    }
-    cycle();
-    for (int i = 24; i < 44; ++i)
-        ingest(i % 3, static_cast<uint64_t>(i / 3), i);
-    cycle();
-    for (int i = 44; i < 50; ++i)
-        ingest(i % 3, static_cast<uint64_t>(i / 3), i);
-    flush();
-    for (int i = 50; i < 56; ++i)
-        ingest(i % 3, static_cast<uint64_t>(i / 3), i);
-    return cloud;
-}
+using script::CloudState;
 
 class DiskFaultCloudTest : public QuietLogs
 {
@@ -459,7 +235,7 @@ TEST_F(DiskFaultCloudTest, ExhaustiveDiskFaultSweepMatchesOracle)
 {
     // The oracle: the same script against an in-memory cloud.
     CloudState oracle =
-        captureState(*driveFaultScript("", {}, nullptr, nullptr));
+        script::capture(*script::drive("", {}, nullptr, nullptr));
 
     // Probe run: count how often the scenario reaches each Env site,
     // to bound the per-site sweep.
@@ -467,17 +243,13 @@ TEST_F(DiskFaultCloudTest, ExhaustiveDiskFaultSweepMatchesOracle)
     {
         TempDir dir("probe");
         auto cloud =
-            driveFaultScript(dir.path.string(), {}, nullptr, nullptr);
+            script::drive(dir.path.string(), {}, nullptr, nullptr);
         Env &env = cloud->persistence()->env();
-        for (const char *site :
-             {"env.wal.open", "env.wal.write", "env.wal.sync",
-              "env.wal.truncate", "env.wal.dirsync", "env.snap.create",
-              "env.snap.write", "env.snap.sync", "env.snap.rename",
-              "env.snap.dirsync", "env.snap.unlink"})
+        for (const char *site : script::kEnvSites)
             reached[site] = env.hitCount(site);
         EXPECT_GT(env.totalHits(), 0u);
         // Persistence on with a disarmed Env is behaviour-neutral.
-        expectStateEq(captureState(*cloud), oracle, "disarmed");
+        script::expectStateEq(script::capture(*cloud), oracle, "disarmed");
     }
 
     // Every failure mode a site can exhibit, at its first and second
@@ -520,12 +292,13 @@ TEST_F(DiskFaultCloudTest, ExhaustiveDiskFaultSweepMatchesOracle)
             TempDir dir("sweep");
             size_t faults = 0;
             std::vector<std::string> sites;
-            auto cloud = driveFaultScript(
+            auto cloud = script::drive(
                 dir.path.string(),
                 DiskFaultPlan{entry.site, hit, entry.kind}, &faults,
                 &sites);
             ASSERT_EQ(faults, 1u) << label;
-            expectStateEq(captureState(*cloud), oracle, label, faults);
+            script::expectStateEq(script::capture(*cloud), oracle, label,
+                                  faults);
             // The fault left no lasting corruption behind: the state
             // directory passes the offline scrub...
             cloud.reset();
@@ -534,9 +307,9 @@ TEST_F(DiskFaultCloudTest, ExhaustiveDiskFaultSweepMatchesOracle)
                 << label << ": "
                 << (report.issues.empty() ? "" : report.issues[0]);
             // ...and a cold reopen recovers the same state again.
-            sim::Cloud reopened(scriptConfig(dir.path.string(), {}),
-                                scriptBase());
-            expectStateEq(captureState(reopened), oracle,
+            sim::Cloud reopened(script::config(dir.path.string(), {}),
+                                script::base());
+            script::expectStateEq(script::capture(reopened), oracle,
                           label + "/reopen", faults);
         }
     }
@@ -548,16 +321,16 @@ TEST_F(DiskFaultCloudTest, GcUnlinkFaultIsNonFatal)
     // an EIO there must not latch the log or perturb state — the
     // superseded file simply survives until the next GC pass.
     CloudState oracle =
-        captureState(*driveFaultScript("", {}, nullptr, nullptr));
+        script::capture(*script::drive("", {}, nullptr, nullptr));
     TempDir dir("gc_eio");
     size_t faults = 0;
-    auto cloud = driveFaultScript(
+    auto cloud = script::drive(
         dir.path.string(),
         DiskFaultPlan{"env.snap.unlink", 1, FaultKind::kEio}, &faults,
         nullptr, /*full_every=*/1);
     EXPECT_EQ(faults, 0u);
     EXPECT_FALSE(cloud->persistence()->diskFaulted());
-    expectStateEq(captureState(*cloud), oracle, "gc_eio");
+    script::expectStateEq(script::capture(*cloud), oracle, "gc_eio");
     cloud.reset();
     // The survivor is at worst a scrub *note*, never an issue.
     ScrubReport report = scrubStateDir(dir.path);
@@ -567,15 +340,15 @@ TEST_F(DiskFaultCloudTest, GcUnlinkFaultIsNonFatal)
 TEST_F(DiskFaultCloudTest, FsyncGateStopsTheCloudUntilRebuilt)
 {
     TempDir dir("gate");
-    sim::CloudConfig config = scriptConfig(
+    sim::CloudConfig config = script::config(
         dir.path.string(),
         DiskFaultPlan{"env.wal.sync", 4, FaultKind::kSyncFail});
-    auto cloud = std::make_unique<sim::Cloud>(config, scriptBase());
+    auto cloud = std::make_unique<sim::Cloud>(config, script::base());
     int i = 0;
     for (; i < 24; ++i) {
         try {
-            cloud->ingestFrom(i % 3, static_cast<uint64_t>(i / 3),
-                              scriptEntry(i), scriptUpload(i));
+            cloud->ingestBatchFrom(
+                script::batch(i % 3, static_cast<uint64_t>(i / 3), i));
         } catch (const DiskFault &e) {
             EXPECT_EQ(e.site(), "env.wal.sync");
             break;
@@ -587,8 +360,7 @@ TEST_F(DiskFaultCloudTest, FsyncGateStopsTheCloudUntilRebuilt)
     // Latched means latched: every further durable operation fails
     // fast without touching the poisoned log — a failed fsync is
     // never retried.
-    EXPECT_THROW(cloud->ingestFrom(0, 99, scriptEntry(0),
-                                   scriptUpload(0)),
+    EXPECT_THROW(cloud->ingestBatchFrom(script::batch(0, 99, 0)),
                  DiskFault);
     EXPECT_THROW(cloud->flush(), DiskFault);
     EXPECT_TRUE(cloud->persistence()->diskFaulted());
@@ -599,8 +371,8 @@ TEST_F(DiskFaultCloudTest, FsyncGateStopsTheCloudUntilRebuilt)
         // the latch (the faulted ingest's bytes were dropped with the
         // dirty tail, so it is NOT half-applied).
         cloud.reset();
-        sim::Cloud recovered(scriptConfig(dir.path.string(), {}),
-                             scriptBase());
+        sim::Cloud recovered(script::config(dir.path.string(), {}),
+                             script::base());
         durable = recovered.totalIngested();
         EXPECT_FALSE(recovered.persistence()->diskFaulted());
         EXPECT_EQ(durable, static_cast<size_t>(i));
@@ -619,14 +391,14 @@ TEST_F(DiskFaultCloudTest, DeltaChainRecoversSameStateAsFullChain)
     // and fullEvery = 8 (mostly deltas) must recover identical state.
     TempDir full_dir("chain_full");
     TempDir delta_dir("chain_delta");
-    auto full_cloud = driveFaultScript(full_dir.path.string(), {},
+    auto full_cloud = script::drive(full_dir.path.string(), {},
                                        nullptr, nullptr,
                                        /*full_every=*/1);
-    auto delta_cloud = driveFaultScript(delta_dir.path.string(), {},
+    auto delta_cloud = script::drive(delta_dir.path.string(), {},
                                         nullptr, nullptr,
                                         /*full_every=*/8);
-    CloudState want = captureState(*full_cloud);
-    expectStateEq(captureState(*delta_cloud), want, "live");
+    CloudState want = script::capture(*full_cloud);
+    script::expectStateEq(script::capture(*delta_cloud), want, "live");
 
     // The delta run actually produced deltas; the full run none.
     size_t full_deltas = 0, delta_deltas = 0;
@@ -641,12 +413,12 @@ TEST_F(DiskFaultCloudTest, DeltaChainRecoversSameStateAsFullChain)
 
     full_cloud.reset();
     delta_cloud.reset();
-    sim::Cloud full_re(scriptConfig(full_dir.path.string(), {}, 1),
-                       scriptBase());
-    sim::Cloud delta_re(scriptConfig(delta_dir.path.string(), {}, 8),
-                        scriptBase());
-    expectStateEq(captureState(full_re), want, "full/reopen");
-    expectStateEq(captureState(delta_re), want, "delta/reopen");
+    sim::Cloud full_re(script::config(full_dir.path.string(), {}, 1),
+                       script::base());
+    sim::Cloud delta_re(script::config(delta_dir.path.string(), {}, 8),
+                        script::base());
+    script::expectStateEq(script::capture(full_re), want, "full/reopen");
+    script::expectStateEq(script::capture(delta_re), want, "delta/reopen");
 }
 
 TEST_F(DiskFaultCloudTest, SnapshotGcKeepsOnlyTheRecoveryChain)
@@ -655,12 +427,12 @@ TEST_F(DiskFaultCloudTest, SnapshotGcKeepsOnlyTheRecoveryChain)
     // chain entirely: GC must fire, and what survives must still be a
     // complete recovery chain.
     TempDir dir("gc");
-    auto cloud = driveFaultScript(dir.path.string(), {}, nullptr,
+    auto cloud = script::drive(dir.path.string(), {}, nullptr,
                                   nullptr, /*full_every=*/1);
     ASSERT_GT(cloud->persistence()->snapshotGcRemoved(), 0u);
     uint64_t head = cloud->persistence()->chainHeadId();
     ASSERT_GT(head, 0u);
-    CloudState live = captureState(*cloud);
+    CloudState live = script::capture(*cloud);
     cloud.reset();
 
     // Safety invariant: nothing the recovery chain needs was removed.
@@ -677,9 +449,9 @@ TEST_F(DiskFaultCloudTest, SnapshotGcKeepsOnlyTheRecoveryChain)
     EXPECT_TRUE(report.ok) << (report.issues.empty()
                                    ? ""
                                    : report.issues[0]);
-    sim::Cloud reopened(scriptConfig(dir.path.string(), {}, 1),
-                        scriptBase());
-    expectStateEq(captureState(reopened), live, "gc/reopen");
+    sim::Cloud reopened(script::config(dir.path.string(), {}, 1),
+                        script::base());
+    script::expectStateEq(script::capture(reopened), live, "gc/reopen");
 }
 
 // ---- scrubber -------------------------------------------------------
@@ -687,7 +459,7 @@ TEST_F(DiskFaultCloudTest, SnapshotGcKeepsOnlyTheRecoveryChain)
 TEST_F(DiskFaultCloudTest, ScrubFlagsCorruptionCleanDirPasses)
 {
     TempDir dir("scrub");
-    auto cloud = driveFaultScript(dir.path.string(), {}, nullptr,
+    auto cloud = script::drive(dir.path.string(), {}, nullptr,
                                   nullptr, /*full_every=*/8);
     cloud.reset();
     ScrubReport healthy = scrubStateDir(dir.path);
@@ -719,7 +491,7 @@ TEST_F(DiskFaultCloudTest, RegistryGcSurvivesRecovery)
 {
     TempDir dir("reggc");
     auto cloud =
-        driveFaultScript(dir.path.string(), {}, nullptr, nullptr);
+        script::drive(dir.path.string(), {}, nullptr, nullptr);
     std::vector<int64_t> versions = cloud->registry().versionIds();
     ASSERT_GE(versions.size(), 2u)
         << "script must publish enough versions to GC";
@@ -729,14 +501,14 @@ TEST_F(DiskFaultCloudTest, RegistryGcSurvivesRecovery)
     EXPECT_EQ(cloud->registry().versionIds(),
               std::vector<int64_t>{keep});
     EXPECT_EQ(cloud->gcRegistryBelow(keep), 0u); // idempotent
-    CloudState live = captureState(*cloud);
+    CloudState live = script::capture(*cloud);
     cloud.reset();
 
     // The eviction is WAL-logged: a cold reopen replays it and does
     // not resurrect the evicted blobs.
-    sim::Cloud reopened(scriptConfig(dir.path.string(), {}),
-                        scriptBase());
-    expectStateEq(captureState(reopened), live, "reggc/reopen");
+    sim::Cloud reopened(script::config(dir.path.string(), {}),
+                        script::base());
+    script::expectStateEq(script::capture(reopened), live, "reggc/reopen");
     EXPECT_EQ(reopened.registry().versionIds(),
               std::vector<int64_t>{keep});
     ScrubReport report = scrubStateDir(dir.path);
@@ -753,7 +525,7 @@ TEST_F(DiskFaultCloudTest, DecodersSurviveBitFlipsAndTruncations)
     // flipped sectors), so this is the decoder half of the sweep.
     TempDir dir("fuzz");
     {
-        auto cloud = driveFaultScript(dir.path.string(), {}, nullptr,
+        auto cloud = script::drive(dir.path.string(), {}, nullptr,
                                       nullptr, /*full_every=*/2);
     }
     std::vector<fs::path> targets;

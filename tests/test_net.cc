@@ -252,8 +252,10 @@ TEST(Channel, CloudIngestAcceptsTheOriginalOnADupDraw)
     }
     channel.deliver([&](size_t device, uint64_t seq,
                         driftlog::DriftLogEntry &&entry, bool is_dup) {
-        bool accepted = cloud.ingestFrom(static_cast<int>(device), seq,
-                                         entry, std::nullopt);
+        std::vector<sim::IngestMessage> one;
+        one.push_back(sim::IngestMessage{static_cast<int>(device), seq,
+                                         std::move(entry), std::nullopt});
+        bool accepted = cloud.ingestBatchFrom(std::move(one))[0];
         EXPECT_EQ(accepted, !is_dup)
             << "seq " << seq << ": dedup admitted the duplicate";
     });

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the durability layer: serialization, WAL torn-tail
- * handling, snapshot atomicity, crash-point injection, and the
+ * handling, snapshot atomicity, the Env's crash fault, and the
  * headline property — an exhaustive sweep that crashes the cloud at
- * every write boundary of a scripted scenario, reopens the state
+ * every Env operation of a scripted scenario, reopens the state
  * directory, and asserts recovery matches a never-crashed oracle.
  */
 #include <gtest/gtest.h>
@@ -18,11 +18,11 @@
 
 #include "common/error.h"
 #include "common/logging.h"
+#include "cloud_script.h"
 #include "common/rng.h"
-#include "data/apps.h"
 #include "driftlog/csv.h"
 #include "persist/cloud_persist.h"
-#include "persist/crash_point.h"
+#include "persist/env.h"
 #include "persist/serial.h"
 #include "persist/snapshot.h"
 #include "persist/wal.h"
@@ -56,6 +56,21 @@ struct QuietLogs : ::testing::Test
     QuietLogs() { setLogLevel(LogLevel::kSilent); }
     ~QuietLogs() override { setLogLevel(LogLevel::kInfo); }
 };
+
+std::string
+readBytes(const fs::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+void
+writeBytes(const fs::path &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
 
 // ---- serial ---------------------------------------------------------
 
@@ -215,9 +230,8 @@ TEST(WalTest, AppendScanRoundTrip)
 {
     TempDir dir("wal_rt");
     fs::path log = dir.path / "wal.log";
-    CrashInjector injector;
     {
-        Wal wal(log, &injector);
+        Wal wal(log);
         EXPECT_EQ(wal.append(WalRecordType::kIngest, "alpha"), 1u);
         EXPECT_EQ(wal.append(WalRecordType::kCycleCommit, "beta"), 2u);
         EXPECT_EQ(wal.append(WalRecordType::kFlush, ""), 3u);
@@ -232,7 +246,7 @@ TEST(WalTest, AppendScanRoundTrip)
     EXPECT_EQ(scan.records[2].seq, 3u);
 
     // Reopening resumes the sequence counter after the existing tail.
-    Wal wal(log, &injector);
+    Wal wal(log);
     EXPECT_EQ(wal.records().size(), 3u);
     EXPECT_EQ(wal.append(WalRecordType::kIngest, "gamma"), 4u);
 }
@@ -241,9 +255,8 @@ TEST(WalTest, TornTailIsTruncatedOnOpen)
 {
     TempDir dir("wal_torn");
     fs::path log = dir.path / "wal.log";
-    CrashInjector injector;
     {
-        Wal wal(log, &injector);
+        Wal wal(log);
         wal.append(WalRecordType::kIngest, "good record");
     }
     uintmax_t good_size = fs::file_size(log);
@@ -254,7 +267,7 @@ TEST(WalTest, TornTailIsTruncatedOnOpen)
         const char garbage[] = "\xFF\xFF\x00\x00partial";
         torn.write(garbage, sizeof(garbage) - 1);
     }
-    Wal wal(log, &injector);
+    Wal wal(log);
     EXPECT_GT(wal.truncatedBytes(), 0u);
     ASSERT_EQ(wal.records().size(), 1u);
     EXPECT_EQ(wal.records()[0].payload, "good record");
@@ -267,9 +280,8 @@ TEST(WalTest, CorruptRecordMarksTear)
 {
     TempDir dir("wal_corrupt");
     fs::path log = dir.path / "wal.log";
-    CrashInjector injector;
     {
-        Wal wal(log, &injector);
+        Wal wal(log);
         wal.append(WalRecordType::kIngest, "first");
         wal.append(WalRecordType::kIngest, "second");
     }
@@ -292,8 +304,7 @@ TEST(WalTest, TruncateAllKeepsSeqCounting)
 {
     TempDir dir("wal_trunc");
     fs::path log = dir.path / "wal.log";
-    CrashInjector injector;
-    Wal wal(log, &injector);
+    Wal wal(log);
     wal.append(WalRecordType::kIngest, "a");
     wal.append(WalRecordType::kIngest, "b");
     wal.truncateAll();
@@ -322,8 +333,7 @@ TEST(WalTest, RefusesToClobberAnUnreadablePath)
     fs::create_directories(log);
     WalScan scan = Wal::scan(log);
     EXPECT_TRUE(scan.unreadable);
-    CrashInjector injector;
-    EXPECT_THROW(Wal(log, &injector), NazarError);
+    EXPECT_THROW(Wal{log}, NazarError);
     EXPECT_TRUE(fs::exists(log)); // still there, untouched
 }
 
@@ -332,9 +342,8 @@ TEST(WalTest, AppendBufferedPlusSyncEqualsPerRecordAppends)
     TempDir dir("wal_group");
     fs::path grouped_log = dir.path / "grouped.log";
     fs::path single_log = dir.path / "single.log";
-    CrashInjector injector;
     {
-        Wal grouped(grouped_log, &injector);
+        Wal grouped(grouped_log);
         EXPECT_EQ(grouped.appendBuffered(WalRecordType::kIngest, "a"),
                   1u);
         EXPECT_EQ(grouped.appendBuffered(WalRecordType::kIngest, "b"),
@@ -344,7 +353,7 @@ TEST(WalTest, AppendBufferedPlusSyncEqualsPerRecordAppends)
         grouped.sync(); // one flush for the whole batch
     }
     {
-        Wal single(single_log, &injector);
+        Wal single(single_log);
         single.append(WalRecordType::kIngest, "a");
         single.append(WalRecordType::kIngest, "b");
         single.append(WalRecordType::kIngest, "c");
@@ -367,9 +376,8 @@ TEST(WalTest, FdatasyncModeAppendsAndReplays)
 {
     TempDir dir("wal_fsync");
     fs::path log = dir.path / "wal.log";
-    CrashInjector injector;
     {
-        Wal wal(log, &injector, SyncMode::kFdatasync);
+        Wal wal(log, SyncMode::kFdatasync);
         EXPECT_EQ(wal.syncMode(), SyncMode::kFdatasync);
         wal.append(WalRecordType::kIngest, "durable");
         wal.appendBuffered(WalRecordType::kIngest, "batched");
@@ -635,12 +643,11 @@ TEST(DriftLogColumns, CsvCarryingFullSnapshotIsRefused)
     EXPECT_THROW(decodeSnapshot(w.bytes()), NazarError);
 
     TempDir dir("csv_full");
-    CrashInjector injector;
     Env env;
     ChainHeader header;
     header.kind = ChainKind::kFull;
     header.id = 1;
-    writeChainFile(dir.path, header, w.bytes(), injector, env);
+    writeChainFile(dir.path, header, w.bytes(), env);
     EXPECT_THROW(recoverDir(dir.path), NazarError);
     PersistConfig config;
     config.dir = dir.path.string();
@@ -648,234 +655,121 @@ TEST(DriftLogColumns, CsvCarryingFullSnapshotIsRefused)
     EXPECT_FALSE(scrubStateDir(dir.path).ok);
 }
 
-// ---- crash injector -------------------------------------------------
+// ---- crash faults ---------------------------------------------------
 
-TEST(CrashInjectorTest, DisarmedCountsWithoutFiring)
+TEST(EnvCrashTest, TornWriteLeavesExactlyHalfTheBytes)
 {
-    CrashInjector injector;
-    for (int i = 0; i < 10; ++i)
-        EXPECT_FALSE(injector.fires("site.a"));
-    EXPECT_EQ(injector.hitCount(), 10u);
-    EXPECT_EQ(injector.siteLog().size(), 10u);
-}
-
-TEST(CrashInjectorTest, FiresExactlyAtArmedHit)
-{
-    CrashInjector injector;
-    injector.armAtHit(3);
-    EXPECT_FALSE(injector.fires("a"));
-    EXPECT_FALSE(injector.fires("b"));
-    EXPECT_THROW(injector.check("c"), CrashInjected);
-    // Past the armed hit it never fires again.
-    EXPECT_FALSE(injector.fires("d"));
+    TempDir dir("crash_write");
+    Env env(DiskFaultPlan{"site.write", 2, FaultKind::kCrash});
+    Env::File *f = env.open("site.open", dir.path / "f", "wb");
+    env.write("site.write", f, "abcd", 4); // hit 1: not the armed one
     try {
-        CrashInjector again;
-        again.armAtHit(1);
-        again.check("the.site");
+        env.write("site.write", f, "efghijkl", 8);
         FAIL() << "expected CrashInjected";
     } catch (const CrashInjected &e) {
-        EXPECT_EQ(e.site(), "the.site");
-        EXPECT_EQ(e.hit(), 1u);
+        EXPECT_EQ(e.site(), "site.write");
+        EXPECT_EQ(e.hit(), 2u);
+    }
+    env.close(f);
+    EXPECT_TRUE(env.faulted());
+    EXPECT_EQ(readBytes(dir.path / "f"), "abcdefgh");
+}
+
+TEST(EnvCrashTest, EveryOtherOpTakesEffectBeforeTheThrow)
+{
+    TempDir dir("crash_ops");
+    const DiskFaultPlan plan{"op", 1, FaultKind::kCrash};
+    {
+        Env env(plan);
+        EXPECT_THROW(env.open("op", dir.path / "opened", "wb"),
+                     CrashInjected);
+        EXPECT_TRUE(fs::exists(dir.path / "opened"));
+        EXPECT_TRUE(env.faulted());
+    }
+    {
+        Env env(plan);
+        Env::File *f = env.open("open", dir.path / "synced", "wb");
+        env.write("write", f, "payload", 7);
+        EXPECT_THROW(env.sync("op", f, /*deep=*/1), CrashInjected);
+        EXPECT_EQ(readBytes(dir.path / "synced"), "payload");
+        env.close(f);
+    }
+    {
+        Env env(plan);
+        writeBytes(dir.path / "tmp", "renamed");
+        EXPECT_THROW(
+            env.rename("op", dir.path / "tmp", dir.path / "final"),
+            CrashInjected);
+        EXPECT_FALSE(fs::exists(dir.path / "tmp"));
+        EXPECT_EQ(readBytes(dir.path / "final"), "renamed");
+    }
+    {
+        Env env(plan);
+        EXPECT_THROW(env.syncDir("op", dir.path), CrashInjected);
+        EXPECT_EQ(env.hitCount("op"), 1u);
+    }
+    {
+        Env env(plan);
+        writeBytes(dir.path / "long", "abcdefgh");
+        EXPECT_THROW(env.resize("op", dir.path / "long", 3),
+                     CrashInjected);
+        EXPECT_EQ(readBytes(dir.path / "long"), "abc");
+    }
+    {
+        Env env(plan);
+        writeBytes(dir.path / "victim", "x");
+        EXPECT_THROW(env.remove("op", dir.path / "victim"),
+                     CrashInjected);
+        EXPECT_FALSE(fs::exists(dir.path / "victim"));
+        EXPECT_TRUE(env.faulted());
     }
 }
 
-TEST(CrashInjectorTest, SeededHitIsInRangeAndDeterministic)
+TEST(EnvCrashTest, DisarmedOrUnreachedPlanOnlyCounts)
 {
-    for (uint64_t seed = 0; seed < 50; ++seed) {
-        uint64_t hit = CrashInjector::seededHit(seed, 97);
-        EXPECT_GE(hit, 1u);
-        EXPECT_LE(hit, 97u);
-        EXPECT_EQ(hit, CrashInjector::seededHit(seed, 97));
+    TempDir dir("crash_count");
+    for (const DiskFaultPlan &plan :
+         {DiskFaultPlan{}, DiskFaultPlan{"site.write", 3, FaultKind::kCrash},
+          DiskFaultPlan{"site.other", 1, FaultKind::kCrash}}) {
+        Env env(plan);
+        Env::File *f = env.open("site.open", dir.path / "f", "wb");
+        env.write("site.write", f, "abcd", 4);
+        env.write("site.write", f, "efgh", 4);
+        env.sync("site.sync", f, /*deep=*/0);
+        env.close(f);
+        EXPECT_FALSE(env.faulted());
+        EXPECT_EQ(env.hitCount("site.write"), 2u);
+        EXPECT_EQ(env.totalHits(), 4u);
+        EXPECT_EQ(readBytes(dir.path / "f"), "abcdefgh");
     }
-    EXPECT_EQ(CrashInjector::seededHit(1, 0), 0u);
+}
+
+TEST(EnvCrashTest, ACrashedEnvDoesNoMoreIo)
+{
+    TempDir dir("crash_dead");
+    Env env(DiskFaultPlan{"site.sync", 1, FaultKind::kCrash});
+    Env::File *f = env.open("site.open", dir.path / "f", "wb");
+    env.write("site.write", f, "abcd", 4);
+    EXPECT_THROW(env.sync("site.sync", f, 0), CrashInjected);
+    EXPECT_EQ(env.faultSite(), "site.sync");
+    // The dead instance touches nothing: no write, no new file, no
+    // rename, no resize, no unlink.
+    EXPECT_THROW(env.write("site.write", f, "efgh", 4), DiskFault);
+    env.close(f);
+    EXPECT_THROW(env.open("site.open", dir.path / "g", "wb"), DiskFault);
+    EXPECT_THROW(env.rename("site.rename", dir.path / "f",
+                            dir.path / "h"),
+                 DiskFault);
+    EXPECT_THROW(env.resize("site.resize", dir.path / "f", 0), DiskFault);
+    EXPECT_FALSE(env.remove("site.unlink", dir.path / "f"));
+    EXPECT_EQ(readBytes(dir.path / "f"), "abcd");
+    EXPECT_FALSE(fs::exists(dir.path / "g"));
+    EXPECT_FALSE(fs::exists(dir.path / "h"));
 }
 
 // ---- scripted cloud scenario + crash sweep --------------------------
 
-data::AppSpec &
-scriptApp()
-{
-    static data::AppSpec app = data::makeAnimalsApp(13, 8);
-    return app;
-}
-
-nn::Classifier &
-scriptBase()
-{
-    static nn::Classifier base(nn::Architecture::kResNet18,
-                               scriptApp().domain.featureDim(),
-                               scriptApp().domain.numClasses(), 5);
-    return base;
-}
-
-sim::CloudConfig
-scriptConfig(const std::string &dir, uint64_t crash_at)
-{
-    sim::CloudConfig config;
-    config.minAdaptSamples = 4;
-    config.ingestDedupWindow = 8; // small: exercises floor advancement
-    config.persist.dir = dir;
-    config.persist.snapshotEvery = 8; // snapshot often inside the script
-    config.persist.crashAtHit = crash_at;
-    return config;
-}
-
-driftlog::DriftLogEntry
-scriptEntry(int i)
-{
-    driftlog::DriftLogEntry e;
-    e.time = SimDate(i % 14, (i * 37) % 86400);
-    int device = i % 3;
-    e.deviceId = data::deviceName(device);
-    e.deviceModel = data::deviceModel(device);
-    e.location = "tibet";
-    e.weather = i % 3 == 0 ? "snow" : "clear-day";
-    e.drift = i % 3 == 0; // deterministic planted cause {weather=snow}
-    return e;
-}
-
-std::optional<sim::Upload>
-scriptUpload(int i)
-{
-    if (i % 4 == 3)
-        return std::nullopt; // some entries arrive without a sample
-    driftlog::DriftLogEntry e = scriptEntry(i);
-    sim::Upload up;
-    Rng rng(static_cast<uint64_t>(1000 + i));
-    int label =
-        static_cast<int>(rng.index(scriptApp().domain.numClasses()));
-    up.features = scriptApp().domain.sample(label, rng);
-    up.context = rca::AttributeSet({
-        {driftlog::columns::kWeather, driftlog::Value(e.weather)},
-        {driftlog::columns::kLocation, driftlog::Value(e.location)},
-        {driftlog::columns::kDeviceId, driftlog::Value(e.deviceId)},
-        {driftlog::columns::kDeviceModel,
-         driftlog::Value(e.deviceModel)},
-    });
-    up.driftFlag = e.drift;
-    return up;
-}
-
-/** Everything the sweep compares between a crashed run and the oracle. */
-struct CloudState
-{
-    std::string driftCsv;
-    size_t uploadCount = 0;
-    size_t totalIngested = 0;
-    size_t dedupHits = 0;
-    int64_t nextVersionId = 1;
-    int64_t logicalTime = 0;
-    std::vector<int64_t> versionIds;
-    std::vector<std::pair<std::string, std::string>> blobs;
-    std::map<int64_t, DedupWindow> dedup;
-};
-
-CloudState
-captureState(sim::Cloud &cloud)
-{
-    CloudState st;
-    std::ostringstream csv;
-    driftlog::writeCsv(cloud.driftLog().table(), csv);
-    st.driftCsv = csv.str();
-    st.uploadCount = cloud.uploadCount();
-    st.totalIngested = cloud.totalIngested();
-    st.dedupHits = cloud.dedupHits();
-    st.nextVersionId = cloud.nextVersionId();
-    st.logicalTime = cloud.logicalTime();
-    st.versionIds = cloud.registry().versionIds();
-    for (const auto &key : cloud.blobStore().list())
-        st.blobs.emplace_back(key, cloud.blobStore().get(key));
-    st.dedup = cloud.dedupSnapshot();
-    return st;
-}
-
-/**
- * Run the scripted scenario against a cloud, surviving injected
- * crashes with the same retry discipline the runner uses: ingests
- * are retried (at-least-once; the dedup window absorbs the
- * retransmission), a cycle whose commit landed is not re-run, and
- * flushes are always retried (idempotent).
- */
-std::unique_ptr<sim::Cloud>
-driveScript(const std::string &dir, uint64_t crash_at, size_t *crashes,
-            std::vector<std::string> *sites)
-{
-    sim::CloudConfig config = scriptConfig(dir, crash_at);
-    auto cloud = std::make_unique<sim::Cloud>(config, scriptBase());
-    nn::BnPatch clean = scriptBase().bnPatch();
-    if (cloud->recoveredCleanPatch().has_value())
-        clean = *cloud->recoveredCleanPatch();
-
-    auto rebuild = [&](const CrashInjected &e) {
-        if (sites != nullptr)
-            sites->push_back(e.site());
-        if (crashes != nullptr)
-            ++*crashes;
-        sim::CloudConfig recover = config;
-        recover.persist.crashAtHit = 0;
-        cloud.reset();
-        cloud = std::make_unique<sim::Cloud>(recover, scriptBase());
-        clean = cloud->recoveredCleanPatch().has_value()
-                    ? *cloud->recoveredCleanPatch()
-                    : scriptBase().bnPatch();
-    };
-    auto ingest = [&](int device, uint64_t seq, int i) {
-        for (;;) {
-            try {
-                cloud->ingestFrom(device, seq, scriptEntry(i),
-                                  scriptUpload(i));
-                return;
-            } catch (const CrashInjected &e) {
-                rebuild(e);
-            }
-        }
-    };
-    auto cycle = [&]() {
-        int64_t before = cloud->logicalTime();
-        for (;;) {
-            try {
-                sim::CycleResult result = cloud->runCycle(clean);
-                if (result.newCleanPatch.has_value())
-                    clean = *result.newCleanPatch;
-                return;
-            } catch (const CrashInjected &e) {
-                rebuild(e);
-                if (cloud->logicalTime() > before)
-                    return; // the commit record landed before the crash
-            }
-        }
-    };
-    auto flush = [&]() {
-        for (;;) {
-            try {
-                cloud->flush();
-                return;
-            } catch (const CrashInjected &e) {
-                rebuild(e);
-            }
-        }
-    };
-
-    // The script: two analysis cycles over planted-cause telemetry
-    // with duplicate seqs sprinkled in, a baseline flush, and a tail
-    // of pending rows left unanalyzed (so recovery has live buffers
-    // to reconstruct).
-    for (int i = 0; i < 24; ++i) {
-        ingest(i % 3, static_cast<uint64_t>(i / 3), i);
-        if (i % 5 == 0 && i > 0) // retransmission: must dedup
-            ingest(i % 3, static_cast<uint64_t>(i / 3), i);
-    }
-    cycle();
-    for (int i = 24; i < 44; ++i)
-        ingest(i % 3, static_cast<uint64_t>(i / 3), i);
-    cycle();
-    for (int i = 44; i < 50; ++i)
-        ingest(i % 3, static_cast<uint64_t>(i / 3), i);
-    flush();
-    for (int i = 50; i < 56; ++i)
-        ingest(i % 3, static_cast<uint64_t>(i / 3), i);
-    return cloud;
-}
+using script::CloudState;
 
 class PersistCloudTest : public QuietLogs
 {
@@ -886,119 +780,111 @@ TEST_F(PersistCloudTest, PersistedRunMatchesInMemoryRun)
     // Persistence on (no crash) must not change a single observable
     // output relative to a cloud without the persist layer.
     TempDir dir("equiv");
-    CloudState oracle =
-        captureState(*driveScript("", 0, nullptr, nullptr));
-    auto persisted =
-        driveScript(dir.path.string(), 0, nullptr, nullptr);
-    CloudState on = captureState(*persisted);
-    EXPECT_EQ(on.driftCsv, oracle.driftCsv);
-    EXPECT_EQ(on.uploadCount, oracle.uploadCount);
-    EXPECT_EQ(on.totalIngested, oracle.totalIngested);
-    EXPECT_EQ(on.dedupHits, oracle.dedupHits);
-    EXPECT_EQ(on.nextVersionId, oracle.nextVersionId);
-    EXPECT_EQ(on.logicalTime, oracle.logicalTime);
-    EXPECT_EQ(on.versionIds, oracle.versionIds);
-    EXPECT_EQ(on.blobs, oracle.blobs);
-    EXPECT_EQ(on.dedup, oracle.dedup);
-    // A disarmed injector draws no randomness; it only counts.
-    EXPECT_GT(persisted->persistence()->injector().hitCount(), 0u);
+    CloudState oracle = script::capture(*script::drive("", {}));
+    auto persisted = script::drive(dir.path.string(), {});
+    script::expectStateEq(script::capture(*persisted), oracle,
+                          "persisted");
+    // A disarmed Env draws no randomness; it only counts.
+    EXPECT_GT(persisted->persistence()->env().totalHits(), 0u);
 }
 
 TEST_F(PersistCloudTest, ReopenRestoresFullState)
 {
     TempDir dir("reopen");
     CloudState before =
-        captureState(*driveScript(dir.path.string(), 0, nullptr, nullptr));
+        script::capture(*script::drive(dir.path.string(), {}));
     // A brand-new cloud over the same directory recovers everything.
-    sim::Cloud reopened(scriptConfig(dir.path.string(), 0), scriptBase());
-    CloudState after = captureState(reopened);
-    EXPECT_EQ(after.driftCsv, before.driftCsv);
-    EXPECT_EQ(after.uploadCount, before.uploadCount);
-    EXPECT_EQ(after.totalIngested, before.totalIngested);
-    EXPECT_EQ(after.dedupHits, before.dedupHits);
-    EXPECT_EQ(after.nextVersionId, before.nextVersionId);
-    EXPECT_EQ(after.logicalTime, before.logicalTime);
-    EXPECT_EQ(after.versionIds, before.versionIds);
-    EXPECT_EQ(after.blobs, before.blobs);
-    EXPECT_EQ(after.dedup, before.dedup);
+    sim::Cloud reopened(script::config(dir.path.string()),
+                        script::base());
+    script::expectStateEq(script::capture(reopened), before, "reopen");
 }
 
 TEST_F(PersistCloudTest, NonDedupIngestIsReplayedToo)
 {
     TempDir dir("plain_ingest");
     {
-        sim::Cloud cloud(scriptConfig(dir.path.string(), 0),
-                         scriptBase());
+        sim::Cloud cloud(script::config(dir.path.string()),
+                         script::base());
         for (int i = 0; i < 5; ++i)
-            cloud.ingest(scriptEntry(i), scriptUpload(i));
+            cloud.ingestBatchFrom(script::batch(-1, 0, i));
     }
-    sim::Cloud reopened(scriptConfig(dir.path.string(), 0),
-                        scriptBase());
+    sim::Cloud reopened(script::config(dir.path.string()),
+                        script::base());
     EXPECT_EQ(reopened.driftLogSize(), 5u);
     EXPECT_EQ(reopened.totalIngested(), 5u);
     EXPECT_EQ(reopened.uploadCount(), 4u); // i=3 had no upload
+    EXPECT_EQ(reopened.dedupHits(), 0u);
 }
 
 TEST_F(PersistCloudTest, ExhaustiveCrashSweepMatchesOracle)
 {
     // The oracle: the same script against an in-memory cloud.
-    CloudState oracle =
-        captureState(*driveScript("", 0, nullptr, nullptr));
+    CloudState oracle = script::capture(*script::drive("", {}));
 
-    // Probe run: count every crash site the scenario reaches.
+    // Probe run: count every Env hit the scenario reaches, per site.
+    std::map<std::string, uint64_t> reached;
     uint64_t total_hits = 0;
     {
         TempDir dir("probe");
-        auto cloud =
-            driveScript(dir.path.string(), 0, nullptr, nullptr);
-        total_hits = cloud->persistence()->injector().hitCount();
+        auto cloud = script::drive(dir.path.string(), {});
+        Env &env = cloud->persistence()->env();
+        for (const char *site : script::kEnvSites) {
+            if (env.hitCount(site) > 0)
+                reached[site] = env.hitCount(site);
+        }
+        total_hits = env.totalHits();
     }
     ASSERT_GT(total_hits, 0u);
 
-    // Crash at every single write boundary, recover, finish the
+    // Crash at every single Env operation, recover, finish the
     // script, and require the final state to match the oracle.
+    uint64_t swept = 0;
     std::set<std::string> fired_sites;
-    for (uint64_t hit = 1; hit <= total_hits; ++hit) {
-        TempDir dir("sweep_" + std::to_string(hit));
-        size_t crashes = 0;
-        std::vector<std::string> sites;
-        auto cloud =
-            driveScript(dir.path.string(), hit, &crashes, &sites);
-        ASSERT_EQ(crashes, 1u) << "hit " << hit;
-        fired_sites.insert(sites[0]);
-        CloudState got = captureState(*cloud);
-        EXPECT_EQ(got.driftCsv, oracle.driftCsv) << "hit " << hit;
-        EXPECT_EQ(got.uploadCount, oracle.uploadCount) << "hit " << hit;
-        EXPECT_EQ(got.totalIngested, oracle.totalIngested)
-            << "hit " << hit;
-        EXPECT_EQ(got.nextVersionId, oracle.nextVersionId)
-            << "hit " << hit;
-        EXPECT_EQ(got.logicalTime, oracle.logicalTime) << "hit " << hit;
-        EXPECT_EQ(got.versionIds, oracle.versionIds) << "hit " << hit;
-        EXPECT_EQ(got.blobs, oracle.blobs) << "hit " << hit;
-        EXPECT_EQ(got.dedup, oracle.dedup) << "hit " << hit;
-        // A crash after the WAL append but before the in-memory apply
-        // makes the client's retry a retransmission; the dedup window
-        // absorbs it, at the cost of at most one extra dedup hit.
-        EXPECT_GE(got.dedupHits, oracle.dedupHits) << "hit " << hit;
-        EXPECT_LE(got.dedupHits, oracle.dedupHits + crashes)
-            << "hit " << hit;
+    for (const auto &[site, hits] : reached) {
+        for (uint64_t hit = 1; hit <= hits; ++hit) {
+            SCOPED_TRACE(site + "/hit" + std::to_string(hit));
+            ++swept;
+            TempDir dir("sweep");
+            size_t crashes = 0;
+            std::vector<std::string> sites;
+            auto cloud = script::drive(
+                dir.path.string(),
+                DiskFaultPlan{site, hit, FaultKind::kCrash}, &crashes,
+                &sites);
+            ASSERT_EQ(crashes, 1u) << "hit " << hit;
+            fired_sites.insert(sites[0]);
+            CloudState got = script::capture(*cloud);
+            EXPECT_EQ(got.driftCsv, oracle.driftCsv) << "hit " << hit;
+            EXPECT_EQ(got.uploadCount, oracle.uploadCount) << "hit " << hit;
+            EXPECT_EQ(got.totalIngested, oracle.totalIngested)
+                << "hit " << hit;
+            EXPECT_EQ(got.nextVersionId, oracle.nextVersionId)
+                << "hit " << hit;
+            EXPECT_EQ(got.logicalTime, oracle.logicalTime) << "hit " << hit;
+            EXPECT_EQ(got.versionIds, oracle.versionIds) << "hit " << hit;
+            EXPECT_EQ(got.blobs, oracle.blobs) << "hit " << hit;
+            EXPECT_EQ(got.dedup, oracle.dedup) << "hit " << hit;
+            // A crash after the WAL append but before the in-memory apply
+            // makes the client's retry a retransmission; the dedup window
+            // absorbs it, at the cost of at most one extra dedup hit.
+            EXPECT_GE(got.dedupHits, oracle.dedupHits) << "hit " << hit;
+            EXPECT_LE(got.dedupHits, oracle.dedupHits + crashes)
+                << "hit " << hit;
+        }
     }
-    // Every distinct crash site fired at least once in the sweep.
-    const std::set<std::string> expected = {
-        "wal.append.partial",  "wal.append.post",
-        "wal.truncate.post",   "snapshot.tmp.partial",
-        "snapshot.tmp.done",   "snapshot.rename.post",
-    };
-    EXPECT_EQ(fired_sites, expected);
+    EXPECT_EQ(swept, total_hits); // no site outside kEnvSites was hit
+    // Every site the scenario reaches fired at least once in the sweep.
+    std::set<std::string> reached_sites;
+    for (const auto &[site, hits] : reached)
+        reached_sites.insert(site);
+    EXPECT_EQ(fired_sites, reached_sites);
 }
 
 TEST_F(PersistCloudTest, RecoverDirMatchesLiveState)
 {
     TempDir dir("recover_dir");
-    auto cloud =
-        driveScript(dir.path.string(), 0, nullptr, nullptr);
-    CloudState live = captureState(*cloud);
+    auto cloud = script::drive(dir.path.string(), {});
+    CloudState live = script::capture(*cloud);
     // recoverDir() is read-only: it must see exactly what a reopened
     // cloud would adopt, and leave the files untouched.
     RecoveredState st =
@@ -1040,11 +926,11 @@ class ScriptedDir
     void
     ingest(int64_t device, uint64_t seq, int i)
     {
-        std::optional<sim::Upload> up = scriptUpload(i);
-        p_->logIngest(device, seq, scriptEntry(i),
-                      up ? &up->features : nullptr,
-                      up ? &up->context : nullptr,
-                      up.has_value() && up->driftFlag);
+        std::optional<sim::Upload> up = script::upload(i);
+        p_->logIngestBatch({CloudPersistence::encodeIngest(
+            device, seq, script::entry(i),
+            up ? &up->features : nullptr, up ? &up->context : nullptr,
+            up.has_value() && up->driftFlag)});
     }
 
     void
@@ -1138,14 +1024,6 @@ expectMatchesOracle(ScriptedDir &sd, uint64_t elided)
     CloudPersistence reopened(sd.config(), kWindow);
     expectSameRecovery(reopened.recovered(), want);
     EXPECT_EQ(reopened.recovered().elidedRows, elided);
-}
-
-std::string
-readBytes(const fs::path &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
 }
 
 void
@@ -1290,12 +1168,10 @@ TEST_F(ReplaySkipTest, BrokenChainIsRefusedAndTheWalLeftAlone)
             fs::remove(base);
         } else {
             // A valid full snapshot, but not the one the delta links.
-            CrashInjector injector;
-            Env env;
+                    Env env;
             ChainHeader header;
             header.id = 1;
-            writeChainFile(sd.path(), header, encodeSnapshot({}),
-                           injector, env);
+            writeChainFile(sd.path(), header, encodeSnapshot({}), env);
         }
         fs::path wal = sd.path() / "wal.log";
         appendTornRecord(wal);

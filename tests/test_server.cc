@@ -129,16 +129,17 @@ TEST_F(ServerTest, ChaoticClientsReconcileExactly)
 TEST_F(ServerTest, GroupCommitRecoversTheSameStateAsPerRecord)
 {
     // Same single-client stream into two persisted clouds, one group
-    // committed and one flushed per record: a fresh cloud recovered
-    // from either directory must be identical.
-    auto runOne = [](const std::string &dir, bool group) {
+    // committed (the default maxBatch) and one committed per record
+    // (maxBatch = 1): a fresh cloud recovered from either directory
+    // must be identical.
+    auto runOne = [](const std::string &dir, size_t max_batch) {
         nn::Classifier base = tinyBase();
         sim::CloudConfig config;
         config.persist.dir = dir;
         config.persist.snapshotEvery = 64;
         sim::Cloud cloud(config, base);
         ServerConfig sc;
-        sc.groupCommit = group;
+        sc.maxBatch = max_batch;
         IngestServer server(cloud, sc);
         server.start();
         LoadConfig load;
@@ -151,8 +152,8 @@ TEST_F(ServerTest, GroupCommitRecoversTheSameStateAsPerRecord)
     };
     TempDir group_dir("group");
     TempDir record_dir("record");
-    runOne(group_dir.path.string(), true);
-    runOne(record_dir.path.string(), false);
+    runOne(group_dir.path.string(), ServerConfig{}.maxBatch);
+    runOne(record_dir.path.string(), 1);
 
     auto recover = [](const std::string &dir) {
         nn::Classifier base = tinyBase();
@@ -421,9 +422,7 @@ TEST_F(ServerTest, CrashRestartSweepMatchesUncrashedOracleExactly)
     LoadStats oracle;
     {
         sim::Cloud cloud(sim::CloudConfig{}, base);
-        ServerConfig sc;
-        sc.groupCommit = false;
-        IngestServer server(cloud, sc);
+        IngestServer server(cloud);
         server.start();
         oracle = runLoad(makeLoad(server.port()));
         server.stop();
@@ -431,28 +430,32 @@ TEST_F(ServerTest, CrashRestartSweepMatchesUncrashedOracleExactly)
         oracle_lines = sortedCsvLines(cloud);
     }
 
-    // Hit arithmetic with per-record commits: every WAL append fires
-    // wal.append.partial then wal.append.post (2 hits per record),
-    // and the 64th append (snapshotEvery) walks the snapshot path's
-    // four sites at hits 129..132 — so this k sample sweeps every
-    // PR 5 injector site.
-    const uint64_t ks[] = {1, 2, 129, 130, 131, 132};
+    // One crash per durable-write boundary of the commit path. Hit 1
+    // of the WAL's write, sync and dirsync is the fresh log's header,
+    // so hit 2 is the first record's torn write, the first batch's
+    // sync, and the first snapshot's WAL truncation.
+    const persist::DiskFaultPlan plans[] = {
+        {"env.wal.write", 2, persist::FaultKind::kCrash},
+        {"env.wal.sync", 2, persist::FaultKind::kCrash},
+        {"env.snap.write", 1, persist::FaultKind::kCrash},
+        {"env.snap.sync", 1, persist::FaultKind::kCrash},
+        {"env.snap.dirsync", 1, persist::FaultKind::kCrash},
+        {"env.wal.dirsync", 2, persist::FaultKind::kCrash},
+    };
     std::set<std::string> sites;
-    for (uint64_t k : ks) {
-        SCOPED_TRACE("crashAtHit=" + std::to_string(k));
-        TempDir dir("sweep" + std::to_string(k));
-        auto cloudConfig = [&dir](uint64_t crash_at) {
+    for (const persist::DiskFaultPlan &plan : plans) {
+        SCOPED_TRACE(plan.site + "/hit" + std::to_string(plan.hit));
+        TempDir dir("sweep");
+        auto cloudConfig = [&dir](const persist::DiskFaultPlan &fault) {
             sim::CloudConfig cc;
             cc.persist.dir = dir.path.string();
             cc.persist.snapshotEvery = 64;
-            cc.persist.crashAtHit = crash_at;
+            cc.persist.fault = fault;
             return cc;
         };
         auto cloud =
-            std::make_unique<sim::Cloud>(cloudConfig(k), base);
-        ServerConfig sc;
-        sc.groupCommit = false;
-        auto server = std::make_unique<IngestServer>(*cloud, sc);
+            std::make_unique<sim::Cloud>(cloudConfig(plan), base);
+        auto server = std::make_unique<IngestServer>(*cloud);
         server->start();
         const uint16_t port = server->port();
 
@@ -475,10 +478,9 @@ TEST_F(ServerTest, CrashRestartSweepMatchesUncrashedOracleExactly)
                 server->stop();
                 server.reset();
                 cloud.reset(); // release the WAL before recovery
-                cloud = std::make_unique<sim::Cloud>(cloudConfig(0),
+                cloud = std::make_unique<sim::Cloud>(cloudConfig({}),
                                                      base);
                 ServerConfig rc;
-                rc.groupCommit = false;
                 rc.port = port; // clients reconnect to the same port
                 server = std::make_unique<IngestServer>(*cloud, rc);
                 server->start();
@@ -521,8 +523,8 @@ TEST_F(ServerTest, CrashRestartSweepMatchesUncrashedOracleExactly)
         persist::RecoveredState rec = persist::recoverDir(dir.path);
         EXPECT_EQ(rec.totalIngested, stats.acksAccepted);
     }
-    EXPECT_TRUE(sites.count("wal.append.partial"));
-    EXPECT_TRUE(sites.count("wal.append.post"));
+    EXPECT_TRUE(sites.count("env.wal.write"));
+    EXPECT_TRUE(sites.count("env.wal.sync"));
     EXPECT_GE(sites.size(), 4u);
 }
 
@@ -709,15 +711,17 @@ TEST_F(ServerTest, RemoteRunSurvivesMidRunRestartWindowForWindow)
     sim::RunResult local =
         sim::Runner(app, weather, config, &base).run();
 
-    // The server's cloud persists to disk with the crash injector
-    // armed low: it fires on the committer's second WAL batch, well
-    // inside window 1's stream and far from any cycle commit.
+    // The server's cloud persists to disk with a crash armed low: it
+    // fires after the committer's second WAL batch is durable (sync
+    // hit 1 is the log header), well inside window 1's stream and far
+    // from any cycle commit.
     TempDir dir("remote_restart");
     sim::CloudConfig cloud_config = config.cloud;
     cloud_config.ingestDedupWindow = config.faults.dedupWindow;
     cloud_config.persist.dir = dir.path.string();
     cloud_config.persist.snapshotEvery = 128;
-    cloud_config.persist.crashAtHit = 3;
+    cloud_config.persist.fault = {"env.wal.sync", 3,
+                                  persist::FaultKind::kCrash};
     auto cloud = std::make_unique<sim::Cloud>(cloud_config, base);
     auto server = std::make_unique<IngestServer>(*cloud);
     server->start();
@@ -739,7 +743,7 @@ TEST_F(ServerTest, RemoteRunSurvivesMidRunRestartWindowForWindow)
                 server.reset();
                 cloud.reset(); // release the WAL before recovery
                 sim::CloudConfig recovered = cloud_config;
-                recovered.persist.crashAtHit = 0;
+                recovered.persist.fault = {};
                 cloud = std::make_unique<sim::Cloud>(recovered, base);
                 ServerConfig rc;
                 rc.port = port;

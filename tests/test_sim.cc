@@ -133,6 +133,16 @@ class CloudTest : public QuietLogs
 {
 };
 
+/** One message through the batch path; true when it was accepted. */
+bool
+ingestOne(Cloud &cloud, int device, uint64_t seq,
+          const driftlog::DriftLogEntry &entry, std::optional<Upload> upload)
+{
+    std::vector<IngestMessage> one;
+    one.push_back(IngestMessage{device, seq, entry, std::move(upload)});
+    return cloud.ingestBatchFrom(std::move(one))[0];
+}
+
 TEST_F(CloudTest, CycleFindsPlantedCauseAndAdapts)
 {
     data::AppSpec app = tinyApp();
@@ -168,7 +178,7 @@ TEST_F(CloudTest, CycleFindsPlantedCauseAndAdapts)
             {driftlog::columns::kDeviceModel,
              driftlog::Value(e.deviceModel)},
         });
-        cloud.ingest(e, Upload{x, context, e.drift});
+        ingestOne(cloud, -1, 0, e, Upload{x, context, e.drift});
     }
     EXPECT_EQ(cloud.driftLog().size(), 300u);
     EXPECT_EQ(cloud.uploadCount(), 300u);
@@ -218,7 +228,7 @@ TEST_F(CloudTest, NoDriftNoVersions)
         e.location = "tibet";
         e.weather = "clear-day";
         e.drift = false;
-        cloud.ingest(e, std::nullopt);
+        ingestOne(cloud, -1, 0, e, std::nullopt);
     }
     CycleResult cycle = cloud.runCycle(base.bnPatch());
     EXPECT_TRUE(cycle.analysis.rootCauses.empty());
@@ -236,7 +246,7 @@ TEST_F(CloudTest, FlushArchivesWithoutAnalysis)
     e.deviceModel = "pixel_6";
     e.location = "tibet";
     e.weather = "clear-day";
-    cloud.ingest(e, Upload{{1.0, 2.0}, {}, false});
+    ingestOne(cloud, -1, 0, e, Upload{{1.0, 2.0}, {}, false});
     EXPECT_EQ(cloud.allUploads().size(), 1u);
     cloud.flush();
     EXPECT_EQ(cloud.uploadCount(), 0u);
@@ -265,18 +275,18 @@ plainEntry(int i)
     return e;
 }
 
-TEST_F(CloudTest, IngestFromDedupsRetransmissions)
+TEST_F(CloudTest, IngestDedupsRetransmissions)
 {
     data::AppSpec app = tinyApp();
     nn::Classifier base = untrainedModel(app);
     Cloud cloud(CloudConfig{}, base);
-    EXPECT_TRUE(cloud.ingestFrom(0, 0, plainEntry(0), std::nullopt));
-    EXPECT_TRUE(cloud.ingestFrom(0, 1, plainEntry(1), std::nullopt));
+    EXPECT_TRUE(ingestOne(cloud, 0, 0, plainEntry(0), std::nullopt));
+    EXPECT_TRUE(ingestOne(cloud, 0, 1, plainEntry(1), std::nullopt));
     // At-least-once delivery retransmits seq 0 and 1; both rejected.
-    EXPECT_FALSE(cloud.ingestFrom(0, 0, plainEntry(0), std::nullopt));
-    EXPECT_FALSE(cloud.ingestFrom(0, 1, plainEntry(1), std::nullopt));
+    EXPECT_FALSE(ingestOne(cloud, 0, 0, plainEntry(0), std::nullopt));
+    EXPECT_FALSE(ingestOne(cloud, 0, 1, plainEntry(1), std::nullopt));
     // Another device's seq 0 is a different stream.
-    EXPECT_TRUE(cloud.ingestFrom(1, 0, plainEntry(2), std::nullopt));
+    EXPECT_TRUE(ingestOne(cloud, 1, 0, plainEntry(2), std::nullopt));
     EXPECT_EQ(cloud.driftLogSize(), 3u);
     EXPECT_EQ(cloud.dedupHits(), 2u);
     EXPECT_EQ(cloud.totalIngested(), 3u);
@@ -290,11 +300,11 @@ TEST_F(CloudTest, DedupWindowRejectsBelowFloor)
     config.ingestDedupWindow = 4;
     Cloud cloud(config, base);
     for (uint64_t seq = 0; seq < 8; ++seq)
-        EXPECT_TRUE(cloud.ingestFrom(0, seq, plainEntry(0),
+        EXPECT_TRUE(ingestOne(cloud, 0, seq, plainEntry(0),
                                      std::nullopt));
     // seq 2 slid out of the 4-wide window; the floor still rejects it
     // rather than double-counting a late retransmission.
-    EXPECT_FALSE(cloud.ingestFrom(0, 2, plainEntry(0), std::nullopt));
+    EXPECT_FALSE(ingestOne(cloud, 0, 2, plainEntry(0), std::nullopt));
     EXPECT_EQ(cloud.dedupHits(), 1u);
     EXPECT_EQ(cloud.driftLogSize(), 8u);
 }
@@ -314,7 +324,7 @@ TEST_F(CloudTest, ConcurrentIngestAndReadersAreSafe)
     for (int w = 0; w < kWriters; ++w)
         writers.emplace_back([&, w] {
             for (int i = 0; i < kPerWriter; ++i)
-                cloud.ingestFrom(w, static_cast<uint64_t>(i),
+                ingestOne(cloud, w, static_cast<uint64_t>(i),
                                  plainEntry(i),
                                  Upload{{1.0, 2.0}, {}, false});
         });
@@ -362,7 +372,7 @@ TEST_F(CloudTest, FlushRecordsArchivedCountsInObs)
     uint64_t rows0 = rows.value();
     uint64_t ups0 = ups.value();
     for (int i = 0; i < 5; ++i)
-        cloud.ingest(plainEntry(i),
+        ingestOne(cloud, -1, 0, plainEntry(i),
                      i < 2 ? std::optional<Upload>(
                                  Upload{{1.0, 2.0}, {}, false})
                            : std::nullopt);
@@ -546,7 +556,7 @@ struct StateDir
 
 TEST_F(RunnerTest, PersistenceOnMatchesPersistenceOff)
 {
-    // Durability with a disarmed injector must not perturb a single
+    // Durability with a disarmed Env must not perturb a single
     // deterministic output — only write files.
     data::AppSpec app = tinyApp();
     data::WeatherModel weather(app.locations, 21, 2020);
@@ -597,7 +607,8 @@ TEST_F(RunnerTest, SeededCrashRunSurvivesAndRecovers)
     StateDir dir("crash");
     RunnerConfig config = smallRun(Strategy::kNazar);
     config.persist.dir = dir.path.string();
-    config.persist.crashAtHit = 500;
+    config.persist.fault = {"env.wal.write", 500,
+                            persist::FaultKind::kCrash};
     RunResult crashed = Runner(app, weather, config).run();
     EXPECT_GE(crashed.cloudCrashes, 1u);
     ASSERT_EQ(crashed.windows.size(), clean.windows.size());

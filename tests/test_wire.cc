@@ -283,6 +283,18 @@ TEST(WireIngest, UnknownExtensionTagsAreSkippedForwardCompatibly)
     EXPECT_THROW(decodeIngest(bad.take(), dec2), NazarError);
 }
 
+TEST(WireIngest, DeviceIdOutsideTheDedupKeyRangeIsRejected)
+{
+    for (int64_t device : {int64_t{-1}, int64_t{1} << 40}) {
+        WireIngest in = sampleIngest(false);
+        in.device = device;
+        StringDict enc;
+        StringDict dec;
+        EXPECT_THROW(decodeIngest(encodeIngest(in, enc), dec), NazarError)
+            << "device " << device;
+    }
+}
+
 TEST(WireIngest, TrailingBytesAndTruncationAreRejected)
 {
     StringDict enc;

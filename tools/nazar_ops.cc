@@ -69,12 +69,14 @@
  *       unattributed remainder (socket + wire time) called out.
  *
  * The sim subcommand also takes durability flags
- * (--persist-dir=<dir> --snapshot-every=N --crash-at=N
- * --fsync=flush|fdatasync|fsync): with a persist dir the cloud WALs
- * its state there, --crash-at=N kills it at the Nth write-boundary
- * crash site, exercising the recover-and-resume path end to end, and
- * --fsync selects the WAL durability mode (flush matches the
- * process-kill fault model; fdatasync/fsync survive power loss).
+ * (--persist-dir=<dir> --snapshot-every=N
+ * --fsync=flush|fdatasync|fsync, and --fault-site=<env site>
+ * --fault-kind=<kind> --fault-hit=N): with a persist dir the cloud
+ * WALs its state there, --fsync selects the WAL durability mode
+ * (flush matches the process-kill fault model; fdatasync/fsync
+ * survive power loss), and a fault plan injects one disk fault —
+ * or, with --fault-kind=crash, kills the cloud at that site,
+ * exercising the recover-and-resume path end to end.
  */
 #include <algorithm>
 #include <cctype>
@@ -122,9 +124,9 @@ usage()
         "  nazar_ops sim [windows] [--metrics-out=<path>] "
         "[--drop=P --dup=P --delay=P --reorder=P --offline=P "
         "--crash=P --push-drop=P --queue-cap=N --fault-seed=S] "
-        "[--persist-dir=<dir> --snapshot-every=N --crash-at=N "
+        "[--persist-dir=<dir> --snapshot-every=N "
         "--fsync=flush|fdatasync|fsync] [--fault-site=<env site> "
-        "--fault-kind=enospc|eio|sync_fail|... --fault-hit=N] "
+        "--fault-kind=enospc|eio|sync_fail|...|crash --fault-hit=N] "
         "[--registry-gc=0|1]\n"
         "  nazar_ops faults <metrics.json>\n"
         "  nazar_ops wal <wal.log>\n"
@@ -775,8 +777,6 @@ main(int argc, char **argv)
                 persist_config.dir = arg.substr(14);
             else if (arg.rfind("--snapshot-every=", 0) == 0)
                 persist_config.snapshotEvery = std::stoull(arg.substr(17));
-            else if (arg.rfind("--crash-at=", 0) == 0)
-                persist_config.crashAtHit = std::stoull(arg.substr(11));
             else if (arg.rfind("--fsync=", 0) == 0)
                 persist_config.sync =
                     persist::syncModeFromString(arg.substr(8));
@@ -789,6 +789,8 @@ main(int argc, char **argv)
                 persist_config.fault.hit = std::stoull(arg.substr(12));
             else if (arg.rfind("--registry-gc=", 0) == 0)
                 registry_gc = std::stoi(arg.substr(14)) != 0;
+            else if (arg.rfind("--", 0) == 0)
+                return usage(); // e.g. a removed flag: never run without it
             else
                 args.push_back(std::move(arg));
         }

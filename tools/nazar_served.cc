@@ -31,8 +31,8 @@
  *            exits 1 on any mismatch.
  *
  * Durability flags mirror nazar_ops sim: --persist-dir= puts a WAL
- * and snapshots under the dir, --fsync= picks the sync mode, and
- * --group-commit=0 forces per-record flushing for comparison runs.
+ * and snapshots under the dir and --fsync= picks the sync mode;
+ * --max-batch=1 forces a sync per record for comparison runs.
  */
 #include <sys/wait.h>
 #include <unistd.h>
@@ -80,7 +80,7 @@ usage()
         "  nazar_served serve [--port=N] [--port-file=<path>] "
         "[--persist-dir=<dir> --snapshot-every=N "
         "--fsync=flush|fdatasync|fsync] "
-        "[--group-commit=0|1 --max-batch=N --max-queue=N "
+        "[--max-batch=N --max-queue=N "
         "--read-timeout-ms=N]\n"
         "  nazar_served load --port=N [--clients=N --events=N "
         "--drop=P --dup=P --fault-seed=S --reconnect=0|1]\n"
@@ -174,9 +174,8 @@ cmdServe(const ServeOptions &opts)
 
     server::IngestServer server(cloud, opts.server);
     server.start();
-    std::printf("SERVED listening port=%u groupCommit=%d\n",
-                static_cast<unsigned>(server.port()),
-                opts.server.groupCommit ? 1 : 0);
+    std::printf("SERVED listening port=%u\n",
+                static_cast<unsigned>(server.port()));
     std::fflush(stdout);
     if (!opts.portFile.empty()) {
         // Write-then-rename so a polling driver never reads a
@@ -450,9 +449,8 @@ main(int argc, char **argv)
         // Serve-side flags a supervise parent forwards verbatim to
         // its forked serve children.
         const char *const kServeFlags[] = {
-            "--persist-dir=",  "--snapshot-every=", "--fsync=",
-            "--group-commit=", "--max-batch=",      "--max-queue=",
-            "--read-timeout-ms="};
+            "--persist-dir=", "--snapshot-every=", "--fsync=",
+            "--max-batch=",   "--max-queue=",     "--read-timeout-ms="};
         for (int i = 2; i < argc; ++i) {
             std::string arg = argv[i];
             for (const char *flag : kServeFlags) {
@@ -470,9 +468,6 @@ main(int argc, char **argv)
                 serve.server.port = serve.port;
             } else if (arg.rfind("--port-file=", 0) == 0)
                 serve.portFile = arg.substr(12);
-            else if (arg.rfind("--group-commit=", 0) == 0)
-                serve.server.groupCommit =
-                    std::stoi(arg.substr(15)) != 0;
             else if (arg.rfind("--max-batch=", 0) == 0)
                 serve.server.maxBatch = std::stoul(arg.substr(12));
             else if (arg.rfind("--max-queue=", 0) == 0)
