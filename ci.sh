@@ -268,8 +268,10 @@ if [ "$DO_RELEASE" = 1 ]; then
     # and the summarizer must be able to read its critical path.
     echo "==== causal tracing smoke (Release) ===="
     rm -rf build-ci/trace_state build-ci/served_trace.json
+    TRACE_CLIENTS=2
     ./build-ci/tools/nazar_served smoke \
-        --clients=2 --events=80 --drop=0.2 --dup=0.1 --fault-seed=7 \
+        --clients="$TRACE_CLIENTS" --events=80 --drop=0.2 --dup=0.1 \
+        --fault-seed=7 \
         --persist-dir=build-ci/trace_state --fsync=fdatasync \
         --trace-out=build-ci/served_trace.json \
         > build-ci/served_trace.log
@@ -278,6 +280,29 @@ if [ "$DO_RELEASE" = 1 ]; then
     grep -q "LOADGEN stage server.queue_wait" \
         build-ci/served_trace.log || {
         echo "tracing smoke: no per-stage breakdown" >&2; exit 1; }
+    # Acks are coalesced: at most one ack write per connection per
+    # group commit (a deterministic work counter, not a timing).
+    awk -v clients="$TRACE_CLIENTS" '/^SERVED / {
+            for (i = 1; i <= NF; ++i) {
+                split($i, kv, "=")
+                if (kv[1] == "batches") batches = kv[2]
+                if (kv[1] == "ackWrites") writes = kv[2]
+            }
+            found = 1
+         }
+         END {
+            if (!found || writes == "") {
+                print "tracing smoke: no ackWrites on the SERVED line" \
+                      > "/dev/stderr"
+                exit 1
+            }
+            if (writes + 0 > clients * batches) {
+                print "tracing smoke: ackWrites " writes " > clients x " \
+                      "batches (" clients " x " batches ")" \
+                      > "/dev/stderr"
+                exit 1
+            }
+         }' build-ci/served_trace.log
     if command -v python3 > /dev/null; then
         python3 - build-ci/served_trace.json <<'EOF'
 import json, sys
@@ -286,7 +311,7 @@ doc = json.load(open(sys.argv[1]))
 events = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
 names = {e["name"] for e in events}
 for need in ("net.client.ingest", "server.queue_wait",
-             "persist.wal.sync", "server.ack"):
+             "server.commit", "persist.wal.sync", "server.ack"):
     assert need in names, f"missing span: {need}"
 spans = {(e["args"]["trace"], e["args"]["span"]): e for e in events}
 linked = 0

@@ -18,13 +18,13 @@ Column::Column(ValueType type, std::vector<Value> dictionary,
     NAZAR_CHECK(dict_.size() <
                     static_cast<size_t>(std::numeric_limits<Id>::max()),
                 "column dictionary overflow");
+    index_.reserve(dict_.size());
     for (size_t i = 0; i < dict_.size(); ++i) {
         NAZAR_CHECK(dict_[i].isNull() || dict_[i].type() == type_,
                     "dictionary entry type does not match column type");
         NAZAR_CHECK(i == 0 || dict_[i - 1] < dict_[i],
                     "column dictionary is not strictly ascending");
-        // Sorted keys: every insert lands at the end, O(1) amortized.
-        index_.emplace_hint(index_.end(), dict_[i], static_cast<Id>(i));
+        index_.emplace(dict_[i], static_cast<Id>(i));
     }
     std::vector<bool> referenced(dict_.size(), false);
     for (Id id : ids_) {
@@ -102,10 +102,11 @@ Column::materialize() const
 }
 
 void
-Column::append(const Value &v)
+Column::append(Value v)
 {
     NAZAR_CHECK(v.isNull() || v.type() == type_,
                 "cell type does not match column type");
+    const bool is_null = v.isNull();
     auto [it, inserted] =
         index_.try_emplace(v, static_cast<Id>(dict_.size()));
     if (inserted) {
@@ -119,9 +120,9 @@ Column::append(const Value &v)
         // the re-id to the next read's normalization pass.
         if (!dict_.empty() && !(dict_.back() < v))
             sorted_ = false;
-        dict_.push_back(v);
+        dict_.push_back(std::move(v));
     }
-    if (v.isNull())
+    if (is_null)
         ++nullCount_;
     ids_.push_back(it->second);
 }
@@ -141,19 +142,24 @@ Column::ensureSorted() const
 {
     if (sorted_)
         return;
-    // Walk the index in key order (== Value total order) assigning
-    // fresh dense ids, then remap the row ids through old -> new.
+    // Sort the old ids by their values (Value total order), give each
+    // its rank as the fresh dense id, then remap the row ids and the
+    // index through old -> new.
+    std::vector<Id> order(dict_.size());
+    for (size_t i = 0; i < order.size(); ++i)
+        order[i] = static_cast<Id>(i);
+    std::sort(order.begin(), order.end(),
+              [this](Id a, Id b) { return dict_[a] < dict_[b]; });
     std::vector<Id> remap(dict_.size());
-    Id next = 0;
-    for (auto &[value, id] : index_) {
-        remap[id] = next;
-        id = next;
-        ++next;
+    std::vector<Value> sorted_dict;
+    sorted_dict.reserve(dict_.size());
+    for (size_t rank = 0; rank < order.size(); ++rank) {
+        remap[order[rank]] = static_cast<Id>(rank);
+        sorted_dict.push_back(std::move(dict_[order[rank]]));
     }
-    std::vector<Value> sorted_dict(dict_.size());
-    for (const auto &[value, id] : index_)
-        sorted_dict[id] = value;
     dict_ = std::move(sorted_dict);
+    for (auto &[value, id] : index_)
+        id = remap[id];
     for (Id &id : ids_)
         id = remap[id];
     sorted_ = true;

@@ -25,15 +25,17 @@
  * every typed value in the total order), so the invariant covers them
  * with no sentinel; nullCount() tracks how many rows are NULL.
  *
- * Appends are O(log m) in the dictionary size: a new distinct value
- * is assigned the next free id and the column is marked unsorted
- * unless the value extends the dictionary at the top. The first read
- * after such an append re-establishes the invariant in one
- * O(n + m log m) normalization pass (re-id the dictionary in sorted
- * order, remap the row ids). Amortized over a batch of appends this
- * is one remap per read barrier, independent of how many distinct
- * values arrived — high-cardinality columns (e.g. the drift log's
- * time strings) stay O(n log m) to build instead of O(n·m).
+ * Appends are expected O(1): a hash index (Value -> id, hashed with
+ * ValueHash, which agrees with Value equality) finds a known value's
+ * id, and a new distinct value is assigned the next free id, with the
+ * column marked unsorted unless the value extends the dictionary at
+ * the top. The first read after such an append re-establishes the
+ * invariant in one O(n + m log m) normalization pass: sort the
+ * dictionary, re-id it in sorted order, remap the row ids and the
+ * index. Amortized over a batch of appends this is one remap per read
+ * barrier, independent of how many distinct values arrived —
+ * high-cardinality columns (e.g. the drift log's time strings) build
+ * in O(n) hashed probes plus one sort per barrier.
  *
  * Thread contract: mutation (append/clear) and the *first* read after
  * a mutation are not synchronized internally; callers must order them
@@ -46,8 +48,8 @@
 #define NAZAR_DRIFTLOG_COLUMN_H
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "driftlog/value.h"
@@ -146,10 +148,10 @@ class Column
     /**
      * Append one cell. The value must be NULL or match the column
      * type; numeric widening is the Table's job and has already
-     * happened. O(log m); may leave the dictionary unsorted until the
-     * next read.
+     * happened. Expected O(1); may leave the dictionary unsorted until
+     * the next read.
      */
-    void append(const Value &v);
+    void append(Value v);
 
     /** Drop all rows and the dictionary (type retained). */
     void clear();
@@ -162,9 +164,8 @@ class Column
 
     ValueType type_;
     size_t nullCount_ = 0;
-    /** Value -> current id. Keys iterate in Value total order, which
-     *  is what normalization walks to re-id the dictionary. */
-    mutable std::map<Value, Id> index_;
+    /** Value -> current id; normalization rewrites the ids. */
+    mutable std::unordered_map<Value, Id, ValueHash> index_;
     /** id -> value; sorted ascending whenever sorted_ is true. */
     mutable std::vector<Value> dict_;
     mutable std::vector<Id> ids_;

@@ -213,7 +213,7 @@ readCsv(const Schema &schema, std::istream &is)
                 row.push_back(parseCell(cells[c].text, type));
             }
         }
-        table.append(row);
+        table.append(std::move(row));
     }
     return table;
 }

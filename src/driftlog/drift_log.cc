@@ -34,16 +34,19 @@ DriftLog::add(const DriftLogEntry &entry)
     static obs::Counter &ingested =
         obs::Registry::global().counter("driftlog.rows_ingested");
     ingested.add(1);
-    table_.append(Row{
-        Value(static_cast<int64_t>(entry.time.dayIndex())),
-        Value(entry.time.toDateTimeString()),
-        Value(entry.deviceId),
-        Value(entry.deviceModel),
-        Value(entry.location),
-        Value(entry.weather),
-        Value(entry.modelVersion),
-        Value(entry.drift),
-    });
+    // Built in place, not from an initializer list (whose elements
+    // are const and would be copied), then handed over to the table.
+    Row row;
+    row.reserve(table_.schema().columnCount());
+    row.emplace_back(static_cast<int64_t>(entry.time.dayIndex()));
+    row.emplace_back(entry.time.toDateTimeString());
+    row.emplace_back(entry.deviceId);
+    row.emplace_back(entry.deviceModel);
+    row.emplace_back(entry.location);
+    row.emplace_back(entry.weather);
+    row.emplace_back(entry.modelVersion);
+    row.emplace_back(entry.drift);
+    table_.append(std::move(row));
 }
 
 size_t

@@ -58,15 +58,14 @@ Table::Table(Schema schema, std::vector<Column> columns)
 }
 
 void
-Table::append(const Row &row)
+Table::append(Row row)
 {
     NAZAR_CHECK(row.size() == schema_.columnCount(),
                 "row width does not match schema");
     // Validate (and normalize numeric cells) before touching any
     // column, so a rejected row leaves the table unchanged.
-    Row normalized = row;
-    for (size_t i = 0; i < normalized.size(); ++i) {
-        Value &cell = normalized[i];
+    for (size_t i = 0; i < row.size(); ++i) {
+        Value &cell = row[i];
         if (cell.isNull())
             continue;
         if (schema_.column(i).type == ValueType::kDouble &&
@@ -81,8 +80,8 @@ Table::append(const Row &row)
         NAZAR_CHECK(cell.type() == schema_.column(i).type,
                     "type mismatch in column " + schema_.column(i).name);
     }
-    for (size_t i = 0; i < normalized.size(); ++i)
-        columns_[i].append(normalized[i]);
+    for (size_t i = 0; i < row.size(); ++i)
+        columns_[i].append(std::move(row[i]));
     ++rowCount_;
 }
 

@@ -75,8 +75,10 @@ class Table
     /** Append one row; values must match the schema's types.
      *  kNull cells are allowed anywhere, and int cells appended to a
      *  double column are widened to double at ingest (so a numeric
-     *  column holds one representation per value). */
-    void append(const Row &row);
+     *  column holds one representation per value). Takes the row by
+     *  value: callers that are done with it move it in, and its cells
+     *  move on into the column dictionaries. */
+    void append(Row row);
 
     /** Cell accessor. */
     const Value &at(size_t row, size_t col) const;

@@ -4,8 +4,10 @@
  */
 #include "value.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <ostream>
 #include <sstream>
 
@@ -119,6 +121,35 @@ Value::operator<=>(const Value &other) const
                std::get<std::string>(other.data_);
     }
     return std::strong_ordering::equal;
+}
+
+size_t
+Value::hash() const
+{
+    uint64_t bits = 0;
+    switch (type()) {
+      case ValueType::kNull:
+        break;
+      case ValueType::kInt:
+        bits = static_cast<uint64_t>(std::get<int64_t>(data_));
+        break;
+      case ValueType::kDouble:
+        bits = std::bit_cast<uint64_t>(std::get<double>(data_));
+        break;
+      case ValueType::kBool:
+        bits = std::get<bool>(data_) ? 1 : 0;
+        break;
+      case ValueType::kString:
+        bits = std::hash<std::string>{}(std::get<std::string>(data_));
+        break;
+    }
+    // Mix in the type index, then spread the bits (splitmix64
+    // finalizer): the ints and doubles here hash to their own bits,
+    // which for small ints and round doubles leave most bits zero.
+    uint64_t h = bits + 0x9e3779b97f4a7c15ULL * (data_.index() + 1);
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    return static_cast<size_t>(h ^ (h >> 31));
 }
 
 std::ostream &

@@ -6,6 +6,7 @@
 #define NAZAR_DRIFTLOG_VALUE_H
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -61,8 +62,21 @@ class Value
         return (*this <=> other) == 0;
     }
 
+    /**
+     * Hash that agrees with operator==: the type index mixed with the
+     * value's bits. Doubles hash their bit pattern, so NaN payloads
+     * and -0.0 / +0.0 land on distinct keys exactly as they compare.
+     */
+    size_t hash() const;
+
   private:
     std::variant<std::monostate, int64_t, double, bool, std::string> data_;
+};
+
+/** Hasher for unordered containers keyed on Value. */
+struct ValueHash
+{
+    size_t operator()(const Value &v) const { return v.hash(); }
 };
 
 std::ostream &operator<<(std::ostream &os, const Value &v);

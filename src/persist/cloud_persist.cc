@@ -441,15 +441,15 @@ CloudPersistence::encodeIngest(int64_t device, uint64_t seq,
 void
 CloudPersistence::logIngestBatch(const std::vector<std::string> &payloads)
 {
+    static obs::Counter &group_commits =
+        obs::Registry::global().counter("persist.wal.group_commits");
     if (payloads.empty())
         return;
     for (const auto &payload : payloads)
         wal_->appendBuffered(WalRecordType::kIngest, payload);
     wal_->sync();
     appendsSince_ += payloads.size();
-    obs::Registry::global()
-        .counter("persist.wal.group_commits")
-        .add(1);
+    group_commits.add(1);
 }
 
 void

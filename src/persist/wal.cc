@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 #include "persist/serial.h"
 
 namespace nazar::persist {
@@ -227,15 +228,22 @@ Wal::appendBuffered(WalRecordType type, const std::string &payload)
     const std::string &bytes = frame.bytes();
     env_->write("env.wal.write", file_, bytes.data(), bytes.size());
     uint64_t seq = nextSeq_++;
-    obs::Registry::global().counter("persist.wal.appends").add(1);
+    static obs::Counter &appends =
+        obs::Registry::global().counter("persist.wal.appends");
+    appends.add(1);
     return seq;
 }
 
 void
 Wal::sync()
 {
-    env_->sync("env.wal.sync", file_, syncDepth());
-    obs::Registry::global().counter("persist.wal.syncs").add(1);
+    static obs::Counter &syncs =
+        obs::Registry::global().counter("persist.wal.syncs");
+    {
+        NAZAR_SPAN("persist.wal.sync");
+        env_->sync("env.wal.sync", file_, syncDepth());
+    }
+    syncs.add(1);
 }
 
 void

@@ -2,6 +2,7 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/error.h"
@@ -22,6 +23,15 @@ obs::TraceContext
 ingestContext(const net::WireIngest &m)
 {
     return {m.traceId, m.spanId};
+}
+
+/** The `server.queue_depth` gauge, looked up once. */
+obs::Gauge &
+queueDepth()
+{
+    static obs::Gauge &gauge =
+        obs::Registry::global().gauge("server.queue_depth");
+    return gauge;
 }
 
 } // namespace
@@ -392,9 +402,7 @@ IngestServer::enqueue(WorkItem item)
     if (shuttingDown_)
         return false;
     queue_.push_back(std::move(item));
-    obs::Registry::global()
-        .gauge("server.queue_depth")
-        .set(static_cast<double>(queue_.size()));
+    queueDepth().set(static_cast<double>(queue_.size()));
     lk.unlock();
     queueCv_.notify_one();
     return true;
@@ -427,9 +435,7 @@ IngestServer::committerLoop()
                     queue_.pop_front();
                 }
                 if (config_.maxQueue > 0)
-                    obs::Registry::global()
-                        .gauge("server.queue_depth")
-                        .set(static_cast<double>(queue_.size()));
+                    queueDepth().set(static_cast<double>(queue_.size()));
                 lk.unlock();
                 queueSpaceCv_.notify_all();
                 commitBatch(batch);
@@ -437,9 +443,7 @@ IngestServer::committerLoop()
                 WorkItem item = std::move(queue_.front());
                 queue_.pop_front();
                 if (config_.maxQueue > 0)
-                    obs::Registry::global()
-                        .gauge("server.queue_depth")
-                        .set(static_cast<double>(queue_.size()));
+                    queueDepth().set(static_cast<double>(queue_.size()));
                 lk.unlock();
                 queueSpaceCv_.notify_all();
                 switch (item.kind) {
@@ -472,13 +476,19 @@ void
 IngestServer::commitBatch(std::vector<WorkItem> &batch)
 {
     // Stage sites for the per-item latency decomposition. Batch-level
-    // intervals (encode, commit) are observed once per item: every
+    // intervals (convert, commit) are observed once per item: every
     // item in a group commit waits for the whole batch, so the batch
     // interval IS that item's stage latency.
     static obs::SpanSite queueWaitSite("server.queue_wait");
-    static obs::SpanSite encodeSite("server.encode");
-    static obs::SpanSite walSyncSite("persist.wal.sync");
+    static obs::SpanSite convertSite("server.convert");
+    static obs::SpanSite commitSite("server.commit");
     static obs::SpanSite ackSite("server.ack");
+    static obs::Counter &ingested =
+        obs::Registry::global().counter("server.ingest");
+    static obs::Counter &acks =
+        obs::Registry::global().counter("server.acks");
+    static obs::Counter &batches =
+        obs::Registry::global().counter("server.batches");
 
     if (diskFaulted()) {
         // Degraded mode: nothing is durable, so nothing is acked —
@@ -498,13 +508,15 @@ IngestServer::commitBatch(std::vector<WorkItem> &batch)
         obs::recordSpan(queueWaitSite, item.enqueueTime, tDequeue,
                         ingestContext(item.ingest));
 
+    // The entry and upload move over: after this the items keep only
+    // what the acks and spans need (connection, device, seq, trace).
     std::vector<sim::IngestMessage> msgs;
     msgs.reserve(batch.size());
     for (auto &item : batch) {
         sim::IngestMessage m;
         m.device = static_cast<int>(item.ingest.device);
         m.seq = item.ingest.seq;
-        m.entry = item.ingest.entry;
+        m.entry = std::move(item.ingest.entry);
         if (item.ingest.upload.has_value()) {
             sim::Upload up;
             up.features = std::move(item.ingest.upload->features);
@@ -514,39 +526,64 @@ IngestServer::commitBatch(std::vector<WorkItem> &batch)
         }
         msgs.push_back(std::move(m));
     }
-    auto tEncoded = std::chrono::steady_clock::now();
+    auto tConverted = std::chrono::steady_clock::now();
     std::vector<bool> accepted = cloud_.ingestBatchFrom(std::move(msgs));
     auto tCommitted = std::chrono::steady_clock::now();
     for (const auto &item : batch) {
         obs::TraceContext ctx = ingestContext(item.ingest);
-        obs::recordSpan(encodeSite, tDequeue, tEncoded, ctx);
-        obs::recordSpan(walSyncSite, tEncoded, tCommitted, ctx);
+        obs::recordSpan(convertSite, tDequeue, tConverted, ctx);
+        obs::recordSpan(commitSite, tConverted, tCommitted, ctx);
     }
+
+    // One write per connection: each connection's acks, in batch
+    // order, go out as one buffer. The queue is FIFO and the committer
+    // alone, so every connection's byte stream is exactly the frames
+    // it would get from one write per ack.
+    struct Reply
+    {
+        Conn *conn;
+        std::string bytes;
+        std::vector<size_t> items;
+    };
+    std::vector<Reply> replies;
     for (size_t i = 0; i < batch.size(); ++i) {
+        Conn *conn = batch[i].conn.get();
+        auto it = std::find_if(replies.begin(), replies.end(),
+                               [conn](const Reply &r) {
+                                   return r.conn == conn;
+                               });
+        if (it == replies.end())
+            it = replies.insert(replies.end(), Reply{conn, {}, {}});
         net::WireAck ack;
         ack.device = batch[i].ingest.device;
         ack.seq = batch[i].ingest.seq;
         ack.accepted = accepted[i];
-        auto t0 = std::chrono::steady_clock::now();
+        it->bytes += net::encodeFrame(MsgType::kAck, net::encodeAck(ack));
+        it->items.push_back(i);
+    }
+    for (const Reply &reply : replies) {
         {
-            std::lock_guard<std::mutex> wl(batch[i].conn->writeMutex);
+            std::lock_guard<std::mutex> wl(reply.conn->writeMutex);
             // A false return means the peer vanished; its loss.
-            batch[i].conn->stream.sendFrame(MsgType::kAck,
-                                            net::encodeAck(ack));
+            reply.conn->stream.sendBytes(reply.bytes);
         }
-        obs::recordSpan(ackSite, t0, std::chrono::steady_clock::now(),
-                        ingestContext(batch[i].ingest));
+        // Each item's ack stage: commit end to the end of the write
+        // that carried its ack.
+        auto tWritten = std::chrono::steady_clock::now();
+        for (size_t i : reply.items)
+            obs::recordSpan(ackSite, tCommitted, tWritten,
+                            ingestContext(batch[i].ingest));
     }
     {
         std::lock_guard<std::mutex> lk(statsMutex_);
         stats_.ingestMessages += batch.size();
         stats_.acksSent += batch.size();
+        stats_.ackWrites += replies.size();
         ++stats_.batches;
     }
-    auto &reg = obs::Registry::global();
-    reg.counter("server.ingest").add(batch.size());
-    reg.counter("server.acks").add(batch.size());
-    reg.counter("server.batches").add(1);
+    ingested.add(batch.size());
+    acks.add(batch.size());
+    batches.add(1);
 }
 
 void

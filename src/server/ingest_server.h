@@ -18,9 +18,10 @@
  *                   out-of-lock WAL appends. Greedily batches
  *                   consecutive kIngest items (across connections) up
  *                   to maxBatch and group-commits them with one WAL
- *                   sync, then writes each item's kAck. Because the
- *                   queue is FIFO and the committer is alone, every
- *                   reply on one connection is sent in that
+ *                   sync, then writes each connection's kAcks, in
+ *                   batch order, as one buffer with one send. Because
+ *                   the queue is FIFO and the committer is alone,
+ *                   every reply on one connection is sent in that
  *                   connection's request order (acks always precede
  *                   the kCycleDone that follows them).
  *
@@ -65,14 +66,18 @@
  *
  * Latency attribution: every kIngest's path through the server is
  * decomposed into stage spans — `server.read.decode` (reader),
- * `server.queue_wait` (enqueue → committer dequeue), `server.encode`
- * (wire → sim message conversion), `persist.wal.sync` (the group
- * commit incl. the WAL sync), `server.ack` (reply write) — recorded
- * per item into obs histograms, parented to the trace context the
- * frame carried (net/wire.h kExtTraceContext) when present. Batch
- * stages (encode, commit) are observed once per item at the batch's
- * interval: every item in a group commit waits for the whole batch,
- * so per-item stage sums approximate that item's end-to-end latency.
+ * `server.queue_wait` (enqueue → committer dequeue), `server.convert`
+ * (wire → sim message conversion), `server.commit` (the whole
+ * Cloud::ingestBatchFrom call: dedup, drift-log append, WAL encode,
+ * write and sync), `server.ack` (commit end → end of the write that
+ * carried the item's ack) — recorded per item into obs histograms,
+ * parented to the trace context the frame carried (net/wire.h
+ * kExtTraceContext) when present. Batch stages (convert, commit) are
+ * observed once per item at the batch's interval: every item in a
+ * group commit waits for the whole batch, so per-item stage sums
+ * approximate that item's end-to-end latency. The WAL's own
+ * `persist.wal.sync` span (persist/wal.cc) times just the sync inside
+ * the commit.
  */
 #ifndef NAZAR_SERVER_INGEST_SERVER_H
 #define NAZAR_SERVER_INGEST_SERVER_H
@@ -130,6 +135,9 @@ struct ServerStats
     uint64_t ingestMessages = 0;
     uint64_t batches = 0;       ///< Committer batches (size >= 1).
     uint64_t acksSent = 0;
+    /** Socket writes that carried acks: one per connection per
+     *  batch, so at most connections × batches. */
+    uint64_t ackWrites = 0;
     uint64_t cycles = 0;
     uint64_t flushes = 0;
     uint64_t protocolErrors = 0;
@@ -229,7 +237,8 @@ class IngestServer
     void readerLoop(std::shared_ptr<Conn> conn);
     void committerLoop();
 
-    /** Group-commit (or per-record) one batch and ack every item. */
+    /** Group-commit one batch and ack every item, one write per
+     *  connection. */
     void commitBatch(std::vector<WorkItem> &batch);
     void handleCycle(const WorkItem &item);
     void handleFlush(const WorkItem &item);

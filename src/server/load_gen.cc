@@ -194,8 +194,8 @@ const std::vector<std::string> &
 ingestStageNames()
 {
     static const std::vector<std::string> names = {
-        "server.read.decode", "server.queue_wait", "server.encode",
-        "persist.wal.sync",   "server.ack",
+        "server.read.decode", "server.queue_wait", "server.convert",
+        "server.commit",      "server.ack",
     };
     return names;
 }

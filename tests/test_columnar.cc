@@ -14,13 +14,16 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <set>
 #include <sstream>
 
 #include "common/error.h"
+#include "column_oracle.h"
 #include "common/rng.h"
 #include "driftlog/csv.h"
 #include "driftlog/plan.h"
@@ -135,6 +138,173 @@ TEST(Column, ClearRetainsTypeAndEmptiesDictionary)
     EXPECT_EQ(col.nullCount(), 0u);
     col.append(Value(std::string("y")));
     EXPECT_EQ(col.at(0), Value(std::string("y")));
+}
+
+// ---- hashed dictionary vs the ordered-map oracle -------------------------
+
+/** A quiet NaN carrying @p payload (sign bit set when @p negative). */
+double
+nanWithPayload(uint64_t payload, bool negative = false)
+{
+    uint64_t bits = 0x7ff8000000000000ULL | payload;
+    if (negative)
+        bits |= 0x8000000000000000ULL;
+    return std::bit_cast<double>(bits);
+}
+
+/** One cell of @p type (or NULL) drawn from a small hostile pool, so
+ *  values repeat and the dictionary sees both hits and new entries. */
+Value
+hostileCell(Rng &rng, ValueType type)
+{
+    if (rng.bernoulli(0.08))
+        return Value();
+    switch (type) {
+      case ValueType::kInt: {
+        static const int64_t extremes[] = {
+            std::numeric_limits<int64_t>::min(),
+            std::numeric_limits<int64_t>::max(), 0, -1};
+        if (rng.bernoulli(0.05))
+            return Value(extremes[rng.index(4)]);
+        return Value(rng.uniformInt(-40, 40));
+      }
+      case ValueType::kDouble: {
+        const double specials[] = {
+            0.0,  -0.0, kInf, -kInf, kNaN, -kNaN, nanWithPayload(1),
+            nanWithPayload(0xdead), nanWithPayload(7, true)};
+        if (rng.bernoulli(0.3))
+            return Value(specials[rng.index(std::size(specials))]);
+        return Value(static_cast<double>(rng.uniformInt(-30, 30)) / 4.0);
+      }
+      case ValueType::kBool:
+        return Value(rng.bernoulli(0.5));
+      case ValueType::kString: {
+        static const char *pool[] = {"", "a", "b", "snow", "new_york",
+                                     "android_7", "2020-01-01 00:00:00"};
+        if (rng.bernoulli(0.5))
+            return Value(std::string(pool[rng.index(std::size(pool))]));
+        return Value("s" + std::to_string(rng.uniformInt(0, 300)));
+      }
+      case ValueType::kNull:
+        break;
+    }
+    return Value();
+}
+
+/** Every read of @p col agrees with the oracle. */
+void
+expectMatchesOracle(const Column &col, const oracle::OrderedColumn &o,
+                    Rng &rng)
+{
+    ASSERT_EQ(col.size(), o.size());
+    ASSERT_EQ(col.dictSize(), o.dictSize());
+    EXPECT_EQ(col.nullCount(), o.nullCount());
+    const std::vector<Value> dict = o.dictionary();
+    EXPECT_EQ(col.dictionary(), dict);
+    for (size_t id = 0; id < dict.size(); ++id)
+        EXPECT_EQ(col.dictValue(static_cast<Column::Id>(id)), dict[id]);
+    for (size_t row = 0; row < col.size(); ++row)
+        ASSERT_EQ(col.idAt(row), o.idAt(row)) << "row " << row;
+    for (int k = 0; k < 40; ++k) {
+        Value probe = hostileCell(rng, col.type());
+        EXPECT_EQ(col.idOf(probe), o.idOf(probe)) << probe;
+        EXPECT_EQ(col.lowerBound(probe), o.lowerBound(probe)) << probe;
+        EXPECT_EQ(col.upperBound(probe), o.upperBound(probe)) << probe;
+    }
+    EXPECT_EQ(col.materialize(), o.materialize());
+}
+
+/** One read through a random entry point — each one normalizes a
+ *  column left unsorted by the appends before it. */
+void
+expectOneReadMatches(const Column &col, const oracle::OrderedColumn &o,
+                     Rng &rng)
+{
+    Value probe = hostileCell(rng, col.type());
+    switch (rng.index(5)) {
+      case 0: {
+        size_t row = rng.index(col.size());
+        EXPECT_EQ(col.idAt(row), o.idAt(row));
+        break;
+      }
+      case 1:
+        EXPECT_EQ(col.idOf(probe), o.idOf(probe)) << probe;
+        break;
+      case 2:
+        EXPECT_EQ(col.lowerBound(probe), o.lowerBound(probe)) << probe;
+        break;
+      case 3:
+        EXPECT_EQ(col.upperBound(probe), o.upperBound(probe)) << probe;
+        break;
+      default: {
+        size_t id = rng.index(o.dictSize());
+        EXPECT_EQ(col.dictValue(static_cast<Column::Id>(id)),
+                  o.dictionary()[id]);
+        break;
+      }
+    }
+}
+
+TEST(ColumnDifferential, HashedDictionaryMatchesOrderedMapOracle)
+{
+    for (ValueType type : {ValueType::kInt, ValueType::kDouble,
+                           ValueType::kBool, ValueType::kString}) {
+        for (uint64_t seed : {1u, 2u, 3u}) {
+            SCOPED_TRACE(toString(type) + " seed " + std::to_string(seed));
+            Rng rng(seed * 977 + static_cast<uint64_t>(type));
+            Column col(type);
+            oracle::OrderedColumn o;
+            for (size_t i = 0; i < 1500; ++i) {
+                Value v = hostileCell(rng, type);
+                o.append(v);
+                col.append(v);
+                // Reads interleave with the appends, so normalization
+                // runs mid-stream over a partly sorted dictionary.
+                if (rng.bernoulli(0.15))
+                    expectOneReadMatches(col, o, rng);
+                if (i % 500 == 499)
+                    expectMatchesOracle(col, o, rng);
+            }
+            expectMatchesOracle(col, o, rng);
+        }
+    }
+}
+
+TEST(ColumnDifferential, TableWideningMatchesOrderedMapOracle)
+{
+    // Int cells appended to a double column land as doubles: 3 and 3.0
+    // are one dictionary entry, in the oracle and in the Table.
+    Schema schema({{"i", ValueType::kInt},
+                   {"d", ValueType::kDouble},
+                   {"b", ValueType::kBool},
+                   {"s", ValueType::kString}});
+    Rng rng(4242);
+    Table table(schema);
+    std::vector<oracle::OrderedColumn> o(schema.columnCount());
+    for (size_t r = 0; r < 1500; ++r) {
+        Row row;
+        for (size_t c = 0; c < schema.columnCount(); ++c)
+            row.push_back(hostileCell(rng, schema.column(c).type));
+        if (rng.bernoulli(0.3) && !row[1].isNull())
+            row[1] = Value(rng.uniformInt(-8, 8)); // an int cell
+        for (size_t c = 0; c < row.size(); ++c)
+            o[c].append(row[c].type() == ValueType::kInt &&
+                                schema.column(c).type == ValueType::kDouble
+                            ? Value(row[c].asDouble())
+                            : row[c]);
+        table.append(std::move(row));
+        if (rng.bernoulli(0.15)) {
+            size_t c = rng.index(schema.columnCount());
+            expectOneReadMatches(table.column(c), o[c], rng);
+        }
+    }
+    for (size_t c = 0; c < schema.columnCount(); ++c) {
+        SCOPED_TRACE(schema.column(c).name);
+        expectMatchesOracle(table.column(c), o[c], rng);
+    }
+    EXPECT_EQ(table.column("d").idOf(Value(int64_t{3})), std::nullopt);
+    EXPECT_EQ(table.column("d").idOf(Value(3.0)),
+              o[1].idOf(Value(3.0)));
 }
 
 // ---- randomized workload generators -------------------------------------

@@ -229,6 +229,86 @@ TEST_F(ServerTest, GarbageBytesDropTheConnectionNotTheServer)
     EXPECT_EQ(cloud.totalIngested(), 1u);
 }
 
+TEST_F(ServerTest, AcksCoalesceIntoOneWritePerConnectionPerBatch)
+{
+    // A slow committer (commitDelayUs, slept after a batch is
+    // dequeued) holds its first batch, one plug event, while one
+    // thread sends the rest alternately on two connections; they pile
+    // up behind it, so the next batch spans the two connections. Each
+    // batch writes each connection's acks once, and every client
+    // still reads its acks accepted and in its own send order.
+    constexpr int kClients = 2;
+    constexpr int kEvents = 120;
+    auto send = [](net::IngestClient &client, int c, int e) {
+        net::WireIngest m;
+        m.device = 100 + c;
+        m.seq = static_cast<uint64_t>(e) + 1;
+        m.entry.time = SimDate(e, 0);
+        m.entry.deviceId = "dev-" + std::to_string(c);
+        EXPECT_TRUE(client.sendIngest(m));
+    };
+    auto run = [&send](size_t max_batch, int delay_us) -> ServerStats {
+        nn::Classifier base = tinyBase();
+        sim::Cloud cloud(sim::CloudConfig{}, base);
+        ServerConfig sc;
+        sc.maxBatch = max_batch;
+        sc.commitDelayUs = delay_us;
+        IngestServer server(cloud, sc);
+        server.start();
+        std::vector<std::unique_ptr<net::IngestClient>> clients;
+        std::vector<std::vector<net::WireAck>> acks(kClients);
+        for (int c = 0; c < kClients; ++c) {
+            clients.push_back(
+                std::make_unique<net::IngestClient>(server.port()));
+            clients[c]->setAckObserver(
+                [&acks, c](const net::WireAck &ack) {
+                    acks[c].push_back(ack);
+                });
+        }
+        send(*clients[0], 0, 0); // the plug
+        if (delay_us > 0)
+            std::this_thread::sleep_for(
+                std::chrono::microseconds(delay_us / 6));
+        for (int e = 0; e < kEvents; ++e)
+            for (int c = 0; c < kClients; ++c)
+                if (c > 0 || e > 0)
+                    send(*clients[c], c, e);
+        // A kBye queued between the two connections' ingests would cut
+        // the batch, so say goodbye only once every ingest is acked.
+        while (server.stats().acksSent <
+               static_cast<uint64_t>(kClients * kEvents))
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        for (auto &client : clients)
+            client->bye();
+        for (int c = 0; c < kClients; ++c) {
+            std::vector<std::tuple<int64_t, uint64_t, bool>> got, want;
+            for (const net::WireAck &ack : acks[c])
+                got.emplace_back(ack.device, ack.seq, ack.accepted);
+            for (int e = 0; e < kEvents; ++e)
+                want.emplace_back(100 + c, static_cast<uint64_t>(e) + 1,
+                                  true);
+            EXPECT_EQ(got, want) << "client " << c;
+        }
+        server.stop();
+        EXPECT_EQ(cloud.totalIngested(),
+                  static_cast<size_t>(kClients * kEvents));
+        return server.stats();
+    };
+
+    ServerStats grouped = run(ServerConfig{}.maxBatch, 300000);
+    EXPECT_EQ(grouped.connections, static_cast<uint64_t>(kClients));
+    EXPECT_EQ(grouped.acksSent, static_cast<uint64_t>(kClients * kEvents));
+    EXPECT_LE(grouped.ackWrites, grouped.connections * grouped.batches);
+    EXPECT_LT(grouped.ackWrites, grouped.acksSent);
+    // Some batch did span both connections (two writes for it).
+    EXPECT_GT(grouped.ackWrites, grouped.batches);
+
+    // One ack per batch: one write per ack.
+    ServerStats single = run(1, 0);
+    EXPECT_EQ(single.batches, single.acksSent);
+    EXPECT_EQ(single.ackWrites, single.acksSent);
+}
+
 TEST_F(ServerTest, StageHistogramsDecomposeIngestLatency)
 {
     // With the server in-process, runLoad() reads the per-stage
@@ -252,7 +332,7 @@ TEST_F(ServerTest, StageHistogramsDecomposeIngestLatency)
     ServerStats ss = server.stats();
     ASSERT_FALSE(stats.stages.empty());
     bool saw_queue_wait = false;
-    bool saw_wal_sync = false;
+    bool saw_commit = false;
     for (const StageStat &stage : stats.stages) {
         EXPECT_GT(stage.count, 0u) << stage.name;
         EXPECT_GE(stage.p99Ms, stage.p50Ms) << stage.name;
@@ -262,11 +342,14 @@ TEST_F(ServerTest, StageHistogramsDecomposeIngestLatency)
             // Every accepted message waited in the queue exactly once.
             EXPECT_EQ(stage.count, ss.ingestMessages);
         }
-        if (stage.name == "persist.wal.sync")
-            saw_wal_sync = true;
+        if (stage.name == "server.commit") {
+            saw_commit = true;
+            // Batch stages are observed once per item.
+            EXPECT_EQ(stage.count, ss.ingestMessages);
+        }
     }
     EXPECT_TRUE(saw_queue_wait);
-    EXPECT_TRUE(saw_wal_sync);
+    EXPECT_TRUE(saw_commit);
     obs::Registry::global().reset();
 }
 
@@ -315,7 +398,7 @@ TEST_F(ServerTest, TraceContextLinksClientToCommitterAcrossThreads)
             tids.insert(e.threadId);
         }
         if (names.count("server.queue_wait") &&
-            names.count("persist.wal.sync") &&
+            names.count("server.commit") &&
             names.count("server.ack") && tids.size() >= 2)
             ++linked_roots;
     }

@@ -65,7 +65,7 @@
  *       (obs::writeChromeTrace): a per-span-name latency table, and —
  *       for traces rooted at `net.client.ingest` — the ingest critical
  *       path: end-to-end ack latency decomposed into the recorded
- *       stages (decode, queue wait, encode, WAL sync, ack) with the
+ *       stages (decode, queue wait, convert, commit, ack) with the
  *       unattributed remainder (socket + wire time) called out.
  *
  * The sim subcommand also takes durability flags

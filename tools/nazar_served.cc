@@ -216,11 +216,11 @@ cmdServe(const ServeOptions &opts)
     server.stop();
     server::ServerStats stats = server.stats();
     std::printf("SERVED connections=%zu ingested=%zu dedup=%zu "
-                "batches=%zu cycles=%zu flushes=%zu "
+                "batches=%zu ackWrites=%zu cycles=%zu flushes=%zu "
                 "protocolErrors=%zu clean shutdown\n",
                 stats.connections, cloud.totalIngested(),
-                cloud.dedupHits(), stats.batches, stats.cycles,
-                stats.flushes, stats.protocolErrors);
+                cloud.dedupHits(), stats.batches, stats.ackWrites,
+                stats.cycles, stats.flushes, stats.protocolErrors);
     return 0;
 }
 
@@ -256,9 +256,11 @@ cmdSmoke(const ServeOptions &serve_opts, const LoadOptions &load_opts)
                          cloud.dedupHits() == stats.acksRejected &&
                          ss.protocolErrors == 0;
     std::printf("SERVED connections=%zu ingested=%zu dedup=%zu "
-                "batches=%zu protocolErrors=%zu clean shutdown\n",
+                "batches=%zu ackWrites=%zu protocolErrors=%zu "
+                "clean shutdown\n",
                 ss.connections, cloud.totalIngested(),
-                cloud.dedupHits(), ss.batches, ss.protocolErrors);
+                cloud.dedupHits(), ss.batches, ss.ackWrites,
+                ss.protocolErrors);
     return stats.reconciled && tallies_match ? 0 : 1;
 }
 
