@@ -33,11 +33,11 @@ run_suite() {
 }
 
 # Flake hunt: the socket/crash tests, the RCA determinism tests (bitmap
-# counts == row-scan oracle, 1 thread == N), the nn exactness tests
-# (every gemm variant == plain loops, golden logits, pool 1 == N) and
-# the recovery tests (crash/disk-fault sweeps, replay skip rule == plain
-# replay, CRC and date kernels == their oracles) must pass 20 runs in a
-# row at both pool widths.
+# counts == row-scan oracle on every popcount variant, 1 thread == N),
+# the nn exactness tests (every gemm variant == plain loops, golden
+# logits, pool 1 == N) and the recovery tests (crash/disk-fault sweeps,
+# replay skip rule == plain replay, CRC and date kernels == their
+# oracles) must pass 20 runs in a row at both pool widths.
 repeat_until_fail() {
     local build_dir="$1" label="$2"
     local tests='test_server|test_fim|test_property_rca|test_columnar'
@@ -61,6 +61,15 @@ if [ "$DO_RELEASE" = 1 ]; then
     if grep -E 'vfn?m(add|sub)' build-ci/nazar_nn.dis; then
         echo "libnazar_nn.a contains fused multiply-add instructions" >&2
         exit 1
+    fi
+    # The RCA popcount kernels are compiled for the baseline ISA and
+    # under [[gnu::target("popcnt")]]; the build sets no -mpopcnt, so a
+    # popcnt instruction in libnazar_rca.a is the dispatched variant.
+    if [ "$(uname -m)" = x86_64 ]; then
+        echo "==== dispatched popcnt variant in libnazar_rca.a (Release) ===="
+        objdump -d build-ci/src/rca/libnazar_rca.a > build-ci/nazar_rca.dis
+        grep -q -w popcnt build-ci/nazar_rca.dis || {
+            echo "libnazar_rca.a has no popcnt instruction" >&2; exit 1; }
     fi
     run_suite build-ci
     repeat_until_fail build-ci Release

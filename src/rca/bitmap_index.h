@@ -12,8 +12,10 @@
  * RowBitset is the one drift-flag type of the RCA pass: the miner,
  * computeMetrics and the counterfactual walk all take it. A
  * BitmapIndex holds the row bitsets of a chosen set of single
- * attributes; it is built per analysis call from the dictionary-id
- * columns and never stored with the table.
+ * attributes in one slab, one slot per single; it is built per
+ * analysis call from the dictionary-id columns and never stored with
+ * the table. Every popcount runs through the CPU-dispatched kernels
+ * of count_kernel.
  *
  * Every scan here runs over whole words in chunks of kRowGrain rows
  * (a multiple of 64), so chunks never share a word: parallel builds
@@ -25,7 +27,6 @@
 #define NAZAR_RCA_BITMAP_INDEX_H
 
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -121,8 +122,71 @@ struct SetCounts
 };
 
 /**
+ * The popcount kernels of the counting passes. One body is compiled
+ * twice, as nn::gemm is (DESIGN.md §7): a `popcnt` variant on x86 and
+ * a baseline one (std::popcount, a libgcc call without -mpopcnt, which
+ * the build does not set). The CPU picks the variant once, at first
+ * use. Counts are integers, so every variant gives the same counts.
+ */
+namespace count_kernel {
+
+/**
+ * Add to out[i], for each of @p candidates k-slot tuples packed in
+ * @p slots, the counts of the AND of its slots' bitsets over words
+ * [wb, we). Slot s's bitset starts at slab + s * stride.
+ */
+using CountTuples = void (*)(const RowBitset::Word *slab, size_t stride,
+                             const uint32_t *slots, size_t k,
+                             size_t candidates,
+                             const RowBitset::Word *flags, size_t wb,
+                             size_t we, SetCounts *out);
+
+/** Set bits in words [0, n). */
+using Ones = size_t (*)(const RowBitset::Word *words, size_t n);
+
+/** One compiled instance of the kernels. */
+struct Variant
+{
+    const char *isa; ///< "popcnt" or "baseline".
+    CountTuples countTuples;
+    Ones ones;
+};
+
+/**
+ * The variants compiled into this build that the host CPU can run,
+ * preferred first. Never empty: the baseline variant runs anywhere.
+ */
+const std::vector<Variant> &hostVariants();
+
+/**
+ * Route every count through @p variant (an element of hostVariants(),
+ * which outlives this object) for this object's lifetime, so tests can
+ * check every variant the host runs, not only hostVariants().front(),
+ * the one the counts use otherwise. Not meant to race with counts on
+ * other threads.
+ */
+class ScopedVariant
+{
+  public:
+    explicit ScopedVariant(const Variant &variant);
+    ~ScopedVariant();
+    ScopedVariant(const ScopedVariant &) = delete;
+    ScopedVariant &operator=(const ScopedVariant &) = delete;
+
+  private:
+    const Variant *previous_;
+};
+
+} // namespace count_kernel
+
+/**
  * Row bitsets of a fixed collection of single attributes over one
- * table. Built in one pass per constrained column.
+ * table, in one slab: the singles are sorted and de-duplicated, slot i
+ * is singles()[i], and its bitset is the i-th run of one bitset's
+ * words in the slab. Sorted by (column, value), the slots of one
+ * column are contiguous, and an ascending slot tuple is an
+ * AttributeSet's attributes in order. Built in one pass per
+ * constrained column.
  */
 class BitmapIndex
 {
@@ -135,29 +199,41 @@ class BitmapIndex
      * containing it count zero rows.
      */
     BitmapIndex(const driftlog::Table &table,
-                const std::vector<Attribute> &singles);
+                std::vector<Attribute> singles);
 
     /** Row count of the indexed table. */
     size_t rows() const { return rows_; }
 
+    /** The indexed singles, sorted and unique; slot i is element i. */
+    const std::vector<Attribute> &singles() const { return singles_; }
+
     /**
-     * Counts of every set in @p sets against @p drift_flags, in one
-     * sharded pass. Every attribute of every set must be indexed; the
-     * empty set contains every row.
+     * Counts of each k-slot tuple packed in @p slots (k >= 1, each
+     * tuple's slots ascending and distinct) against @p drift_flags, in
+     * one sharded pass.
      */
-    std::vector<SetCounts> count(const std::vector<AttributeSet> &sets,
-                                 const RowBitset &drift_flags) const;
+    std::vector<SetCounts> countSlots(const std::vector<uint32_t> &slots,
+                                      size_t k,
+                                      const RowBitset &drift_flags) const;
+
+    /**
+     * Counts of @p set against @p drift_flags. Every attribute of the
+     * set must be indexed; the empty set contains every row.
+     */
+    SetCounts count(const AttributeSet &set,
+                    const RowBitset &drift_flags) const;
 
     /** Clear the flags of every row containing @p set (flags &= ~set). */
     void clearRows(RowBitset &flags, const AttributeSet &set) const;
 
   private:
-    /** The member bitsets' words; checks every member is indexed. */
-    std::vector<const RowBitset::Word *>
-    members(const AttributeSet &set) const;
+    /** The set's slots, ascending; checks every member is indexed. */
+    std::vector<uint32_t> slotsOf(const AttributeSet &set) const;
 
     size_t rows_ = 0;
-    std::map<Attribute, RowBitset> bits_;
+    size_t words_ = 0; ///< Words per slot.
+    std::vector<Attribute> singles_;
+    std::vector<RowBitset::Word> slab_;
 };
 
 } // namespace nazar::rca

@@ -7,7 +7,8 @@
  *  - mine(): the production path. Level 1 counts dense per-id
  *    histograms over the dictionary-id columns; levels 2+ build one
  *    row bitset per frequent single (bitmap_index.h) and count each
- *    candidate as popcounts of the AND of its members' bitsets.
+ *    candidate, an ascending tuple of the singles' slots, as
+ *    popcounts of the AND of its slots' bitsets.
  *
  *  - mineReference(): the retained row-scan path, comparing whole
  *    Values row by row over materialized column vectors with
@@ -20,8 +21,10 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <numeric>
 
 #include "common/error.h"
+#include "obs/metrics.h"
 #include "obs/span.h"
 
 namespace nazar::rca {
@@ -76,7 +79,7 @@ computeMetrics(const BitmapIndex &index, const RowBitset &drift_flags,
                const AttributeSet &attrs)
 {
     NAZAR_SPAN("rca.metrics");
-    SetCounts c = index.count({attrs}, drift_flags).front();
+    SetCounts c = index.count(attrs, drift_flags);
     return metricsFromCounts(c.rows, c.drift, index.rows(),
                              drift_flags.count());
 }
@@ -170,95 +173,124 @@ Fim::mineIndexed(const RowBitset &drift_flags) const
     Mined mined;
     std::vector<RankedCause> &results = mined.causes;
 
-    // ---- Level 1: one aggregation pass per attribute column --------
-    // Each column's histogram is a dense per-id count array: chunks
-    // accumulate into fixed-size vectors indexed by dictionary id and
-    // the partials sum element-wise in ascending chunk order. Emission
-    // walks the array in id order, which — by the Column invariant
-    // (id order == Value total order) — is exactly the order a
-    // Value-keyed map produces.
+    // ---- Level 1: one aggregation pass over every attribute column --
+    // The histograms are dense per-id count arrays, one per column at
+    // its offset in one vector: chunks accumulate into fixed-size
+    // vectors indexed by offset + dictionary id, and the partials sum
+    // element-wise in ascending chunk order. Emission walks each
+    // column's array in id order, which — by the Column invariant (id
+    // order == Value total order) — is exactly the order a Value-keyed
+    // map produces.
     using IdCounts = std::vector<std::pair<size_t, size_t>>;
+    const std::vector<std::string> &columns = config_.attributeColumns;
+    std::vector<const driftlog::Column *> cols;
+    std::vector<size_t> offset{0};
+    for (const auto &col_name : columns) {
+        cols.push_back(&table_.column(col_name));
+        offset.push_back(offset.back() + cols.back()->dictSize());
+    }
     std::vector<Attribute> frequent_singles;
-    std::vector<AttributeSet> frequent_prev;
     NAZAR_SPAN_BEGIN(level1_span, "rca.fim.level1");
-    for (const auto &col_name : config_.attributeColumns) {
-        const driftlog::Column &col = table_.column(col_name);
-        const driftlog::Column::Id *ids = col.ids().data();
-        const size_t dict_size = col.dictSize();
-        IdCounts counts = rowReduce<IdCounts>(
-            n, IdCounts(dict_size, {0, 0}),
-            [&](size_t chunk_begin, size_t chunk_end) {
-                IdCounts part(dict_size, {0, 0});
+    IdCounts counts = rowReduce<IdCounts>(
+        n, IdCounts(offset.back(), {0, 0}),
+        [&](size_t chunk_begin, size_t chunk_end) {
+            IdCounts part(offset.back(), {0, 0});
+            for (size_t c = 0; c < cols.size(); ++c) {
+                const driftlog::Column::Id *ids = cols[c]->ids().data();
+                auto *hist = part.data() + offset[c];
                 for (size_t r = chunk_begin; r < chunk_end; ++r) {
-                    auto &entry = part[ids[r]];
+                    auto &entry = hist[ids[r]];
                     ++entry.first;
                     entry.second += drift_flags.test(r);
                 }
-                return part;
-            },
-            [](IdCounts acc, IdCounts part) {
-                for (size_t i = 0; i < acc.size(); ++i) {
-                    acc[i].first += part[i].first;
-                    acc[i].second += part[i].second;
-                }
-                return acc;
-            });
-        for (size_t id = 0; id < counts.size(); ++id) {
-            const auto &cnt = counts[id];
+            }
+            return part;
+        },
+        [](IdCounts acc, IdCounts part) {
+            for (size_t i = 0; i < acc.size(); ++i) {
+                acc[i].first += part[i].first;
+                acc[i].second += part[i].second;
+            }
+            return acc;
+        });
+    for (size_t c = 0; c < cols.size(); ++c) {
+        for (size_t id = 0; id < cols[c]->dictSize(); ++id) {
+            const auto &cnt = counts[offset[c] + id];
             if (cnt.first == 0)
                 continue; // only possible on an empty table
             CauseMetrics m = metricsFromCounts(cnt.first, cnt.second, n,
                                                total_drift);
-            AttributeSet set({Attribute{
-                col_name,
-                col.dictValue(static_cast<driftlog::Column::Id>(id))}});
-            results.push_back(RankedCause{set, m});
-            if (m.occurrence >= config_.minOccurrence) {
-                frequent_singles.push_back(set.attributes().front());
-                frequent_prev.push_back(std::move(set));
-            }
+            Attribute single{
+                columns[c],
+                cols[c]->dictValue(static_cast<driftlog::Column::Id>(id))};
+            results.push_back(RankedCause{AttributeSet({single}), m});
+            if (m.occurrence >= config_.minOccurrence)
+                frequent_singles.push_back(std::move(single));
         }
     }
-    std::sort(frequent_singles.begin(), frequent_singles.end());
     level1_span.stop();
 
     // ---- Levels 2..maxAttributes ------------------------------------
-    // The vertical index: one row bitset per frequent single. Every
-    // candidate below is a conjunction of frequent singles, so one
-    // AND + popcount pass per level counts them all.
+    // The vertical index: one row bitset per frequent single, slot i
+    // for the i-th in (column, value) order. Every candidate below is
+    // a conjunction of frequent singles, kept as its ascending slot
+    // tuple, so one AND + popcount pass per level counts them all.
+    static obs::Counter &candidates_counted =
+        obs::Registry::global().counter("rca.fim.candidates");
     NAZAR_SPAN_BEGIN(levelk_span, "rca.fim.levelk");
-    mined.index = BitmapIndex(table_, frequent_singles);
+    {
+        NAZAR_SPAN("rca.fim.index");
+        mined.index = BitmapIndex(table_, std::move(frequent_singles));
+    }
+    const std::vector<Attribute> &singles = mined.index.singles();
+    // Column ordinal per slot: the slots of one column are contiguous.
+    std::vector<size_t> column_of(singles.size());
+    for (size_t s = 1; s < singles.size(); ++s)
+        column_of[s] = column_of[s - 1] +
+                       (singles[s].column != singles[s - 1].column);
+    // The frequent (level - 1)-tuples, packed; level 1 is every slot.
+    std::vector<uint32_t> frequent_prev(singles.size());
+    std::iota(frequent_prev.begin(), frequent_prev.end(), 0u);
     for (size_t level = 2;
          level <= config_.maxAttributes && !frequent_prev.empty();
          ++level) {
-        // Candidate generation: extend each frequent (k-1)-set with a
-        // frequent single strictly greater than its last attribute and
-        // over a column the set does not constrain yet.
-        std::vector<AttributeSet> candidates;
-        for (const auto &set : frequent_prev) {
-            const Attribute &last = set.attributes().back();
-            for (const auto &single : frequent_singles) {
-                if (!(last < single))
+        // Candidate generation: extend each frequent (level - 1)-tuple
+        // with a slot greater than its last one (a single greater than
+        // its last attribute) over another column. The tuple's columns
+        // ascend, so only the last one can equal the new slot's.
+        const size_t prev_k = level - 1;
+        std::vector<uint32_t> candidates;
+        for (size_t t = 0; t < frequent_prev.size(); t += prev_k) {
+            const uint32_t last = frequent_prev[t + prev_k - 1];
+            for (uint32_t s = last + 1; s < singles.size(); ++s) {
+                if (column_of[s] == column_of[last])
                     continue;
-                if (set.hasColumn(single.column))
-                    continue;
-                candidates.push_back(set.extended(single));
+                candidates.insert(candidates.end(),
+                                  frequent_prev.begin() + t,
+                                  frequent_prev.begin() + t + prev_k);
+                candidates.push_back(s);
             }
         }
         if (candidates.empty())
             break;
+        candidates_counted.add(candidates.size() / level);
 
         std::vector<SetCounts> totals =
-            mined.index.count(candidates, drift_flags);
-        std::vector<AttributeSet> frequent_now;
-        for (size_t i = 0; i < candidates.size(); ++i) {
+            mined.index.countSlots(candidates, level, drift_flags);
+        std::vector<uint32_t> frequent_now;
+        for (size_t i = 0; i < totals.size(); ++i) {
             CauseMetrics m = metricsFromCounts(
                 totals[i].rows, totals[i].drift, n, total_drift);
             if (m.setCount == 0)
                 continue; // combination never occurs; not a real set
-            results.push_back(RankedCause{candidates[i], m});
+            auto tuple = candidates.begin() + i * level;
+            std::vector<Attribute> attrs;
+            for (auto it = tuple; it != tuple + level; ++it)
+                attrs.push_back(singles[*it]);
+            results.push_back(RankedCause{AttributeSet(std::move(attrs)), m});
             if (m.occurrence >= config_.minOccurrence)
-                frequent_now.push_back(candidates[i]);
+                frequent_now.insert(frequent_now.end(), tuple,
+                                    tuple + level);
         }
         frequent_prev = std::move(frequent_now);
     }

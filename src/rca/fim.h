@@ -8,13 +8,14 @@
  * closure on occurrence), filters by the four thresholds, and ranks
  * survivors by risk ratio.
  *
- * Level 1 is one histogram pass per attribute column over the
+ * Level 1 is one histogram pass over every attribute column's
  * dictionary ids: dense per-id count arrays emitted in id order
  * (== sorted Value order). Levels 2+ count in the vertical bitmap
- * layout (bitmap_index.h): each frequent single gets a row bitset,
- * built once per call, and a candidate's support is the popcount of
- * the AND of its members' bitsets — its drifted support the popcount
- * of that AND with the drift-flag bitset. computeMetrics and the
+ * layout (bitmap_index.h): each frequent single gets a slot and a row
+ * bitset, built once per call; candidates are ascending slot tuples,
+ * and a candidate's support is the popcount of the AND of its slots'
+ * bitsets — its drifted support the popcount of that AND with the
+ * drift-flag bitset. computeMetrics and the
  * counterfactual walk count the same way. Every scan is sharded over
  * src/runtime/ in word-aligned chunks with chunk-ordered integer
  * merges, so results are bit-identical at every NAZAR_THREADS setting.

@@ -153,6 +153,45 @@ causesText(const std::vector<RankedCause> &causes)
     return out;
 }
 
+/**
+ * Candidates the miner must count at levels 2..maxAttributes, as the
+ * AttributeSet generator the slot tuples replaced counted them: every
+ * frequent (k-1)-set of @p mined (a mine() or mineReference() table)
+ * extended by each frequent single greater than its last attribute and
+ * over a column it does not constrain. The oracle for the
+ * rca.fim.candidates counter.
+ */
+inline size_t
+attributeSetCandidates(const std::vector<RankedCause> &mined,
+                       const RcaConfig &config)
+{
+    auto frequent = [&](size_t k) {
+        std::vector<AttributeSet> sets;
+        for (const auto &c : mined)
+            if (c.attrs.size() == k &&
+                c.metrics.occurrence >= config.minOccurrence)
+                sets.push_back(c.attrs);
+        std::sort(sets.begin(), sets.end());
+        return sets;
+    };
+    std::vector<Attribute> singles;
+    for (const auto &set : frequent(1))
+        singles.push_back(set.attributes().front());
+    size_t total = 0;
+    for (size_t k = 2; k <= config.maxAttributes; ++k) {
+        size_t level = 0;
+        for (const auto &set : frequent(k - 1))
+            for (const auto &single : singles)
+                if (set.attributes().back() < single &&
+                    !set.hasColumn(single.column))
+                    ++level;
+        if (level == 0)
+            break;
+        total += level;
+    }
+    return total;
+}
+
 } // namespace nazar::rca::testing
 
 #endif // NAZAR_TESTS_PAPER_EXAMPLE_H

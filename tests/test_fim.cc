@@ -10,6 +10,7 @@
 #include <limits>
 
 #include "common/error.h"
+#include "obs/metrics.h"
 #include "paper_example.h"
 #include "rca/fim.h"
 #include "runtime/thread_pool.h"
@@ -17,6 +18,7 @@
 namespace nazar::rca {
 namespace {
 
+using testing::attributeSetCandidates;
 using testing::causesText;
 using testing::findCause;
 using testing::goldenConfig;
@@ -424,6 +426,137 @@ TEST_F(FimBitmap, ClearRowsClearsExactlyTheSetsRows)
                       flags.test(r) && !set.matchesRow(t, r))
                 << r;
         EXPECT_EQ(computeMetrics(index, cleared, set).setDriftCount, 0u);
+    }
+}
+
+// ---- Dispatched popcount kernels ------------------------------------
+
+/** Everything the counting passes produce on one log, for comparing
+ *  one kernel variant with another. */
+struct KernelOutputs
+{
+    std::string mined;
+    std::vector<std::pair<size_t, size_t>> counts; ///< Per mined set.
+    std::vector<RowBitset> cleared; ///< Flags after clearRows, per set.
+    size_t ones = 0;                ///< RowBitset::count of the flags.
+
+    bool operator==(const KernelOutputs &other) const = default;
+};
+
+KernelOutputs
+kernelOutputs(const Fim &fim, const RowBitset &flags)
+{
+    KernelOutputs out;
+    Fim::Mined mined = fim.mineIndexed(flags);
+    out.mined = causesText(mined.causes);
+    for (const auto &c : mined.causes) {
+        SetCounts sc = mined.index.count(c.attrs, flags);
+        out.counts.emplace_back(sc.rows, sc.drift);
+        RowBitset cleared = flags;
+        mined.index.clearRows(cleared, c.attrs);
+        out.cleared.push_back(std::move(cleared));
+    }
+    out.ones = flags.count();
+    return out;
+}
+
+TEST_F(FimBitmap, EveryKernelVariantMatchesBaselineAndReference)
+{
+    const auto &variants = count_kernel::hostVariants();
+    ASSERT_FALSE(variants.empty());
+    const count_kernel::Variant &baseline = variants.back();
+    ASSERT_STREQ(baseline.isa, "baseline");
+    for (size_t n : {0u, 1u, 63u, 64u, 65u, 4095u, 4096u, 8193u}) {
+        SCOPED_TRACE("rows=" + std::to_string(n));
+        Table t = goldenLog(n);
+        RcaConfig config = goldenConfig();
+        config.minOccurrence = 0.0; // every occurring set is counted
+        Fim fim(t, config);
+        RowBitset flags = Fim::driftFlags(t, "drift");
+        const std::vector<RankedCause> causes = fim.mineReference(flags);
+
+        runtime::setThreads(1);
+        KernelOutputs expect;
+        {
+            count_kernel::ScopedVariant pin(baseline);
+            expect = kernelOutputs(fim, flags);
+        }
+        // The baseline against the row-scan oracle: the ranked table,
+        // each set's counts, the flag total and the cleared rows.
+        EXPECT_EQ(expect.mined, causesText(causes));
+        ASSERT_EQ(expect.counts.size(), causes.size());
+        size_t drifted = 0;
+        for (size_t r = 0; r < n; ++r)
+            drifted += flags.test(r);
+        EXPECT_EQ(expect.ones, drifted);
+        for (size_t i = 0; i < causes.size(); ++i) {
+            EXPECT_EQ(expect.counts[i].first, causes[i].metrics.setCount);
+            EXPECT_EQ(expect.counts[i].second,
+                      causes[i].metrics.setDriftCount);
+        }
+        for (size_t i = 0; i < std::min<size_t>(causes.size(), 5); ++i)
+            for (size_t r = 0; r < n; ++r)
+                ASSERT_EQ(expect.cleared[i].test(r),
+                          flags.test(r) &&
+                              !causes[i].attrs.matchesRow(t, r))
+                    << causes[i].attrs.toString() << " row " << r;
+
+        // Every variant, sequential and sharded, equals the baseline.
+        for (const count_kernel::Variant &variant : variants) {
+            SCOPED_TRACE(variant.isa);
+            count_kernel::ScopedVariant pin(variant);
+            for (size_t threads : {1u, 4u}) {
+                runtime::setThreads(threads);
+                EXPECT_TRUE(kernelOutputs(fim, flags) == expect)
+                    << "threads=" << threads;
+            }
+        }
+    }
+}
+
+/** A log shaped like `nazarbench rca`'s: weather (4), location (7),
+ *  device (112) and model (4) columns, drift planted on weather. */
+Table
+benchShapedLog(size_t rows)
+{
+    using driftlog::ValueType;
+    Rng rng(51);
+    Table t(driftlog::Schema({{"weather", ValueType::kString},
+                              {"location", ValueType::kString},
+                              {"device_id", ValueType::kString},
+                              {"device_model", ValueType::kString},
+                              {"drift", ValueType::kBool}}));
+    for (size_t i = 0; i < rows; ++i) {
+        size_t device = rng.index(112);
+        size_t w = rng.index(4);
+        t.append({Value("w" + std::to_string(w)),
+                  Value("l" + std::to_string(rng.index(7))),
+                  Value("android_" + std::to_string(device)),
+                  Value("model_" + std::to_string(device % 4)),
+                  Value(rng.bernoulli(w != 0 ? 0.7 : 0.2))});
+    }
+    return t;
+}
+
+TEST_F(FimBitmap, CandidateCounterMatchesTheAttributeSetGenerator)
+{
+    // At 160k rows every device id (1/112 < 1%) is infrequent, so the
+    // 15 frequent singles give 4*7 + 4*4 + 7*4 = 72 pairs and
+    // 4*7*4 = 112 triples — a deterministic work count, the same at
+    // any thread count.
+    Table t = benchShapedLog(160000);
+    RcaConfig config;
+    config.attributeColumns = {"weather", "location", "device_id",
+                               "device_model"};
+    Fim fim(t, config);
+    obs::Counter &candidates =
+        obs::Registry::global().counter("rca.fim.candidates");
+    for (size_t threads : {1u, 4u}) {
+        runtime::setThreads(threads);
+        const uint64_t before = candidates.value();
+        std::vector<RankedCause> causes = fim.mine();
+        EXPECT_EQ(candidates.value() - before, 72u + 112u);
+        EXPECT_EQ(attributeSetCandidates(causes, config), 72u + 112u);
     }
 }
 

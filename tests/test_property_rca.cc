@@ -5,11 +5,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <set>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "paper_example.h"
 #include "rca/analyzer.h"
 #include "runtime/thread_pool.h"
@@ -21,6 +23,7 @@ using driftlog::Schema;
 using driftlog::Table;
 using driftlog::Value;
 using driftlog::ValueType;
+using testing::attributeSetCandidates;
 using testing::causesText;
 using testing::goldenConfig;
 using testing::goldenLog;
@@ -396,13 +399,198 @@ TEST_F(RcaDeterminism, FullAnalysisMatchesGoldenCauses)
 {
     Table t = goldenLog(9000);
     Analyzer analyzer(goldenConfig());
+    for (const auto &variant : count_kernel::hostVariants()) {
+        count_kernel::ScopedVariant pin(variant);
+        for (size_t threads : {1u, 4u}) {
+            runtime::setThreads(threads);
+            AnalysisResult result =
+                analyzer.analyze(t, AnalysisMode::kFull);
+            EXPECT_EQ(result.associations.size(), 5u);
+            EXPECT_EQ(result.fimTable.size(), 209u);
+            EXPECT_EQ(causesText(result.rootCauses), kGoldenCauses)
+                << variant.isa << " threads=" << threads;
+        }
+    }
+}
+
+// ---- Slot-tuple candidates vs the row-scan miner ---------------------
+
+/** A quiet NaN carrying @p payload (sign bit set when @p negative). */
+double
+nanWithPayload(uint64_t payload, bool negative = false)
+{
+    uint64_t bits = 0x7ff8000000000000ULL | payload;
+    if (negative)
+        bits |= 0x8000000000000000ULL;
+    return std::bit_cast<double>(bits);
+}
+
+/** The attribute-column kinds of the differential tables. */
+enum class CellKind { kString, kDouble, kWidened, kInt };
+
+/**
+ * Cell @p i of a column of @p kind; cell 0 is NULL. Double cells cycle
+ * through NaN payloads, both zeros and both infinities; a widened
+ * column gets int cells (widened at append) and the doubles they
+ * widen to, so two cell numbers can name one dictionary entry.
+ */
+Value
+oddCell(CellKind kind, size_t i)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double doubles[] = {nanWithPayload(1), nanWithPayload(2),
+                              nanWithPayload(1, true), 0.0, -0.0,
+                              inf, -inf, 2.5};
+    if (i == 0)
+        return Value();
+    switch (kind) {
+      case CellKind::kString:
+        return Value(i == 1 ? std::string() : "s" + std::to_string(i));
+      case CellKind::kDouble:
+        return Value(doubles[(i - 1) % 8]);
+      case CellKind::kWidened:
+        return i % 2 ? Value(static_cast<int64_t>(i))
+                     : Value(static_cast<double>(i - 1));
+      case CellKind::kInt:
+        return Value(static_cast<int64_t>(i) - 3);
+    }
+    return Value();
+}
+
+/** One differential case: a seeded table and the thresholds. */
+struct OddCase
+{
+    Table table;
+    RcaConfig config;
+};
+
+/**
+ * 3-6 attribute columns of random kinds and cardinalities, skewed cell
+ * draws (so the occurrence thresholds split frequent from rare), drift
+ * tied to the first column, maxAttributes 1-4, minOccurrence 0, 0.01
+ * or 0.2, and 0-9,000 rows (the word and chunk edges included).
+ */
+OddCase
+oddCase(uint64_t seed)
+{
+    Rng rng(seed);
+    const size_t ncols = 3 + rng.index(4);
+    std::vector<driftlog::ColumnDef> specs;
+    std::vector<CellKind> kinds;
+    std::vector<size_t> cards;
+    RcaConfig config;
+    for (size_t c = 0; c < ncols; ++c) {
+        kinds.push_back(static_cast<CellKind>(rng.index(4)));
+        cards.push_back(1 + rng.index(7));
+        const std::string name = "a" + std::to_string(c);
+        specs.push_back({name, kinds.back() == CellKind::kString
+                                   ? ValueType::kString
+                               : kinds.back() == CellKind::kInt
+                                   ? ValueType::kInt
+                                   : ValueType::kDouble});
+        config.attributeColumns.push_back(name);
+    }
+    specs.push_back({"drift", ValueType::kBool});
+    config.maxAttributes = 1 + rng.index(4);
+    const double occurrences[] = {0.0, 0.01, 0.2};
+    config.minOccurrence = occurrences[rng.index(3)];
+    const size_t edges[] = {0, 1, 63, 64, 65};
+    size_t rows = rng.bernoulli(0.3) ? edges[rng.index(5)]
+                                     : rng.index(9001);
+    // With no occurrence pruning every occurring set is a candidate;
+    // fewer rows keep the row-scan oracle's work small.
+    if (config.minOccurrence == 0.0)
+        rows = std::min<size_t>(rows, 600);
+
+    OddCase out{Table(Schema(specs)), config};
+    for (size_t r = 0; r < rows; ++r) {
+        driftlog::Row row;
+        size_t first = 0;
+        for (size_t c = 0; c < ncols; ++c) {
+            const size_t i = rng.index(rng.index(cards[c]) + 1);
+            first = c == 0 ? i : first;
+            row.push_back(oddCell(kinds[c], i));
+        }
+        row.push_back(Value(rng.bernoulli(first == 1 ? 0.7 : 0.25)));
+        out.table.append(std::move(row));
+    }
+    return out;
+}
+
+/**
+ * A fleet window's shape: ~900 rows over device (40), location (15),
+ * weather (8) and model (4) columns, so ~67 singles are frequent and
+ * each level has over a thousand candidates.
+ */
+OddCase
+fleetShapedCase(uint64_t seed)
+{
+    Rng rng(seed);
+    OddCase out{Table(Schema({{"device_id", ValueType::kString},
+                              {"location", ValueType::kString},
+                              {"weather", ValueType::kString},
+                              {"device_model", ValueType::kString},
+                              {"drift", ValueType::kBool}})),
+                RcaConfig{}};
+    out.config.attributeColumns = {"device_id", "location", "weather",
+                                   "device_model"};
+    for (size_t r = 0; r < 900; ++r) {
+        const size_t device = rng.index(40);
+        const size_t weather = rng.index(8);
+        out.table.append({Value("d" + std::to_string(device)),
+                          Value("l" + std::to_string(rng.index(15))),
+                          Value("w" + std::to_string(weather)),
+                          Value("m" + std::to_string(device % 4)),
+                          Value(rng.bernoulli(weather < 2 ? 0.8 : 0.2))});
+    }
+    return out;
+}
+
+/** mine() == mineReference() bit for bit, and the candidate counter
+ *  equals the AttributeSet generator's count. */
+void
+expectMinerMatchesReference(const OddCase &c)
+{
+    obs::Counter &candidates =
+        obs::Registry::global().counter("rca.fim.candidates");
+    Fim fim(c.table, c.config);
+    const uint64_t before = candidates.value();
+    std::vector<RankedCause> mined = fim.mine();
+    const uint64_t counted = candidates.value() - before;
+    std::vector<RankedCause> reference = fim.mineReference();
+    ASSERT_EQ(mined.size(), reference.size());
+    for (size_t i = 0; i < mined.size(); ++i)
+        expectBitIdentical(mined[i], reference[i]);
+    EXPECT_EQ(counted, attributeSetCandidates(reference, c.config));
+}
+
+TEST_F(RcaDeterminism, SlotCandidatesMatchRowScanOnOddTables)
+{
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+        OddCase c = oddCase(seed);
+        SCOPED_TRACE("seed=" + std::to_string(seed) + " rows=" +
+                     std::to_string(c.table.rowCount()) + " columns=" +
+                     std::to_string(c.config.attributeColumns.size()) +
+                     " maxAttributes=" +
+                     std::to_string(c.config.maxAttributes) +
+                     " minOccurrence=" +
+                     std::to_string(c.config.minOccurrence));
+        runtime::setThreads(seed % 2 ? 4 : 1);
+        expectMinerMatchesReference(c);
+    }
+}
+
+TEST_F(RcaDeterminism, SlotCandidatesMatchRowScanOnAFleetShapedWindow)
+{
+    OddCase c = fleetShapedCase(77);
+    size_t frequent = 0;
+    for (const auto &cause : Fim(c.table, c.config).mine())
+        frequent += cause.attrs.size() == 1 &&
+                    cause.metrics.occurrence >= c.config.minOccurrence;
+    EXPECT_GE(frequent, 60u);
     for (size_t threads : {1u, 4u}) {
         runtime::setThreads(threads);
-        AnalysisResult result = analyzer.analyze(t, AnalysisMode::kFull);
-        EXPECT_EQ(result.associations.size(), 5u);
-        EXPECT_EQ(result.fimTable.size(), 209u);
-        EXPECT_EQ(causesText(result.rootCauses), kGoldenCauses)
-            << "threads=" << threads;
+        expectMinerMatchesReference(c);
     }
 }
 
