@@ -63,11 +63,11 @@ benchEntry(int i)
     return e;
 }
 
-sim::Upload
+persist::UploadRecord
 benchUpload(const data::AppSpec &app, int i)
 {
     driftlog::DriftLogEntry e = benchEntry(i);
-    sim::Upload up;
+    persist::UploadRecord up;
     Rng rng(static_cast<uint64_t>(4000 + i));
     int label = static_cast<int>(rng.index(app.domain.numClasses()));
     up.features = app.domain.sample(label, rng);
@@ -168,8 +168,8 @@ main(int argc, char **argv)
         for (size_t i = start; i < count; ++i) {
             // A batch of one: one WAL sync per ingest, as a device
             // uplink without group commit would produce.
-            std::vector<sim::IngestMessage> one;
-            one.push_back(sim::IngestMessage{
+            std::vector<persist::IngestRecord> one;
+            one.push_back(persist::IngestRecord{
                 static_cast<int>(i % 16), static_cast<uint64_t>(i / 16),
                 benchEntry(static_cast<int>(i)),
                 benchUpload(app, static_cast<int>(i))});

@@ -201,7 +201,7 @@ runRecoveryPoint(size_t clients, size_t events_per_client)
                         first_ack_ms = ms;
                 });
                 for (size_t e = 0; e < events_per_client; ++e) {
-                    net::WireIngest m;
+                    persist::IngestRecord m;
                     m.device = 2000 + static_cast<int64_t>(c);
                     m.seq = e + 1;
                     m.entry.time = SimDate(

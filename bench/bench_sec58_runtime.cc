@@ -44,7 +44,7 @@ main(int argc, char **argv)
     for (int run = 0; run < 4; ++run) {
         sim::Cloud cloud(config, base);
         const size_t entries = 6000;
-        std::vector<sim::IngestMessage> batch;
+        std::vector<persist::IngestRecord> batch;
         batch.reserve(entries);
         for (size_t i = 0; i < entries; ++i) {
             size_t w = rng.index(4);
@@ -75,8 +75,8 @@ main(int argc, char **argv)
                 {driftlog::columns::kDeviceModel,
                  driftlog::Value(e.deviceModel)},
             });
-            batch.push_back(sim::IngestMessage{
-                -1, 0, e, sim::Upload{x, context, e.drift}});
+            batch.push_back(persist::IngestRecord{
+                -1, 0, e, persist::UploadRecord{x, context, e.drift}});
         }
         cloud.ingestBatchFrom(std::move(batch));
         sim::CycleResult cycle = cloud.runCycle(base.bnPatch());

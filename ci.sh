@@ -35,14 +35,16 @@ run_suite() {
 # Flake hunt: the socket/crash tests, the RCA determinism tests (bitmap
 # counts == row-scan oracle on every popcount variant, 1 thread == N),
 # the nn exactness tests (every gemm variant == plain loops, golden
-# logits, pool 1 == N) and the recovery tests (crash/disk-fault sweeps,
+# logits, pool 1 == N), the recovery tests (crash/disk-fault sweeps,
 # replay skip rule == plain replay, CRC and date kernels == their
-# oracles) must pass 20 runs in a row at both pool widths.
+# oracles) and the transport tests (channel delivery, wire decoders)
+# must pass 20 runs in a row at both pool widths.
 repeat_until_fail() {
     local build_dir="$1" label="$2"
     local tests='test_server|test_fim|test_property_rca|test_columnar'
     tests+='|test_matrix|test_property_nn|test_runtime'
     tests+='|test_persist|test_diskfault|test_sim_date'
+    tests+='|test_net|test_wire'
     for threads in 1 4; do
         echo "==== repeat-until-fail x20 ($label, NAZAR_THREADS=$threads) ===="
         NAZAR_THREADS="$threads" ctest --test-dir "$build_dir" \

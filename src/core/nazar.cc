@@ -44,14 +44,12 @@ Nazar::infer(int device_id, const data::StreamEvent &event)
     sim::InferenceOutcome out =
         dev.infer(event, scratch_, cleanPatch_, detector_);
 
-    std::optional<sim::Upload> upload;
+    std::vector<persist::IngestRecord> batch(1);
     if (rng_.bernoulli(config_.uploadSampleRate))
-        upload = sim::Upload{event.features, dev.contextFor(event),
-                             out.driftFlag};
-    std::vector<sim::IngestMessage> batch(1);
+        batch[0].upload = persist::UploadRecord{
+            event.features, dev.contextFor(event), out.driftFlag};
     batch[0].device = -1; // in-process: no retransmissions to dedup
     batch[0].entry = dev.makeLogEntry(event, out);
-    batch[0].upload = std::move(upload);
     cloud_->ingestBatchFrom(std::move(batch));
     ++entriesSinceCycle_;
 

@@ -22,11 +22,13 @@
  * de-duplicates retransmissions — at-least-once delivery plus a
  * bounded dedup window gives effectively-once counting.
  *
- * Pass-through mode (FaultConfig::anyFaults() == false) never touches
- * the fault RNG and delivers in exact send order: bit-identical to
- * not having a channel at all. All per-channel tallies are mirrored
- * into nazar::obs counters (`net.*`) and exposed as a plain `Stats`
- * struct for tests.
+ * There is one delivery path. With every probability at zero it
+ * delivers in exact send order: no draw fires (`bernoulli(0)` is
+ * never true), every arrival has latency 0, so the stable sort on
+ * (latency, send index) restores send order, and the draws come from
+ * the channel's own RNG, leaving every other stream untouched. All
+ * per-channel tallies are mirrored into nazar::obs counters (`net.*`)
+ * and exposed as a plain `Stats` struct for tests.
  *
  * The channel is intentionally single-threaded: the simulation emits
  * telemetry from one thread in event order (sim::Runner), so faulted
@@ -71,8 +73,7 @@ class Channel
 {
   public:
     Channel(const FaultConfig &config, size_t device_count)
-        : config_(config), faultsOn_(config.anyFaults()),
-          rng_(config.seed), queues_(device_count),
+        : config_(config), rng_(config.seed), queues_(device_count),
           nextSeq_(device_count, 0), offline_(device_count, 0),
           sent_(obs::Registry::global().counter("net.sent")),
           delivered_(obs::Registry::global().counter("net.delivered")),
@@ -118,8 +119,6 @@ class Channel
     void
     beginEpoch()
     {
-        if (!faultsOn_)
-            return;
         for (size_t d = 0; d < queues_.size(); ++d) {
             offline_[d] = rng_.bernoulli(config_.offlineProb) ? 1 : 0;
             if (offline_[d]) {
@@ -147,12 +146,6 @@ class Channel
         uint64_t seq = nextSeq_[device]++;
         ++stats_.sent;
         sent_.add(1);
-        if (!faultsOn_) {
-            ready_.push_back(
-                Arrival{0.0, sendIndex_++, device, seq,
-                        std::move(payload)});
-            return seq;
-        }
         auto &queue = queues_[device];
         if (config_.queueCapacity > 0 &&
             queue.size() >= config_.queueCapacity) {
@@ -176,17 +169,6 @@ class Channel
     void
     deliver(Sink &&sink)
     {
-        if (!faultsOn_) {
-            std::vector<Arrival> batch = std::move(ready_);
-            ready_.clear();
-            for (auto &a : batch) {
-                ++stats_.delivered;
-                delivered_.add(1);
-                invokeSink(sink, a);
-            }
-            return;
-        }
-
         size_t max_depth = 0;
         for (const auto &q : queues_)
             max_depth = std::max(max_depth, q.size());
@@ -263,8 +245,6 @@ class Channel
     bool
     deliverPush(size_t device)
     {
-        if (!faultsOn_)
-            return true;
         if (offline_[device] || rng_.bernoulli(config_.pushDropProb)) {
             ++stats_.pushDropped;
             pushDropped_.add(1);
@@ -277,7 +257,7 @@ class Channel
     size_t
     pendingCount() const
     {
-        size_t pending = delayed_.size() + ready_.size();
+        size_t pending = delayed_.size();
         for (const auto &q : queues_)
             pending += q.size();
         return pending;
@@ -293,7 +273,6 @@ class Channel
         for (auto &q : queues_)
             q.clear();
         delayed_.clear();
-        ready_.clear();
     }
 
   private:
@@ -357,13 +336,11 @@ class Channel
     }
 
     FaultConfig config_;
-    bool faultsOn_;
     Rng rng_;
     ChannelStats stats_;
     uint64_t sendIndex_ = 0;
 
-    std::vector<std::deque<Queued>> queues_; ///< Per-device, faulted.
-    std::vector<Arrival> ready_;             ///< Pass-through mode.
+    std::vector<std::deque<Queued>> queues_; ///< Per-device send queues.
     std::vector<Arrival> delayed_;           ///< Held to next round.
     std::vector<uint64_t> nextSeq_;
     std::vector<char> offline_;

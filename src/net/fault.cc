@@ -9,14 +9,6 @@
 
 namespace nazar::net {
 
-bool
-FaultConfig::anyFaults() const
-{
-    return dropProb > 0.0 || dupProb > 0.0 || delayProb > 0.0 ||
-           reorderProb > 0.0 || offlineProb > 0.0 || crashProb > 0.0 ||
-           pushDropProb > 0.0 || queueCapacity > 0;
-}
-
 double
 FaultConfig::backoffBeforeRetry(int attempt) const
 {

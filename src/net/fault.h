@@ -12,11 +12,10 @@
  * deterministically.
  *
  * Determinism contract:
- *  - A default-constructed `FaultConfig` (all probabilities zero) puts
- *    the channel in pass-through mode: no fault RNG is ever consumed
- *    and delivery order equals send order, so runs are bit-identical
- *    to a build without the net layer at any `NAZAR_THREADS`.
- *  - With faults on, every draw comes from a channel-owned Rng seeded
+ *  - A default-constructed `FaultConfig` (all probabilities zero)
+ *    never fires a fault: delivery order equals send order, so runs
+ *    are bit-identical to a perfect link at any `NAZAR_THREADS`.
+ *  - Every draw comes from a channel-owned Rng seeded
  *    by `seed` and consumed in a fixed order (devices ascending, then
  *    messages in send order), so a faulted run is reproducible from
  *    (workload seed, fault seed) alone and is independent of the
@@ -63,14 +62,6 @@ struct FaultConfig
 
     /** Fault RNG seed — an independent stream from the workload RNG. */
     uint64_t seed = 0x5eedf00dULL;
-
-    /**
-     * True when any fault can actually fire (a nonzero probability or
-     * a bounded queue, whose shedding is itself a fault source).
-     * False selects the pass-through channel (no RNG draws, delivery
-     * order == send order) — the bit-identity mode.
-     */
-    bool anyFaults() const;
 
     /** Capped exponential backoff before retry @p attempt (1-based). */
     double backoffBeforeRetry(int attempt) const;

@@ -81,7 +81,7 @@ IngestClient::handshake(bool want_resume)
 }
 
 bool
-IngestClient::sendIngest(const WireIngest &m)
+IngestClient::sendIngest(const persist::IngestRecord &m)
 {
     if (chaosOn_ && chaos_.dropProb > 0.0) {
         // A "lost send": retry up to the attempt cap, then give up —
@@ -146,7 +146,7 @@ IngestClient::sendIngest(const WireIngest &m)
             // the server's stage spans join the same trace. The root
             // span itself is recorded when the ack closes it (onAck).
             obs::TraceContext ctx = obs::newTraceContext();
-            WireIngest traced = m;
+            persist::IngestRecord traced = m;
             traced.traceId = ctx.traceId;
             traced.spanId = ctx.spanId;
             static obs::SpanSite encodeSite("net.client.encode");

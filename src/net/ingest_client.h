@@ -115,7 +115,7 @@ class IngestClient
      * when chaos gave the message up (it never reached the wire and
      * no ack will come). Throws NazarError if the server vanished.
      */
-    bool sendIngest(const WireIngest &m);
+    bool sendIngest(const persist::IngestRecord &m);
 
     /**
      * Run one analysis cycle remotely: drains outstanding acks, then
@@ -206,7 +206,7 @@ class IngestClient
      */
     struct Pending
     {
-        WireIngest msg;
+        persist::IngestRecord msg;
         /** Registration index: retransmits go out in original send
          *  order, so the restarted committer sees the same global
          *  arrival order the uncrashed run produced (drift-log rows

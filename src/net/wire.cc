@@ -186,7 +186,7 @@ StringDict::decode(Reader &r)
 }
 
 std::string
-encodeIngest(const WireIngest &m, StringDict &dict)
+encodeIngest(const persist::IngestRecord &m, StringDict &dict)
 {
     Writer w;
     w.putI64(m.device);
@@ -217,14 +217,14 @@ encodeIngest(const WireIngest &m, StringDict &dict)
     return w.take();
 }
 
-WireIngest
+persist::IngestRecord
 decodeIngest(const std::string &payload, StringDict &dict)
 {
     Reader r(payload);
-    WireIngest m;
+    persist::IngestRecord m;
     m.device = r.getI64();
-    // Device ids key the cloud's dedup windows (an int there); a
-    // negative id would be ingested without dedup.
+    // A negative id would be ingested without dedup; every sender's
+    // device ids fit an int.
     NAZAR_CHECK(m.device >= 0 &&
                     m.device <= std::numeric_limits<int>::max(),
                 "wire: device id out of range");
@@ -261,7 +261,7 @@ decodeIngest(const std::string &payload, StringDict &dict)
                 m.traceId = r.getU64();
                 m.spanId = r.getU64();
             } else {
-                r.skip(len); // Unknown tag: forward compatible.
+                r.skip(len); // Unknown tag: skipped by length.
             }
         }
     }
@@ -314,6 +314,7 @@ decodeHello(const std::string &payload)
     h.clientName = r.getString();
     if (!r.atEnd())
         h.wantResume = r.getBool();
+    NAZAR_CHECK(r.atEnd(), "wire: trailing bytes in kHello payload");
     return h;
 }
 
@@ -359,6 +360,7 @@ decodeHelloAck(const std::string &payload)
             h.resumeHighWater.emplace_back(device, highWater);
         }
     }
+    NAZAR_CHECK(r.atEnd(), "wire: trailing bytes in kHelloAck payload");
     return h;
 }
 
@@ -387,6 +389,7 @@ decodeCycleDone(const std::string &payload)
     c.adaptedSampleCount = r.getU64();
     if (r.getBool())
         c.cleanPatchText = r.getString();
+    NAZAR_CHECK(r.atEnd(), "wire: trailing bytes in kCycleDone payload");
     return c;
 }
 
@@ -406,6 +409,7 @@ decodeByeAck(const std::string &payload)
     WireByeAck b;
     b.totalIngested = r.getU64();
     b.dedupHits = r.getU64();
+    NAZAR_CHECK(r.atEnd(), "wire: trailing bytes in kByeAck payload");
     return b;
 }
 

@@ -34,22 +34,23 @@
  *
  * Extensions: a kIngest payload may end with an optional extension
  * block — [u8 extCount] then per extension [u8 tag][u32 len][bytes].
- * Decoders skip unknown tags (forward compatible: an old peer built
- * before a tag existed ignores it), and an absent block encodes
- * byte-identically to the pre-extension protocol, so extension-free
- * peers interoperate unchanged. Tag 1 (kExtTraceContext) carries the
- * obs trace context (u64 traceId + u64 spanId) so a device upload's
- * causal trace continues across the process boundary into the
- * server's reader and committer threads.
+ * Decoders skip unknown tags by length, and an absent block adds no
+ * bytes. Tag 1 (kExtTraceContext) carries the obs trace context (u64
+ * traceId + u64 spanId) so a device upload's causal trace continues
+ * across the process boundary into the server's reader and committer
+ * threads.
  *
  * kHello/kHelloAck use the same trailing-optional pattern for session
  * resume: a reconnecting client appends a `wantResume` bool to its
  * kHello, and the server answers with a resume block of recovered
  * per-device high-water seqs on the kHelloAck. Both are encoded only
  * when present (fresh sessions never carry them), so fault-free runs
- * stay byte-identical to the pre-resume protocol; decoders built
- * before the fields existed never read past their known prefix, so
- * old/new peers interoperate.
+ * put the same bytes on the wire as a protocol without resume.
+ *
+ * Every decoder rejects a payload with bytes left over after its last
+ * (trailing-optional) field: the protocol has only ever had one
+ * version, so an unknown suffix is a malformed frame, not a newer
+ * peer.
  *
  * String interning: device ids, locations, weather strings and
  * attribute columns repeat in almost every kIngest payload, so each
@@ -162,22 +163,18 @@ class StringDict
 /** kIngest extension tags (see the extension-block format above). */
 inline constexpr uint8_t kExtTraceContext = 1;
 
-/** One kIngest payload: one sim::IngestMessage, in persist types. */
-struct WireIngest
-{
-    int64_t device = 0;
-    uint64_t seq = 0;
-    driftlog::DriftLogEntry entry;
-    std::optional<persist::UploadRecord> upload;
-    /** Causal trace context (obs::TraceContext ids; 0 = untraced).
-     *  Only encoded when traceId != 0 — untraced payloads are
-     *  byte-identical to the extension-free protocol. */
-    uint64_t traceId = 0;
-    uint64_t spanId = 0;
-};
+/** Old name of persist::IngestRecord, kept only because nazarbench/ is
+ *  frozen (its runs stay comparable across commits) and still uses it. */
+using WireIngest = persist::IngestRecord;
 
-std::string encodeIngest(const WireIngest &m, StringDict &dict);
-WireIngest decodeIngest(const std::string &payload, StringDict &dict);
+/**
+ * One kIngest payload. The trace ids are encoded only when
+ * traceId != 0, so an untraced payload is byte-identical to the
+ * extension-free format.
+ */
+std::string encodeIngest(const persist::IngestRecord &m, StringDict &dict);
+persist::IngestRecord decodeIngest(const std::string &payload,
+                                   StringDict &dict);
 
 /** One kAck payload. */
 struct WireAck

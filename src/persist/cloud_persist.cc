@@ -21,47 +21,46 @@ blobKey(int64_t id, const char *kind)
     return "versions/" + std::to_string(id) + "/" + kind;
 }
 
+/** Decode one kIngest payload (the inverse of encodeIngest). */
+IngestRecord
+decodeIngest(Reader &r)
+{
+    uint8_t flags = r.getU8();
+    IngestRecord rec;
+    rec.device = r.getI64();
+    NAZAR_CHECK(((flags & kFlagFromDevice) != 0) == (rec.device >= 0),
+                "persist: ingest record device flag mismatch");
+    rec.seq = r.getU64();
+    rec.entry = getEntry(r);
+    if (flags & kFlagHasUpload)
+        rec.upload = getUpload(r);
+    return rec;
+}
+
 /**
- * Replay one ingest attempt with the same dedup semantics as Cloud.
- * The record is decoded in full (every bounds check) and dedup-checked
- * either way; @p materialize false means a later clear discards the
- * row, so an accepted row is only counted, not appended.
+ * Replay one ingest attempt through the same DedupWindow::accept as
+ * Cloud. The record is decoded in full (every bounds check) and
+ * dedup-checked either way; @p materialize false means a later clear
+ * discards the row, so an accepted row is only counted, not appended.
  */
 void
 replayIngest(RecoveredState &st, Reader &r, size_t dedup_window,
              bool materialize)
 {
-    uint8_t flags = r.getU8();
-    int64_t device = r.getI64();
-    uint64_t seq = r.getU64();
-    driftlog::DriftLogEntry entry = getEntry(r);
-    std::optional<UploadRecord> upload;
-    if (flags & kFlagHasUpload)
-        upload = getUpload(r);
-
-    if (flags & kFlagFromDevice) {
-        DedupWindow &window = st.dedup[device];
-        auto it = std::lower_bound(window.seen.begin(),
-                                   window.seen.end(), seq);
-        if (seq < window.floor ||
-            (it != window.seen.end() && *it == seq)) {
-            ++st.dedupHits;
-            return;
-        }
-        window.seen.insert(it, seq);
-        while (window.seen.size() > dedup_window) {
-            window.floor = window.seen.front() + 1;
-            window.seen.erase(window.seen.begin());
-        }
+    IngestRecord rec = decodeIngest(r);
+    if (rec.device >= 0 &&
+        !st.dedup[rec.device].accept(rec.seq, dedup_window)) {
+        ++st.dedupHits;
+        return;
     }
     ++st.totalIngested;
     if (!materialize) {
         ++st.elidedRows;
         return;
     }
-    st.log.add(entry);
-    if (upload.has_value())
-        st.uploads.push_back(std::move(*upload));
+    st.log.add(rec.entry);
+    if (rec.upload.has_value())
+        st.uploads.push_back(std::move(*rec.upload));
 }
 
 void
@@ -412,30 +411,21 @@ CloudPersistence::append(WalRecordType type, const std::string &payload)
 }
 
 std::string
-CloudPersistence::encodeIngest(int64_t device, uint64_t seq,
-                               const driftlog::DriftLogEntry &entry,
-                               const std::vector<double> *features,
-                               const rca::AttributeSet *context,
-                               bool drift_flag)
+CloudPersistence::encodeIngest(const IngestRecord &rec)
 {
     Writer w;
     uint8_t flags = 0;
-    if (features != nullptr)
+    if (rec.upload.has_value())
         flags |= kFlagHasUpload;
-    if (device >= 0)
+    if (rec.device >= 0)
         flags |= kFlagFromDevice;
     w.putU8(flags);
-    w.putI64(device);
-    w.putU64(seq);
-    putEntry(w, entry);
-    if (features != nullptr) {
-        w.putU64(features->size());
-        for (double f : *features)
-            w.putF64(f);
-        putAttributeSet(w, *context);
-        w.putBool(drift_flag);
-    }
-    return w.bytes();
+    w.putI64(rec.device);
+    w.putU64(rec.seq);
+    putEntry(w, rec.entry);
+    if (rec.upload.has_value())
+        putUpload(w, *rec.upload);
+    return w.take();
 }
 
 void

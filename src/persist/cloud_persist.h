@@ -174,14 +174,12 @@ class CloudPersistence
 
     /**
      * Encode one ingest attempt as a kIngest payload for
-     * logIngestBatch. @p device is -1 for a row exempt from dedup;
-     * @p features is null when the entry carries no upload.
+     * logIngestBatch (the trace ids are not written):
+     *
+     *     [u8 flags: 1 = has upload, 2 = from device]
+     *     [i64 device][u64 seq][entry][upload, when present]
      */
-    static std::string encodeIngest(int64_t device, uint64_t seq,
-                                    const driftlog::DriftLogEntry &entry,
-                                    const std::vector<double> *features,
-                                    const rca::AttributeSet *context,
-                                    bool drift_flag);
+    static std::string encodeIngest(const IngestRecord &rec);
 
     /**
      * Log ingest attempts (WAL-first: call before applying). Group

@@ -123,16 +123,36 @@ driftlog::DriftLogEntry getEntry(Reader &r);
 void putDriftLog(Writer &w, const driftlog::DriftLog &log);
 driftlog::DriftLog getDriftLog(Reader &r);
 
-/** Mirror of sim::Upload, kept here so persist doesn't depend on sim. */
+/** A sampled raw input uploaded with a drift-log entry. */
 struct UploadRecord
 {
     std::vector<double> features;
-    rca::AttributeSet context;
-    bool driftFlag = false;
+    rca::AttributeSet context; ///< Device context at inference time.
+    bool driftFlag = false;    ///< The on-device detector's verdict.
 };
 
 void putUpload(Writer &w, const UploadRecord &u);
 UploadRecord getUpload(Reader &r);
+
+/**
+ * One ingest attempt, the same struct from device to disk: the
+ * runner's uplink channel, the wire's kIngest payload, the server's
+ * committer queue, Cloud::ingestBatchFrom and the WAL's kIngest
+ * record. @p seq is the sender's per-device monotone sequence number;
+ * a negative @p device marks a row exempt from dedup (an in-process
+ * emitter with no retransmissions).
+ */
+struct IngestRecord
+{
+    int64_t device = 0;
+    uint64_t seq = 0;
+    driftlog::DriftLogEntry entry;
+    std::optional<UploadRecord> upload;
+    /** Causal trace context (obs::TraceContext ids; 0 = untraced).
+     *  Carried on the wire only, never written to the WAL. */
+    uint64_t traceId = 0;
+    uint64_t spanId = 0;
+};
 
 } // namespace nazar::persist
 

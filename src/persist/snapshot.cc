@@ -1,5 +1,6 @@
 #include "persist/snapshot.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -86,6 +87,20 @@ writeFileAtomic(const fs::path &tmp, const fs::path &final,
 
 } // namespace
 
+bool
+DedupWindow::accept(uint64_t seq, size_t capacity)
+{
+    auto it = std::lower_bound(seen.begin(), seen.end(), seq);
+    if (seq < floor || (it != seen.end() && *it == seq))
+        return false;
+    seen.insert(it, seq);
+    while (seen.size() > capacity) {
+        floor = seen.front() + 1;
+        seen.pop_front();
+    }
+    return true;
+}
+
 std::string
 encodeSnapshot(const SnapshotData &data)
 {
@@ -142,9 +157,17 @@ decodeSnapshot(const std::string &payload)
         uint64_t seen = r.getU64();
         NAZAR_CHECK(seen * 8 <= r.remaining(),
                     "persist: dedup window exceeds snapshot");
-        window.seen.reserve(static_cast<size_t>(seen));
-        for (uint64_t s = 0; s < seen; ++s)
-            window.seen.push_back(r.getU64());
+        for (uint64_t s = 0; s < seen; ++s) {
+            uint64_t seq = r.getU64();
+            // The live window binary-searches `seen`: adopt only a
+            // strictly ascending window at or above its floor.
+            NAZAR_CHECK(seq >= window.floor &&
+                            (window.seen.empty() ||
+                             seq > window.seen.back()),
+                        "persist: dedup window not strictly ascending "
+                        "above its floor");
+            window.seen.push_back(seq);
+        }
         data.dedup.emplace(device, std::move(window));
     }
     uint64_t blobs = r.getU64();

@@ -15,6 +15,7 @@
 #define NAZAR_PERSIST_SNAPSHOT_H
 
 #include <cstdint>
+#include <deque>
 #include <filesystem>
 #include <map>
 #include <optional>
@@ -27,13 +28,29 @@
 
 namespace nazar::persist {
 
-/** One per-device dedup window (mirror of Cloud::DedupState). */
+/**
+ * One device's dedup window: the only dedup logic, shared by the live
+ * cloud (Cloud::ingestBatchFrom) and WAL replay, so both reproduce the
+ * same verdicts and the same window.
+ */
 struct DedupWindow
 {
+    /** Everything below this was pruned from the window and is
+     *  assumed already ingested (conservative: rejected). */
     uint64_t floor = 0;
-    std::vector<uint64_t> seen; ///< Ascending sequence numbers.
+    /** Sequence numbers still retained, strictly ascending and all
+     *  >= floor. A deque: pruning pops the front in O(1). */
+    std::deque<uint64_t> seen;
 
     bool operator==(const DedupWindow &other) const = default;
+
+    /**
+     * Run @p seq through the window. Returns false on a duplicate
+     * (below the floor or already seen); otherwise admits it, then
+     * prunes the oldest seqs (raising the floor past them) while more
+     * than @p capacity are retained.
+     */
+    bool accept(uint64_t seq, size_t capacity);
 
     /**
      * Highest sequence number this window accounts for: with

@@ -20,7 +20,7 @@ namespace {
  *  client was untraced — stage spans then become standalone roots,
  *  recorded into the histograms either way). */
 obs::TraceContext
-ingestContext(const net::WireIngest &m)
+ingestContext(const persist::IngestRecord &m)
 {
     return {m.traceId, m.spanId};
 }
@@ -475,12 +475,11 @@ IngestServer::committerLoop()
 void
 IngestServer::commitBatch(std::vector<WorkItem> &batch)
 {
-    // Stage sites for the per-item latency decomposition. Batch-level
-    // intervals (convert, commit) are observed once per item: every
+    // Stage sites for the per-item latency decomposition. The
+    // batch-level commit interval is observed once per item: every
     // item in a group commit waits for the whole batch, so the batch
     // interval IS that item's stage latency.
     static obs::SpanSite queueWaitSite("server.queue_wait");
-    static obs::SpanSite convertSite("server.convert");
     static obs::SpanSite commitSite("server.commit");
     static obs::SpanSite ackSite("server.ack");
     static obs::Counter &ingested =
@@ -508,32 +507,19 @@ IngestServer::commitBatch(std::vector<WorkItem> &batch)
         obs::recordSpan(queueWaitSite, item.enqueueTime, tDequeue,
                         ingestContext(item.ingest));
 
-    // The entry and upload move over: after this the items keep only
-    // what the acks and spans need (connection, device, seq, trace).
-    std::vector<sim::IngestMessage> msgs;
-    msgs.reserve(batch.size());
-    for (auto &item : batch) {
-        sim::IngestMessage m;
-        m.device = static_cast<int>(item.ingest.device);
-        m.seq = item.ingest.seq;
-        m.entry = std::move(item.ingest.entry);
-        if (item.ingest.upload.has_value()) {
-            sim::Upload up;
-            up.features = std::move(item.ingest.upload->features);
-            up.context = std::move(item.ingest.upload->context);
-            up.driftFlag = item.ingest.upload->driftFlag;
-            m.upload = std::move(up);
-        }
-        msgs.push_back(std::move(m));
-    }
-    auto tConverted = std::chrono::steady_clock::now();
-    std::vector<bool> accepted = cloud_.ingestBatchFrom(std::move(msgs));
+    // Each record moves into the cloud whole. Device, seq and the
+    // trace ids are scalars, so the moved-from items still carry what
+    // the acks and spans need.
+    std::vector<persist::IngestRecord> records;
+    records.reserve(batch.size());
+    for (auto &item : batch)
+        records.push_back(std::move(item.ingest));
+    std::vector<bool> accepted =
+        cloud_.ingestBatchFrom(std::move(records));
     auto tCommitted = std::chrono::steady_clock::now();
-    for (const auto &item : batch) {
-        obs::TraceContext ctx = ingestContext(item.ingest);
-        obs::recordSpan(convertSite, tDequeue, tConverted, ctx);
-        obs::recordSpan(commitSite, tConverted, tCommitted, ctx);
-    }
+    for (const auto &item : batch)
+        obs::recordSpan(commitSite, tDequeue, tCommitted,
+                        ingestContext(item.ingest));
 
     // One write per connection: each connection's acks, in batch
     // order, go out as one buffer. The queue is FIFO and the committer

@@ -66,16 +66,17 @@
  *
  * Latency attribution: every kIngest's path through the server is
  * decomposed into stage spans — `server.read.decode` (reader),
- * `server.queue_wait` (enqueue → committer dequeue), `server.convert`
- * (wire → sim message conversion), `server.commit` (the whole
- * Cloud::ingestBatchFrom call: dedup, drift-log append, WAL encode,
- * write and sync), `server.ack` (commit end → end of the write that
- * carried the item's ack) — recorded per item into obs histograms,
- * parented to the trace context the frame carried (net/wire.h
- * kExtTraceContext) when present. Batch stages (convert, commit) are
- * observed once per item at the batch's interval: every item in a
- * group commit waits for the whole batch, so per-item stage sums
- * approximate that item's end-to-end latency. The WAL's own
+ * `server.queue_wait` (enqueue → committer dequeue), `server.commit`
+ * (dequeue → end of the Cloud::ingestBatchFrom call: dedup,
+ * drift-log append, WAL encode, write and sync), `server.ack` (commit
+ * end → end of the write that carried the item's ack) — recorded per
+ * item into obs histograms, parented to the trace context the frame
+ * carried (net/wire.h kExtTraceContext) when present. The reader
+ * decodes straight into the persist::IngestRecord the cloud and the
+ * WAL take, so nothing is converted on the committer. The batch stage
+ * (commit) is observed once per item at the batch's interval: every
+ * item in a group commit waits for the whole batch, so per-item stage
+ * sums approximate that item's end-to-end latency. The WAL's own
  * `persist.wal.sync` span (persist/wal.cc) times just the sync inside
  * the commit.
  */
@@ -226,7 +227,7 @@ class IngestServer
         enum class Kind : uint8_t { kIngest, kCycle, kFlush, kBye };
         Kind kind = Kind::kIngest;
         std::shared_ptr<Conn> conn;
-        net::WireIngest ingest;     ///< kIngest only.
+        persist::IngestRecord ingest; ///< kIngest only.
         std::string cleanPatchText; ///< kCycle only.
         /** When the reader enqueued it; the committer's dequeue time
          *  minus this is the item's `server.queue_wait` stage. */

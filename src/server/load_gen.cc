@@ -28,10 +28,10 @@ const char *const kWeather[] = {"sunny", "rain", "fog", "snow"};
 
 /** Deterministic synthetic event e for client c — no RNG, so the
  *  stream is identical run to run regardless of chaos draws. */
-net::WireIngest
+persist::IngestRecord
 syntheticEvent(const LoadConfig &config, int client, int e)
 {
-    net::WireIngest m;
+    persist::IngestRecord m;
     m.device = 1000 + client;
     m.seq = static_cast<uint64_t>(e) + 1;
     m.entry.time = SimDate(e / 288, (e % 288) * 300);
@@ -95,7 +95,7 @@ driveClient(const LoadConfig &config, int index, std::latch &connected,
             inFlight.erase(it);
         });
         for (int e = 0; e < config.eventsPerClient; ++e) {
-            net::WireIngest m = syntheticEvent(config, index, e);
+            persist::IngestRecord m = syntheticEvent(config, index, e);
             uint64_t seq = m.seq;
             auto t0 = Clock::now();
             if (client.sendIngest(m))
@@ -194,8 +194,8 @@ const std::vector<std::string> &
 ingestStageNames()
 {
     static const std::vector<std::string> names = {
-        "server.read.decode", "server.queue_wait", "server.convert",
-        "server.commit",      "server.ack",
+        "server.read.decode", "server.queue_wait", "server.commit",
+        "server.ack",
     };
     return names;
 }

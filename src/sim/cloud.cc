@@ -32,18 +32,8 @@ void
 Cloud::adoptRecovered(persist::RecoveredState &st)
 {
     driftLog_ = std::move(st.log);
-    uploads_.clear();
-    uploads_.reserve(st.uploads.size());
-    for (auto &up : st.uploads)
-        uploads_.push_back(Upload{std::move(up.features),
-                                  std::move(up.context), up.driftFlag});
-    dedup_.clear();
-    for (auto &[device, window] : st.dedup) {
-        DedupState state;
-        state.floor = window.floor;
-        state.seen.insert(window.seen.begin(), window.seen.end());
-        dedup_[static_cast<int>(device)] = std::move(state);
-    }
+    uploads_ = std::move(st.uploads);
+    dedup_ = std::move(st.dedup);
     dedupHits_ = st.dedupHits;
     totalIngested_ = st.totalIngested;
     nextVersionId_ = st.nextVersionId;
@@ -65,30 +55,11 @@ Cloud::adoptRecovered(persist::RecoveredState &st)
     }
 }
 
-bool
-Cloud::dedupAcceptLocked(int device, uint64_t seq)
+std::vector<bool>
+Cloud::ingestBatchFrom(std::vector<persist::IngestRecord> batch)
 {
     static obs::Counter &dedup_hits =
         obs::Registry::global().counter("net.dedup_hits");
-    if (device < 0)
-        return true;
-    DedupState &state = dedup_[device];
-    if (seq < state.floor || state.seen.count(seq) > 0) {
-        ++dedupHits_;
-        dedup_hits.add(1);
-        return false;
-    }
-    state.seen.insert(seq);
-    while (state.seen.size() > config_.ingestDedupWindow) {
-        state.floor = *state.seen.begin() + 1;
-        state.seen.erase(state.seen.begin());
-    }
-    return true;
-}
-
-std::vector<bool>
-Cloud::ingestBatchFrom(std::vector<IngestMessage> batch)
-{
     static obs::Counter &rows =
         obs::Registry::global().counter("sim.ingest.rows");
     static obs::Counter &uploads =
@@ -109,21 +80,19 @@ Cloud::ingestBatchFrom(std::vector<IngestMessage> batch)
         // touched.
         std::vector<std::string> payloads;
         payloads.reserve(batch.size());
-        for (const auto &m : batch) {
-            const auto *up = m.upload ? &*m.upload : nullptr;
-            payloads.push_back(persist::CloudPersistence::encodeIngest(
-                m.device, m.seq, m.entry,
-                up ? &up->features : nullptr,
-                up ? &up->context : nullptr,
-                up ? up->driftFlag : false));
-        }
+        for (const auto &m : batch)
+            payloads.push_back(persist::CloudPersistence::encodeIngest(m));
         persist_->logIngestBatch(payloads);
     }
     std::lock_guard<std::mutex> lk(ingestMutex_);
     for (size_t i = 0; i < batch.size(); ++i) {
         auto &m = batch[i];
-        if (!dedupAcceptLocked(m.device, m.seq))
+        if (m.device >= 0 &&
+            !dedup_[m.device].accept(m.seq, config_.ingestDedupWindow)) {
+            ++dedupHits_;
+            dedup_hits.add(1);
             continue;
+        }
         rows.add(1);
         driftLog_.add(m.entry);
         ++totalIngested_;
@@ -138,7 +107,7 @@ Cloud::ingestBatchFrom(std::vector<IngestMessage> batch)
 }
 
 data::Dataset
-Cloud::uploadsMatching(const std::vector<Upload> &uploads,
+Cloud::uploadsMatching(const std::vector<persist::UploadRecord> &uploads,
                        const rca::AttributeSet &cause)
 {
     data::DatasetBuilder builder;
@@ -149,7 +118,7 @@ Cloud::uploadsMatching(const std::vector<Upload> &uploads,
 }
 
 data::Dataset
-Cloud::cleanUploads(const std::vector<Upload> &uploads,
+Cloud::cleanUploads(const std::vector<persist::UploadRecord> &uploads,
                     const std::vector<rca::RankedCause> &causes)
 {
     data::DatasetBuilder builder;
@@ -250,7 +219,7 @@ Cloud::runCycle(const nn::BnPatch &clean_patch)
     // Claiming is also the archival step, so record the counts now —
     // analysis never loses rows, only transport can.
     driftlog::DriftLog log;
-    std::vector<Upload> uploads;
+    std::vector<persist::UploadRecord> uploads;
     {
         std::lock_guard<std::mutex> lk(ingestMutex_);
         log = std::move(driftLog_);
@@ -394,14 +363,7 @@ std::map<int64_t, persist::DedupWindow>
 Cloud::dedupSnapshot() const
 {
     std::lock_guard<std::mutex> lk(ingestMutex_);
-    std::map<int64_t, persist::DedupWindow> out;
-    for (const auto &[device, state] : dedup_) {
-        persist::DedupWindow window;
-        window.floor = state.floor;
-        window.seen.assign(state.seen.begin(), state.seen.end());
-        out[device] = std::move(window);
-    }
-    return out;
+    return dedup_;
 }
 
 void
@@ -456,16 +418,8 @@ Cloud::writeSnapshotLocked()
     data.totalIngested = totalIngested_;
     data.dedupHits = dedupHits_;
     data.driftLog = driftLog_; // encoded as its dictionary columns
-    data.uploads.reserve(uploads_.size());
-    for (const auto &up : uploads_)
-        data.uploads.push_back(
-            persist::UploadRecord{up.features, up.context, up.driftFlag});
-    for (const auto &[device, state] : dedup_) {
-        persist::DedupWindow window;
-        window.floor = state.floor;
-        window.seen.assign(state.seen.begin(), state.seen.end());
-        data.dedup[device] = std::move(window);
-    }
+    data.uploads = uploads_;
+    data.dedup = dedup_;
     for (const auto &key : blobStore_.list())
         data.blobs.emplace_back(key, blobStore_.get(key));
     data.cleanPatchText = lastCleanPatchText_;

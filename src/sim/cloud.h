@@ -12,7 +12,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "adapt/tent.h"
@@ -25,26 +24,13 @@
 
 namespace nazar::sim {
 
-/** A sampled raw-input upload accompanying a drift-log entry. */
-struct Upload
-{
-    std::vector<double> features;
-    rca::AttributeSet context; ///< Device context at inference time.
-    bool driftFlag = false;    ///< The on-device detector's verdict.
-};
+/** Old name of persist::UploadRecord, kept only because nazarbench/ is
+ *  frozen (its runs stay comparable across commits) and still uses it. */
+using Upload = persist::UploadRecord;
 
-/**
- * One ingest attempt: a drift-log entry, optionally its sampled input,
- * and the sender's (device, seq). A negative @p device marks a row
- * exempt from dedup (an in-process emitter with no retransmissions).
- */
-struct IngestMessage
-{
-    int device = 0;
-    uint64_t seq = 0;
-    driftlog::DriftLogEntry entry;
-    std::optional<Upload> upload;
-};
+/** Old name of persist::IngestRecord, kept only because nazarbench/ is
+ *  frozen (its runs stay comparable across commits) and still uses it. */
+using IngestMessage = persist::IngestRecord;
 
 /** Cloud-side configuration. */
 struct CloudConfig
@@ -125,7 +111,8 @@ class Cloud
      * order the batch themselves. Returns per-message acceptance
      * (false = dedup hit).
      */
-    std::vector<bool> ingestBatchFrom(std::vector<IngestMessage> batch);
+    std::vector<bool> ingestBatchFrom(
+        std::vector<persist::IngestRecord> batch);
 
     /**
      * Run one analysis + by-cause adaptation cycle over the entries
@@ -235,23 +222,6 @@ class Cloud
     const CloudConfig &config() const { return config_; }
 
   private:
-    /** Per-device dedup window for the idempotent ingest path. */
-    struct DedupState
-    {
-        /** Sequence numbers still retained for duplicate detection. */
-        std::set<uint64_t> seen;
-        /** Everything below this was pruned from the window and is
-         *  assumed already ingested (conservative: rejected). */
-        uint64_t floor = 0;
-    };
-
-    /**
-     * Run one (device, seq) through the dedup window (ingestMutex_
-     * held). Returns false on a duplicate; true admits the seq into
-     * the window. A negative device is never a duplicate.
-     */
-    bool dedupAcceptLocked(int device, uint64_t seq);
-
     /** Adopt the state a CloudPersistence recovered at open. */
     void adoptRecovered(persist::RecoveredState &st);
 
@@ -265,12 +235,12 @@ class Cloud
 
     /** Collect uploads whose context matches a cause. */
     static data::Dataset uploadsMatching(
-        const std::vector<Upload> &uploads,
+        const std::vector<persist::UploadRecord> &uploads,
         const rca::AttributeSet &cause);
 
     /** Uploads not matching any accepted cause and not drift-flagged. */
     static data::Dataset cleanUploads(
-        const std::vector<Upload> &uploads,
+        const std::vector<persist::UploadRecord> &uploads,
         const std::vector<rca::RankedCause> &causes);
 
     CloudConfig config_;
@@ -278,8 +248,8 @@ class Cloud
     /** Guards driftLog_, uploads_, dedup_, dedupHits_, totalIngested_. */
     mutable std::mutex ingestMutex_;
     driftlog::DriftLog driftLog_;
-    std::vector<Upload> uploads_;
-    std::map<int, DedupState> dedup_;
+    std::vector<persist::UploadRecord> uploads_;
+    std::map<int64_t, persist::DedupWindow> dedup_;
     size_t dedupHits_ = 0;
     deploy::BlobStore blobStore_;
     deploy::ModelRegistry registry_{blobStore_};

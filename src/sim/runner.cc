@@ -21,13 +21,6 @@ namespace nazar::sim {
 
 namespace {
 
-/** One device→cloud telemetry message (drift row + sampled input). */
-struct UplinkPayload
-{
-    driftlog::DriftLogEntry entry;
-    std::optional<Upload> upload;
-};
-
 /**
  * Shard-local accumulator for one chunk of devices: the per-window
  * counters plus the run-wide per-corruption tallies. Shards fill these
@@ -251,10 +244,12 @@ Runner::run()
     detect::MspDetector detector(config_.mspThreshold);
 
     // All device→cloud telemetry and cloud→device version pushes go
-    // through one unreliable channel. With the default FaultConfig the
-    // channel is a pass-through (no fault RNG, delivery order == send
-    // order), keeping this loop bit-identical to the pre-net runner.
-    net::Channel<UplinkPayload> uplink(config_.faults, devices.size());
+    // through one unreliable channel. With the default FaultConfig no
+    // fault fires and delivery order == send order; the fault draws
+    // come from the channel's own RNG, so the workload stream and this
+    // loop's output are those of a perfect link.
+    net::Channel<persist::IngestRecord> uplink(config_.faults,
+                                               devices.size());
     static obs::Gauge &stale_gauge =
         obs::Registry::global().gauge("fleet.stale_devices");
     int64_t latest_pushed = 0;
@@ -290,7 +285,28 @@ Runner::run()
     static obs::Counter &disk_fault_counter =
         obs::Registry::global().counter("sim.cloud.disk_fault_rebuilds");
     int64_t cycles_done = cloud ? cloud->logicalTime() : 0;
-    auto rebuild_cloud = [&](bool disk_fault = false) {
+    // survive() runs one cloud operation. If the cloud dies in it
+    // (injected crash or latched disk fault), it rebuilds the cloud
+    // and returns false; with @p rerun the operation then runs once
+    // more on the rebuilt cloud (for idempotent ones), otherwise the
+    // caller recovers itself. @p stage, when set, names the operation
+    // in the log line.
+    auto survive = [&](const char *stage, bool rerun, auto &&op) {
+        bool disk_fault = false;
+        try {
+            op();
+            return true;
+        } catch (const persist::CrashInjected &crash) {
+            if (stage != nullptr)
+                logInfo() << "cloud crash injected at " << crash.site()
+                          << " (hit " << crash.hit() << ") during "
+                          << stage;
+        } catch (const persist::DiskFault &fault) {
+            if (stage != nullptr)
+                logInfo() << "cloud disk fault latched at "
+                          << fault.site() << " during " << stage;
+            disk_fault = true;
+        }
         CloudConfig recover_config = cloud_config;
         recover_config.persist.fault = {};
         cloud.reset(); // release the WAL handle before reopening
@@ -305,6 +321,9 @@ Runner::run()
             ++result.cloudCrashes;
             crash_counter.add(1);
         }
+        if (rerun)
+            op();
+        return false;
     };
 
     Rng sample_rng = rng.fork();
@@ -408,56 +427,36 @@ Runner::run()
             const InferenceOutcome &out = outcomes[i];
             const Device &device =
                 devices[static_cast<size_t>(ev.deviceId)];
-            std::optional<Upload> upload;
+            persist::IngestRecord record;
+            record.entry = device.makeLogEntry(ev, out);
             if (do_upload[i]) {
-                upload = Upload{ev.features, device.contextFor(ev),
-                                out.driftFlag};
+                record.upload = persist::UploadRecord{
+                    ev.features, device.contextFor(ev), out.driftFlag};
             }
             uplink.send(static_cast<size_t>(ev.deviceId),
-                        UplinkPayload{device.makeLogEntry(ev, out),
-                                      std::move(upload)});
+                        std::move(record));
         }
-        std::vector<IngestMessage> delivered;
+        std::vector<persist::IngestRecord> delivered;
         uplink.deliver([&](size_t device, uint64_t seq,
-                           UplinkPayload &&payload) {
+                           persist::IngestRecord &&record) {
+            record.device = static_cast<int64_t>(device);
+            record.seq = seq;
             if (remote) {
                 // Same idempotent (device, seq) contract, over the
                 // wire; the server's dedup window does the rejecting
                 // and the acks reconcile at the next barrier.
-                net::WireIngest m;
-                m.device = static_cast<int64_t>(device);
-                m.seq = seq;
-                m.entry = std::move(payload.entry);
-                if (payload.upload.has_value()) {
-                    persist::UploadRecord up;
-                    up.features = std::move(payload.upload->features);
-                    up.context = std::move(payload.upload->context);
-                    up.driftFlag = payload.upload->driftFlag;
-                    m.upload = std::move(up);
-                }
-                remote->sendIngest(m);
+                remote->sendIngest(record);
                 return;
             }
-            delivered.push_back(IngestMessage{
-                static_cast<int>(device), seq, std::move(payload.entry),
-                std::move(payload.upload)});
+            delivered.push_back(std::move(record));
         });
         // The window's surviving telemetry is one group-committed
         // batch. If the cloud dies in it, the rows that reached the
         // WAL come back with the rebuild; the rest are lost in flight.
         if (!delivered.empty()) {
-            try {
+            survive("ingest", /*rerun=*/false, [&] {
                 cloud->ingestBatchFrom(std::move(delivered));
-            } catch (const persist::CrashInjected &crash) {
-                logInfo() << "cloud crash injected at "
-                          << crash.site() << " (hit " << crash.hit()
-                          << ") during ingest";
-                rebuild_cloud();
-            } catch (const persist::DiskFault &fault) {
-                logInfo() << "cloud disk fault latched at "
-                          << fault.site() << " during ingest";
-                rebuild_cloud(/*disk_fault=*/true);
-            }
+            });
         }
 
         // ---- Window boundary: run the strategy's adaptation ----------
@@ -498,23 +497,10 @@ Runner::run()
                 return std::move(cycle.newVersions);
             };
             const int64_t pre_cycle_next = cloud->nextVersionId();
-            bool cycle_died = false;
-            bool cycle_disk_fault = false;
-            try {
-                new_versions = apply_cycle(cloud->runCycle(clean_patch));
-            } catch (const persist::CrashInjected &crash) {
-                logInfo() << "cloud crash injected at "
-                          << crash.site() << " (hit " << crash.hit()
-                          << ") during cycle";
-                cycle_died = true;
-            } catch (const persist::DiskFault &fault) {
-                logInfo() << "cloud disk fault latched at "
-                          << fault.site() << " during cycle";
-                cycle_died = true;
-                cycle_disk_fault = true;
-            }
-            if (cycle_died) {
-                rebuild_cloud(cycle_disk_fault);
+            if (!survive("cycle", /*rerun=*/false, [&] {
+                    new_versions =
+                        apply_cycle(cloud->runCycle(clean_patch));
+                })) {
                 if (cloud->logicalTime() > cycles_done) {
                     // The commit record survived, so the cycle is
                     // durable. The in-memory analysis summary died
@@ -566,14 +552,10 @@ Runner::run()
                     min_seen =
                         std::min(min_seen, device.lastSeenVersion());
                 if (min_seen > 0) {
-                    try {
+                    survive(nullptr, /*rerun=*/false, [&] {
                         result.registryGcEvicted +=
                             cloud->gcRegistryBelow(min_seen);
-                    } catch (const persist::CrashInjected &) {
-                        rebuild_cloud();
-                    } catch (const persist::DiskFault &) {
-                        rebuild_cloud(/*disk_fault=*/true);
-                    }
+                    });
                 }
             }
             break;
@@ -582,16 +564,9 @@ Runner::run()
             // Adapt the single model on every upload of the window,
             // continuing from its current state.
             data::Dataset all = cloud->allUploads();
-            try {
-                cloud->flush();
-            } catch (const persist::CrashInjected &) {
-                rebuild_cloud();
-                cloud->flush(); // idempotent: replay already cleared
-                                // or restored, and this clears again
-            } catch (const persist::DiskFault &) {
-                rebuild_cloud(/*disk_fault=*/true);
-                cloud->flush();
-            }
+            // Idempotent: replay already cleared or restored the
+            // buffers, and a re-run clears them again.
+            survive(nullptr, /*rerun=*/true, [&] { cloud->flush(); });
             if (all.size() >= cloud_config.minAdaptSamples) {
                 NAZAR_SPAN_BEGIN(adapt_span, "sim.adapt_all");
                 adapt::TentAdapter tent(cloud_config.adapt);
@@ -605,15 +580,7 @@ Runner::run()
           }
           case Strategy::kNoAdapt:
             // Telemetry still arrives; nothing is done with it.
-            try {
-                cloud->flush();
-            } catch (const persist::CrashInjected &) {
-                rebuild_cloud();
-                cloud->flush();
-            } catch (const persist::DiskFault &) {
-                rebuild_cloud(/*disk_fault=*/true);
-                cloud->flush();
-            }
+            survive(nullptr, /*rerun=*/true, [&] { cloud->flush(); });
             break;
         }
 
@@ -622,17 +589,8 @@ Runner::run()
     // Leave a clean state directory behind: one final snapshot, so a
     // later process (or `nazar_ops recover`) starts from the snapshot
     // instead of a long WAL replay.
-    if (config_.persist.enabled()) {
-        try {
-            cloud->checkpoint();
-        } catch (const persist::CrashInjected &) {
-            rebuild_cloud();
-            cloud->checkpoint();
-        } catch (const persist::DiskFault &) {
-            rebuild_cloud(/*disk_fault=*/true);
-            cloud->checkpoint();
-        }
-    }
+    if (config_.persist.enabled())
+        survive(nullptr, /*rerun=*/true, [&] { cloud->checkpoint(); });
     if (remote) {
         // Orderly end of session; the ByeAck tallies reconcile what
         // the server accepted against what this client sent.

@@ -37,10 +37,10 @@ struct RunnerConfig
     double mspThreshold = 0.9;     ///< On-device detector threshold.
     size_t poolCapacity = 0;       ///< Device pool cap (0 = unbounded).
     /**
-     * Device↔cloud transport faults. The default (all zeros) selects
-     * the pass-through channel and is bit-identical to a run without
-     * the net layer; with faults on, the run is reproducible from
-     * (seed, faults.seed) at any NAZAR_THREADS setting.
+     * Device↔cloud transport faults. The default (all zeros) fires
+     * no fault and is bit-identical to a run over a perfect link; the
+     * run is reproducible from (seed, faults.seed) at any
+     * NAZAR_THREADS setting.
      */
     net::FaultConfig faults;
     /**

@@ -83,13 +83,13 @@ entry(int i)
     return e;
 }
 
-inline std::optional<sim::Upload>
+inline std::optional<persist::UploadRecord>
 upload(int i)
 {
     if (i % 4 == 3)
         return std::nullopt; // some entries arrive without a sample
     driftlog::DriftLogEntry e = entry(i);
-    sim::Upload up;
+    persist::UploadRecord up;
     Rng rng(static_cast<uint64_t>(1000 + i));
     int label = static_cast<int>(rng.index(app().domain.numClasses()));
     up.features = app().domain.sample(label, rng);
@@ -113,11 +113,11 @@ inline const char *const kEnvSites[] = {
 };
 
 /** Entry @p i from @p device (-1: exempt from dedup) as a batch of one. */
-inline std::vector<sim::IngestMessage>
+inline std::vector<persist::IngestRecord>
 batch(int device, uint64_t seq, int i)
 {
-    std::vector<sim::IngestMessage> one;
-    one.push_back(sim::IngestMessage{device, seq, entry(i), upload(i)});
+    std::vector<persist::IngestRecord> one;
+    one.push_back(persist::IngestRecord{device, seq, entry(i), upload(i)});
     return one;
 }
 

@@ -1,10 +1,11 @@
 /**
  * @file
  * Plain reference implementations for the durability tests: a CRC32
- * computed one bit at a time, and a recovery that replays every record
- * of the snapshot chain and the live WAL and materializes every row
- * (no skip rule), built on the public decoders only. test_persist
- * compares persist::crc32 and persist::recoverDir with them.
+ * computed one bit at a time, the std::set dedup window, and a
+ * recovery that replays every record of the snapshot chain and the
+ * live WAL and materializes every row (no skip rule), built on the
+ * public decoders only. test_persist compares persist::crc32,
+ * DedupWindow::accept and persist::recoverDir with them.
  */
 #ifndef NAZAR_TESTS_PERSIST_ORACLE_H
 #define NAZAR_TESTS_PERSIST_ORACLE_H
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -37,6 +39,39 @@ crc32Bitwise(const void *data, size_t len)
     }
     return crc ^ 0xFFFFFFFFu;
 }
+
+/**
+ * The per-device dedup window as sim::Cloud kept it before
+ * DedupWindow::accept: a std::set of retained seqs plus a floor.
+ * Reject when seq < floor or already retained; otherwise insert, then
+ * prune the smallest while more than @p capacity are retained.
+ */
+struct SetDedupWindow
+{
+    std::set<uint64_t> seen;
+    uint64_t floor = 0;
+
+    bool
+    accept(uint64_t seq, size_t capacity)
+    {
+        if (seq < floor || seen.count(seq) > 0)
+            return false;
+        seen.insert(seq);
+        while (seen.size() > capacity) {
+            floor = *seen.begin() + 1;
+            seen.erase(seen.begin());
+        }
+        return true;
+    }
+
+    uint64_t
+    highWater() const
+    {
+        if (!seen.empty())
+            return *seen.rbegin();
+        return floor > 0 ? floor - 1 : 0;
+    }
+};
 
 /** Apply one record exactly as written: every row is materialized. */
 inline void

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the unreliable-transport layer: fault configuration,
- * pass-through bit-identity mode, retry/backoff/give-up, duplication,
+ * fault-free send-order delivery, retry/backoff/give-up, duplication,
  * delay carry-over, reorder, bounded-queue shedding, offline/crash
  * epochs, downlink push drops, and seed reproducibility.
  */
@@ -39,24 +39,6 @@ drain(Channel<int> &channel)
         out.push_back({device, seq, payload});
     });
     return out;
-}
-
-TEST(FaultConfig, AnyFaultsDetectsEveryKnob)
-{
-    EXPECT_FALSE(FaultConfig{}.anyFaults());
-    auto one = [](auto set) {
-        FaultConfig c;
-        set(c);
-        return c.anyFaults();
-    };
-    EXPECT_TRUE(one([](FaultConfig &c) { c.dropProb = 0.1; }));
-    EXPECT_TRUE(one([](FaultConfig &c) { c.dupProb = 0.1; }));
-    EXPECT_TRUE(one([](FaultConfig &c) { c.delayProb = 0.1; }));
-    EXPECT_TRUE(one([](FaultConfig &c) { c.reorderProb = 0.1; }));
-    EXPECT_TRUE(one([](FaultConfig &c) { c.offlineProb = 0.1; }));
-    EXPECT_TRUE(one([](FaultConfig &c) { c.crashProb = 0.1; }));
-    EXPECT_TRUE(one([](FaultConfig &c) { c.pushDropProb = 0.1; }));
-    EXPECT_TRUE(one([](FaultConfig &c) { c.queueCapacity = 4; }));
 }
 
 TEST(FaultConfig, BackoffIsCappedExponential)
@@ -252,9 +234,10 @@ TEST(Channel, CloudIngestAcceptsTheOriginalOnADupDraw)
     }
     channel.deliver([&](size_t device, uint64_t seq,
                         driftlog::DriftLogEntry &&entry, bool is_dup) {
-        std::vector<sim::IngestMessage> one;
-        one.push_back(sim::IngestMessage{static_cast<int>(device), seq,
-                                         std::move(entry), std::nullopt});
+        std::vector<persist::IngestRecord> one;
+        one.push_back(persist::IngestRecord{static_cast<int64_t>(device),
+                                            seq, std::move(entry),
+                                            std::nullopt});
         bool accepted = cloud.ingestBatchFrom(std::move(one))[0];
         EXPECT_EQ(accepted, !is_dup)
             << "seq " << seq << ": dedup admitted the duplicate";
@@ -265,7 +248,7 @@ TEST(Channel, CloudIngestAcceptsTheOriginalOnADupDraw)
 
 TEST(Channel, ShutdownCountsQueuedDelayedAndReadyAsUndelivered)
 {
-    // Pass-through: sends sit in the ready list until delivered.
+    // Fault-free: sends sit in the device queue until delivered.
     Channel<int> ready_only(FaultConfig{}, 1);
     ready_only.send(0, 1);
     ready_only.send(0, 2);

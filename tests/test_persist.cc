@@ -655,6 +655,103 @@ TEST(DriftLogColumns, CsvCarryingFullSnapshotIsRefused)
     EXPECT_FALSE(scrubStateDir(dir.path).ok);
 }
 
+TEST(SnapshotTest, DedupWindowOutOfOrderIsRefused)
+{
+    // The live window binary-searches `seen`, so a full snapshot whose
+    // window is not strictly ascending at or above its floor must be
+    // refused, even when the chain file's CRC is valid.
+    const std::vector<DedupWindow> bad = {
+        DedupWindow{2, {9, 5}},  // descending
+        DedupWindow{2, {5, 5}},  // repeated
+        DedupWindow{10, {5, 12}}, // below the floor
+    };
+    for (size_t i = 0; i < bad.size(); ++i) {
+        SnapshotData data = sampleSnapshot();
+        data.dedup[3] = bad[i];
+        std::string payload = encodeSnapshot(data);
+        EXPECT_THROW(decodeSnapshot(payload), NazarError) << i;
+
+        TempDir dir("unsorted_dedup_" + std::to_string(i));
+        Env env;
+        ChainHeader header;
+        header.kind = ChainKind::kFull;
+        header.id = 1;
+        writeChainFile(dir.path, header, payload, env);
+        ASSERT_TRUE(loadChainFile(dir.path / chainFileName(
+                                              1, ChainKind::kFull))
+                        .has_value())
+            << "the CRC must be valid: the window is what is refused";
+        EXPECT_THROW(recoverDir(dir.path), NazarError) << i;
+        PersistConfig config;
+        config.dir = dir.path.string();
+        EXPECT_THROW(CloudPersistence(config, 8), NazarError) << i;
+    }
+}
+
+// ---- the dedup window ---------------------------------------------
+
+/**
+ * A seeded stream of seqs mixing in-order, reordered (jumps ahead,
+ * filled in later), duplicated (recently sent again) and stale (far
+ * below the newest, often under the floor) arrivals.
+ */
+std::vector<uint64_t>
+dedupStream(uint64_t seed, size_t length)
+{
+    Rng rng(seed);
+    std::vector<uint64_t> out;
+    uint64_t next = 0;
+    for (size_t i = 0; i < length; ++i) {
+        double r = rng.uniform();
+        if (r < 0.5 || out.empty()) {
+            out.push_back(next++);
+        } else if (r < 0.7) {
+            out.push_back(next + rng.index(8)); // ahead of order
+        } else if (r < 0.85) {
+            size_t back = std::min<size_t>(out.size(), 16);
+            out.push_back(out[out.size() - 1 - rng.index(back)]);
+        } else {
+            out.push_back(rng.index(static_cast<size_t>(next) + 1));
+        }
+    }
+    return out;
+}
+
+TEST(DedupWindowDifferential, AcceptMatchesTheSetModel)
+{
+    for (size_t capacity : {size_t{1}, size_t{4}, size_t{4096}}) {
+        for (uint64_t seed = 1; seed <= 4; ++seed) {
+            DedupWindow window;
+            oracle::SetDedupWindow model;
+            size_t steps = capacity == 4096 ? 12000 : 2000;
+            std::vector<uint64_t> stream = dedupStream(seed, steps);
+            size_t accepted = 0;
+            for (size_t i = 0; i < stream.size(); ++i) {
+                uint64_t seq = stream[i];
+                bool got = window.accept(seq, capacity);
+                bool want = model.accept(seq, capacity);
+                accepted += want ? 1 : 0;
+                ASSERT_EQ(got, want) << "capacity " << capacity
+                                     << " seed " << seed << " step " << i
+                                     << " seq " << seq;
+                ASSERT_EQ(window.floor, model.floor) << "step " << i;
+                ASSERT_EQ(window.highWater(), model.highWater())
+                    << "step " << i;
+                ASSERT_TRUE(std::equal(window.seen.begin(),
+                                       window.seen.end(),
+                                       model.seen.begin(),
+                                       model.seen.end()))
+                    << "capacity " << capacity << " seed " << seed
+                    << " step " << i;
+            }
+            // Every kind of verdict happened, and the window filled.
+            EXPECT_GT(accepted, 0u);
+            EXPECT_LT(accepted, stream.size());
+            EXPECT_GT(window.floor, 0u) << "capacity " << capacity;
+        }
+    }
+}
+
 // ---- crash faults ---------------------------------------------------
 
 TEST(EnvCrashTest, TornWriteLeavesExactlyHalfTheBytes)
@@ -926,11 +1023,8 @@ class ScriptedDir
     void
     ingest(int64_t device, uint64_t seq, int i)
     {
-        std::optional<sim::Upload> up = script::upload(i);
         p_->logIngestBatch({CloudPersistence::encodeIngest(
-            device, seq, script::entry(i),
-            up ? &up->features : nullptr, up ? &up->context : nullptr,
-            up.has_value() && up->driftFlag)});
+            {device, seq, script::entry(i), script::upload(i)})});
     }
 
     void

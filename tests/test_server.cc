@@ -178,7 +178,7 @@ TEST_F(ServerTest, FlushArchivesBuffersAndByeReportsTallies)
     {
         net::IngestClient client(server.port());
         for (int i = 0; i < 10; ++i) {
-            net::WireIngest m;
+            persist::IngestRecord m;
             m.device = 5;
             m.seq = static_cast<uint64_t>(i) + 1;
             m.entry.time = SimDate(i, 0);
@@ -217,7 +217,7 @@ TEST_F(ServerTest, GarbageBytesDropTheConnectionNotTheServer)
     // A well-behaved client on the same server still works.
     {
         net::IngestClient client(server.port());
-        net::WireIngest m;
+        persist::IngestRecord m;
         m.device = 1;
         m.seq = 1;
         m.entry.deviceId = "dev-1";
@@ -240,7 +240,7 @@ TEST_F(ServerTest, AcksCoalesceIntoOneWritePerConnectionPerBatch)
     constexpr int kClients = 2;
     constexpr int kEvents = 120;
     auto send = [](net::IngestClient &client, int c, int e) {
-        net::WireIngest m;
+        persist::IngestRecord m;
         m.device = 100 + c;
         m.seq = static_cast<uint64_t>(e) + 1;
         m.entry.time = SimDate(e, 0);
@@ -894,7 +894,7 @@ TEST_F(ServerTest, MidFrameServerDeathSurfacesCleanlyThenResumes)
     };
     auto sendThree = [](net::IngestClient &client) {
         for (int i = 0; i < 3; ++i) {
-            net::WireIngest m;
+            persist::IngestRecord m;
             m.device = 7;
             m.seq = static_cast<uint64_t>(i) + 1;
             m.entry.time = SimDate(i, 0);
@@ -968,7 +968,7 @@ TEST_F(ServerTest, SilentConnectionIsReapedByTheReceiveDeadline)
     // A live client on the same server is unaffected by the reap.
     {
         net::IngestClient client(server.port());
-        net::WireIngest m;
+        persist::IngestRecord m;
         m.device = 1;
         m.seq = 1;
         m.entry.deviceId = "dev-1";

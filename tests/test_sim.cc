@@ -136,10 +136,12 @@ class CloudTest : public QuietLogs
 /** One message through the batch path; true when it was accepted. */
 bool
 ingestOne(Cloud &cloud, int device, uint64_t seq,
-          const driftlog::DriftLogEntry &entry, std::optional<Upload> upload)
+          const driftlog::DriftLogEntry &entry,
+          std::optional<persist::UploadRecord> upload)
 {
-    std::vector<IngestMessage> one;
-    one.push_back(IngestMessage{device, seq, entry, std::move(upload)});
+    std::vector<persist::IngestRecord> one;
+    one.push_back(
+        persist::IngestRecord{device, seq, entry, std::move(upload)});
     return cloud.ingestBatchFrom(std::move(one))[0];
 }
 
@@ -178,7 +180,8 @@ TEST_F(CloudTest, CycleFindsPlantedCauseAndAdapts)
             {driftlog::columns::kDeviceModel,
              driftlog::Value(e.deviceModel)},
         });
-        ingestOne(cloud, -1, 0, e, Upload{x, context, e.drift});
+        ingestOne(cloud, -1, 0, e,
+                  persist::UploadRecord{x, context, e.drift});
     }
     EXPECT_EQ(cloud.driftLog().size(), 300u);
     EXPECT_EQ(cloud.uploadCount(), 300u);
@@ -246,7 +249,8 @@ TEST_F(CloudTest, FlushArchivesWithoutAnalysis)
     e.deviceModel = "pixel_6";
     e.location = "tibet";
     e.weather = "clear-day";
-    ingestOne(cloud, -1, 0, e, Upload{{1.0, 2.0}, {}, false});
+    ingestOne(cloud, -1, 0, e,
+              persist::UploadRecord{{1.0, 2.0}, {}, false});
     EXPECT_EQ(cloud.allUploads().size(), 1u);
     cloud.flush();
     EXPECT_EQ(cloud.uploadCount(), 0u);
@@ -325,8 +329,8 @@ TEST_F(CloudTest, ConcurrentIngestAndReadersAreSafe)
         writers.emplace_back([&, w] {
             for (int i = 0; i < kPerWriter; ++i)
                 ingestOne(cloud, w, static_cast<uint64_t>(i),
-                                 plainEntry(i),
-                                 Upload{{1.0, 2.0}, {}, false});
+                          plainEntry(i),
+                          persist::UploadRecord{{1.0, 2.0}, {}, false});
         });
     std::thread reader([&] {
         size_t sink = 0;
@@ -373,9 +377,9 @@ TEST_F(CloudTest, FlushRecordsArchivedCountsInObs)
     uint64_t ups0 = ups.value();
     for (int i = 0; i < 5; ++i)
         ingestOne(cloud, -1, 0, plainEntry(i),
-                     i < 2 ? std::optional<Upload>(
-                                 Upload{{1.0, 2.0}, {}, false})
-                           : std::nullopt);
+                  i < 2 ? std::optional<persist::UploadRecord>(
+                              persist::UploadRecord{{1.0, 2.0}, {}, false})
+                        : std::nullopt);
     cloud.flush();
     EXPECT_EQ(rows.value() - rows0, 5u);
     EXPECT_EQ(ups.value() - ups0, 2u);

@@ -165,10 +165,10 @@ TEST(StringDict, OutOfRangeIdIsRejected)
     EXPECT_THROW(dec.decode(r), NazarError);
 }
 
-WireIngest
+persist::IngestRecord
 sampleIngest(bool with_upload)
 {
-    WireIngest m;
+    persist::IngestRecord m;
     m.device = 42;
     m.seq = 7;
     m.entry.time = SimDate(33, 4521);
@@ -194,9 +194,9 @@ TEST(WireIngest, RoundTripsThroughTheDictIncludingNaN)
 {
     StringDict enc, dec;
     for (bool with_upload : {true, false}) {
-        WireIngest in = sampleIngest(with_upload);
+        persist::IngestRecord in = sampleIngest(with_upload);
         std::string bytes = encodeIngest(in, enc);
-        WireIngest out = decodeIngest(bytes, dec);
+        persist::IngestRecord out = decodeIngest(bytes, dec);
         EXPECT_EQ(out.device, in.device);
         EXPECT_EQ(out.seq, in.seq);
         EXPECT_EQ(out.entry.time.dayIndex(), 33);
@@ -225,11 +225,11 @@ TEST(WireIngest, TraceContextRoundTripsAndZeroIdsStayByteIdentical)
 {
     // With a trace context, the ids survive the round trip.
     StringDict enc, dec;
-    WireIngest in = sampleIngest(true);
+    persist::IngestRecord in = sampleIngest(true);
     in.traceId = 0xDEADBEEFCAFEF00DULL;
     in.spanId = 42;
     std::string bytes = encodeIngest(in, enc);
-    WireIngest out = decodeIngest(bytes, dec);
+    persist::IngestRecord out = decodeIngest(bytes, dec);
     EXPECT_EQ(out.traceId, in.traceId);
     EXPECT_EQ(out.spanId, in.spanId);
     EXPECT_EQ(out.device, in.device);
@@ -240,11 +240,11 @@ TEST(WireIngest, TraceContextRoundTripsAndZeroIdsStayByteIdentical)
     // goes on the wire — and decodes with zero ids.
     StringDict enc2, enc3, dec2;
     std::string plain = encodeIngest(sampleIngest(true), enc2);
-    WireIngest zero = sampleIngest(true);
+    persist::IngestRecord zero = sampleIngest(true);
     zero.traceId = 0;
     zero.spanId = 99; // ignored without a trace id
     EXPECT_EQ(encodeIngest(zero, enc3), plain);
-    WireIngest plain_out = decodeIngest(plain, dec2);
+    persist::IngestRecord plain_out = decodeIngest(plain, dec2);
     EXPECT_EQ(plain_out.traceId, 0u);
     EXPECT_EQ(plain_out.spanId, 0u);
 }
@@ -266,7 +266,7 @@ TEST(WireIngest, UnknownExtensionTagsAreSkippedForwardCompatibly)
     w.putU32(16);
     w.putU64(1234);
     w.putU64(5678);
-    WireIngest out = decodeIngest(w.take(), dec);
+    persist::IngestRecord out = decodeIngest(w.take(), dec);
     EXPECT_EQ(out.device, 42);
     EXPECT_EQ(out.traceId, 1234u);
     EXPECT_EQ(out.spanId, 5678u);
@@ -286,7 +286,7 @@ TEST(WireIngest, UnknownExtensionTagsAreSkippedForwardCompatibly)
 TEST(WireIngest, DeviceIdOutsideTheDedupKeyRangeIsRejected)
 {
     for (int64_t device : {int64_t{-1}, int64_t{1} << 40}) {
-        WireIngest in = sampleIngest(false);
+        persist::IngestRecord in = sampleIngest(false);
         in.device = device;
         StringDict enc;
         StringDict dec;
@@ -399,6 +399,47 @@ TEST(WireMessages, ResumeFieldsRoundTripAndAddNoBytesWhenAbsent)
     // kBusy round trip.
     WireBusy busy{17};
     EXPECT_EQ(decodeBusy(encodeBusy(busy)).queueDepth, 17u);
+}
+
+// Every decoder rejects one byte appended after its last field; each
+// message is encoded with all its trailing optionals present, so the
+// extra byte cannot read as one of them.
+TEST(WireMessages, HelloRejectsTrailingBytes)
+{
+    WireHello hello;
+    hello.clientName = "runner";
+    hello.wantResume = true;
+    std::string bytes = encodeHello(hello);
+    EXPECT_TRUE(decodeHello(bytes).wantResume);
+    EXPECT_THROW(decodeHello(bytes + "x"), NazarError);
+}
+
+TEST(WireMessages, HelloAckRejectsTrailingBytes)
+{
+    WireHelloAck ack;
+    ack.cleanPatchText = "patch";
+    ack.cleanPatchTime = 3;
+    ack.resumeHighWater = {{7, 12}};
+    std::string bytes = encodeHelloAck(ack);
+    EXPECT_EQ(decodeHelloAck(bytes).resumeHighWater.size(), 1u);
+    EXPECT_THROW(decodeHelloAck(bytes + "x"), NazarError);
+}
+
+TEST(WireMessages, CycleDoneRejectsTrailingBytes)
+{
+    WireCycleDone done;
+    done.versionCount = 1;
+    done.cleanPatchText = "clean";
+    std::string bytes = encodeCycleDone(done);
+    EXPECT_EQ(decodeCycleDone(bytes).versionCount, 1u);
+    EXPECT_THROW(decodeCycleDone(bytes + "x"), NazarError);
+}
+
+TEST(WireMessages, ByeAckRejectsTrailingBytes)
+{
+    std::string bytes = encodeByeAck(WireByeAck{100, 4});
+    EXPECT_EQ(decodeByeAck(bytes).totalIngested, 100u);
+    EXPECT_THROW(decodeByeAck(bytes + "x"), NazarError);
 }
 
 TEST(FrameParser, FuzzRegressionThrowsButNeverCrashesOrHangs)
