@@ -122,7 +122,7 @@ main(int argc, char **argv)
     std::printf("  \"bench\": \"fault_sweep\",\n");
     std::printf("  \"quick\": %s,\n", quick ? "true" : "false");
     std::printf("  %s,\n", bench::hostMetaJson().c_str());
-    std::printf("  \"windows\": %zu,\n", config.windows);
+    std::printf("  \"windows\": %d,\n", config.windows);
     std::printf("  \"results\": [\n");
     for (size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];

@@ -53,7 +53,10 @@ repeat_until_fail() {
 }
 
 if [ "$DO_RELEASE" = 1 ]; then
-    cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release
+    # -Werror=format: a printf argument that does not match its
+    # conversion fails the build instead of scrolling past.
+    cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release \
+        -DCMAKE_CXX_FLAGS=-Werror=format
     cmake --build build-ci -j "$JOBS"
     # The nn library is built with -ffp-contract=off: a fused
     # multiply-add rounds once where the gemm kernel's contract (and
@@ -72,6 +75,16 @@ if [ "$DO_RELEASE" = 1 ]; then
         objdump -d build-ci/src/rca/libnazar_rca.a > build-ci/nazar_rca.dis
         grep -q -w popcnt build-ci/nazar_rca.dis || {
             echo "libnazar_rca.a has no popcnt instruction" >&2; exit 1; }
+        # Likewise the CRC32 folding kernel, compiled under
+        # [[gnu::target("pclmul,sse4.1")]] with no -mpclmul: objdump
+        # spells pclmulqdq by its immediate (pclmullqlqdq, ...).
+        echo "==== dispatched pclmul CRC32 in libnazar_persist.a (Release) ===="
+        objdump -d build-ci/src/persist/libnazar_persist.a \
+            > build-ci/nazar_persist.dis
+        grep -q -E '\bpclmul(qdq|[lh]q[lh]qdq)\b' \
+            build-ci/nazar_persist.dis || {
+            echo "libnazar_persist.a has no pclmulqdq instruction" >&2
+            exit 1; }
     fi
     run_suite build-ci
     repeat_until_fail build-ci Release
@@ -118,6 +131,23 @@ if [ "$DO_RELEASE" = 1 ]; then
         python3 -c "import json,sys; json.load(open(sys.argv[1]))" \
             build-ci/metrics.json
     fi
+    # Work counters repeat exactly: two runs of the same sim at four
+    # pool threads print the same `counters:` block. The chunk
+    # caller/worker split depends on scheduling and is printed in its
+    # own table after it.
+    echo "==== sim counters repeat exactly (Release, NAZAR_THREADS=4) ===="
+    for run in 1 2; do
+        NAZAR_THREADS=4 ./build-ci/tools/nazar_ops sim 2 \
+            > "build-ci/sim_counters_$run.log"
+        awk '/^counters:/ { f = 1 }
+             /^scheduling-dependent counters:/ { f = 0 }
+             f' "build-ci/sim_counters_$run.log" \
+            > "build-ci/sim_counters_$run.txt"
+    done
+    [ -s build-ci/sim_counters_1.txt ] || {
+        echo "sim counters: no counters block" >&2; exit 1; }
+    diff build-ci/sim_counters_1.txt build-ci/sim_counters_2.txt || {
+        echo "sim counters: two runs differ" >&2; exit 1; }
     # Chaos smoke: a short e2e sim over a lossy channel must still
     # complete, dedup retransmissions, and hold the documented
     # accuracy floor (clean drifted accuracy is ~0.84 at this scale;

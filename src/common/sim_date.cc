@@ -60,21 +60,22 @@ SimDate::toString() const
     return buf;
 }
 
-std::string
-SimDate::toDateTimeString() const
+void
+SimDate::writeDateTime(char *out) const
 {
     // "YYYY-MM-DD hh:mm:ss": every field is fixed-width (the year is
     // kSimYear, month/day/h/m/s are two digits), so the 19 characters
     // are written in place instead of going through snprintf.
     static_assert(kSimYear >= 1000 && kSimYear <= 9999);
-    std::string out(19, '-');
-    auto two = [&out](size_t at, int v) {
+    auto two = [out](size_t at, int v) {
         out[at] = static_cast<char>('0' + v / 10);
         out[at + 1] = static_cast<char>('0' + v % 10);
     };
     two(0, kSimYear / 100);
     two(2, kSimYear % 100);
+    out[4] = '-';
     two(5, month());
+    out[7] = '-';
     two(8, dayOfMonth());
     out[10] = ' ';
     two(11, secondOfDay_ / 3600);
@@ -82,6 +83,13 @@ SimDate::toDateTimeString() const
     two(14, (secondOfDay_ / 60) % 60);
     out[16] = ':';
     two(17, secondOfDay_ % 60);
+}
+
+std::string
+SimDate::toDateTimeString() const
+{
+    std::string out(kDateTimeLength, ' ');
+    writeDateTime(out.data());
     return out;
 }
 

@@ -52,6 +52,12 @@ class SimDate
     /** Date-time string, e.g. "2020-01-18 06:02:01". */
     std::string toDateTimeString() const;
 
+    /** Length of toDateTimeString(): every field is fixed-width. */
+    static constexpr size_t kDateTimeLength = 19;
+
+    /** Write toDateTimeString()'s characters to @p out (no NUL). */
+    void writeDateTime(char *out) const;
+
     /** Total ordering by (day, second). */
     auto operator<=>(const SimDate &) const = default;
 

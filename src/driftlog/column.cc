@@ -5,7 +5,7 @@
 #include "column.h"
 
 #include <algorithm>
-#include <limits>
+#include <bit>
 
 #include "common/error.h"
 
@@ -15,17 +15,17 @@ Column::Column(ValueType type, std::vector<Value> dictionary,
                std::vector<Id> ids)
     : type_(type), dict_(std::move(dictionary)), ids_(std::move(ids))
 {
-    NAZAR_CHECK(dict_.size() <
-                    static_cast<size_t>(std::numeric_limits<Id>::max()),
+    NAZAR_CHECK(dict_.size() < static_cast<size_t>(kEmptySlot),
                 "column dictionary overflow");
-    index_.reserve(dict_.size());
     for (size_t i = 0; i < dict_.size(); ++i) {
         NAZAR_CHECK(dict_[i].isNull() || dict_[i].type() == type_,
                     "dictionary entry type does not match column type");
         NAZAR_CHECK(i == 0 || dict_[i - 1] < dict_[i],
                     "column dictionary is not strictly ascending");
-        index_.emplace(dict_[i], static_cast<Id>(i));
     }
+    if (!dict_.empty())
+        rebuildIndex(
+            std::bit_ceil(std::max<size_t>(16, 2 * dict_.size())));
     std::vector<bool> referenced(dict_.size(), false);
     for (Id id : ids_) {
         NAZAR_CHECK(id < dict_.size(), "column id out of range");
@@ -48,14 +48,58 @@ Column::dictValue(Id id) const
     return dict_[id];
 }
 
+template <typename Same>
+size_t
+Column::findSlot(size_t hash, Same &&same) const
+{
+    const size_t mask = index_.size() - 1;
+    const auto tag = static_cast<uint32_t>(hash);
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+        const Slot &slot = index_[i];
+        if (slot.id == kEmptySlot ||
+            (slot.hash == tag && same(dict_[slot.id])))
+            return i;
+    }
+}
+
+void
+Column::rebuildIndex(size_t slots)
+{
+    // The stored low hash bits place each id: slot counts stay far
+    // below 2^32 (at most twice the dictionary, itself below 2^32).
+    NAZAR_CHECK(slots <= (size_t{1} << 32), "column index overflow");
+    std::vector<Slot> old = std::move(index_);
+    index_.assign(slots, Slot{kEmptySlot, 0});
+    const size_t mask = slots - 1;
+    auto place = [this, mask](Slot slot) {
+        size_t i = slot.hash & mask;
+        while (index_[i].id != kEmptySlot)
+            i = (i + 1) & mask;
+        index_[i] = slot;
+    };
+    if (!old.empty()) {
+        for (const Slot &slot : old)
+            if (slot.id != kEmptySlot)
+                place(slot);
+        return;
+    }
+    for (size_t id = 0; id < dict_.size(); ++id)
+        place(Slot{static_cast<Id>(id),
+                   static_cast<uint32_t>(dict_[id].hash())});
+}
+
 std::optional<Column::Id>
 Column::idOf(const Value &v) const
 {
     ensureSorted();
-    auto it = index_.find(v);
-    if (it == index_.end())
+    if (index_.empty())
         return std::nullopt;
-    return it->second;
+    Id id = index_[findSlot(v.hash(), [&v](const Value &d) {
+                return d == v;
+            })].id;
+    if (id == kEmptySlot)
+        return std::nullopt;
+    return id;
 }
 
 Column::Id
@@ -101,36 +145,62 @@ Column::materialize() const
     return out;
 }
 
+template <typename Make>
 void
-Column::append(Value v)
+Column::appendAt(size_t slot, size_t hash, Make &&make)
 {
-    NAZAR_CHECK(v.isNull() || v.type() == type_,
-                "cell type does not match column type");
-    const bool is_null = v.isNull();
-    auto [it, inserted] =
-        index_.try_emplace(v, static_cast<Id>(dict_.size()));
-    if (inserted) {
-        NAZAR_CHECK(dict_.size() <
-                        static_cast<size_t>(
-                            std::numeric_limits<Id>::max()),
+    Id id = index_[slot].id;
+    if (id == kEmptySlot) {
+        NAZAR_CHECK(dict_.size() < static_cast<size_t>(kEmptySlot),
                     "column dictionary overflow");
         // New values take the next free id. Appending above the
         // current maximum (monotone columns: day indices, timestamps)
         // keeps the dictionary sorted in place; anything else defers
         // the re-id to the next read's normalization pass.
+        Value v = make();
         if (!dict_.empty() && !(dict_.back() < v))
             sorted_ = false;
+        id = static_cast<Id>(dict_.size());
         dict_.push_back(std::move(v));
+        index_[slot] = Slot{id, static_cast<uint32_t>(hash)};
+        if (2 * dict_.size() > index_.size())
+            rebuildIndex(2 * index_.size());
     }
-    if (is_null)
+    if (dict_[id].isNull())
         ++nullCount_;
-    ids_.push_back(it->second);
+    ids_.push_back(id);
+}
+
+void
+Column::append(Value v)
+{
+    NAZAR_CHECK(v.isNull() || v.type() == type_,
+                "cell type does not match column type");
+    if (index_.empty())
+        rebuildIndex(16);
+    const size_t hash = v.hash();
+    size_t slot =
+        findSlot(hash, [&v](const Value &d) { return d == v; });
+    appendAt(slot, hash, [&v] { return std::move(v); });
+}
+
+void
+Column::appendString(std::string_view s)
+{
+    NAZAR_CHECK(type_ == ValueType::kString,
+                "cell type does not match column type");
+    if (index_.empty())
+        rebuildIndex(16);
+    const size_t hash = ValueHash{}(s);
+    size_t slot = findSlot(
+        hash, [s](const Value &d) { return d.equalsString(s); });
+    appendAt(slot, hash, [s] { return Value(std::string(s)); });
 }
 
 void
 Column::clear()
 {
-    index_.clear();
+    std::fill(index_.begin(), index_.end(), Slot{kEmptySlot, 0});
     dict_.clear();
     ids_.clear();
     nullCount_ = 0;
@@ -158,8 +228,9 @@ Column::ensureSorted() const
         sorted_dict.push_back(std::move(dict_[order[rank]]));
     }
     dict_ = std::move(sorted_dict);
-    for (auto &[value, id] : index_)
-        id = remap[id];
+    for (Slot &slot : index_)
+        if (slot.id != kEmptySlot)
+            slot.id = remap[slot.id];
     for (Id &id : ids_)
         id = remap[id];
     sorted_ = true;

@@ -25,14 +25,18 @@
  * every typed value in the total order), so the invariant covers them
  * with no sentinel; nullCount() tracks how many rows are NULL.
  *
- * Appends are expected O(1): a hash index (Value -> id, hashed with
- * ValueHash, which agrees with Value equality) finds a known value's
- * id, and a new distinct value is assigned the next free id, with the
+ * Appends are expected O(1): a hash index finds a known value's id,
+ * and a new distinct value is assigned the next free id, with the
  * column marked unsorted unless the value extends the dictionary at
- * the top. The first read after such an append re-establishes the
- * invariant in one O(n + m log m) normalization pass: sort the
- * dictionary, re-id it in sorted order, remap the row ids and the
- * index. Amortized over a batch of appends this is one remap per read
+ * the top. The index holds ids only (open addressing over a flat slot
+ * array, hashed with ValueHash, which agrees with Value equality), so
+ * each distinct value is stored once, in the dictionary. A string
+ * cell is looked up by std::string_view (appendString): a known
+ * string costs no allocation and a new one exactly one, its
+ * dictionary entry. The first read after such an append
+ * re-establishes the invariant in one O(n + m log m) normalization
+ * pass: sort the dictionary, re-id it in sorted order, remap the row
+ * ids and the index. Amortized over a batch of appends this is one remap per read
  * barrier, independent of how many distinct values arrived —
  * high-cardinality columns (e.g. the drift log's time strings) build
  * in O(n) hashed probes plus one sort per barrier.
@@ -49,7 +53,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "driftlog/value.h"
@@ -153,19 +157,55 @@ class Column
      */
     void append(Value v);
 
+    /**
+     * Append one string cell without owning it: the same cell
+     * append(Value(std::string(s))) adds, but the string is copied
+     * only when it is new to the dictionary. The column must be of
+     * string type.
+     */
+    void appendString(std::string_view s);
+
     /** Drop all rows and the dictionary (type retained). */
     void clear();
 
   private:
+    /** One index slot: a dictionary id and the low bits of its hash. */
+    struct Slot
+    {
+        Id id;
+        uint32_t hash;
+    };
+
+    /** Marks an empty slot; never a dictionary id (see the overflow
+     *  check on insert). */
+    static constexpr Id kEmptySlot = ~Id{0};
+
     /** Re-establish id order == Value totalOrder after appends that
      *  introduced out-of-order dictionary entries. Const because every
      *  read path triggers it; see the thread contract above. */
     void ensureSorted() const;
 
+    /** The slot holding the entry @p same accepts, or the empty slot
+     *  where it would go (linear probing from @p hash). */
+    template <typename Same>
+    size_t findSlot(size_t hash, Same &&same) const;
+
+    /** Append the row whose lookup ended at @p slot; a miss adds
+     *  make() to the dictionary under the next free id. */
+    template <typename Make>
+    void appendAt(size_t slot, size_t hash, Make &&make);
+
+    /** Put every dictionary id into an index of @p slots slots. */
+    void rebuildIndex(size_t slots);
+
     ValueType type_;
     size_t nullCount_ = 0;
-    /** Value -> current id; normalization rewrites the ids. */
-    mutable std::unordered_map<Value, Id, ValueHash> index_;
+    /**
+     * Open-addressing hash index over dict_: a power-of-two slot array
+     * (empty until the first append), at most half full, holding ids
+     * only. Normalization rewrites the ids in place.
+     */
+    mutable std::vector<Slot> index_;
     /** id -> value; sorted ascending whenever sorted_ is true. */
     mutable std::vector<Value> dict_;
     mutable std::vector<Id> ids_;

@@ -31,22 +31,30 @@ DriftLog::DriftLog() : table_(canonicalSchema())
 void
 DriftLog::add(const DriftLogEntry &entry)
 {
+    add(DriftLogEntryView{entry.time, entry.deviceId, entry.deviceModel,
+                          entry.location, entry.weather,
+                          entry.modelVersion, entry.drift});
+}
+
+void
+DriftLog::add(const DriftLogEntryView &entry)
+{
     static obs::Counter &ingested =
         obs::Registry::global().counter("driftlog.rows_ingested");
     ingested.add(1);
-    // Built in place, not from an initializer list (whose elements
-    // are const and would be copied), then handed over to the table.
-    Row row;
-    row.reserve(table_.schema().columnCount());
-    row.emplace_back(static_cast<int64_t>(entry.time.dayIndex()));
-    row.emplace_back(entry.time.toDateTimeString());
-    row.emplace_back(entry.deviceId);
-    row.emplace_back(entry.deviceModel);
-    row.emplace_back(entry.location);
-    row.emplace_back(entry.weather);
-    row.emplace_back(entry.modelVersion);
-    row.emplace_back(entry.drift);
-    table_.append(std::move(row));
+    char time[SimDate::kDateTimeLength];
+    entry.time.writeDateTime(time);
+    const CellRef cells[] = {
+        int64_t{entry.time.dayIndex()},
+        std::string_view(time, sizeof(time)),
+        entry.deviceId,
+        entry.deviceModel,
+        entry.location,
+        entry.weather,
+        entry.modelVersion,
+        entry.drift,
+    };
+    table_.appendCells(cells);
 }
 
 size_t

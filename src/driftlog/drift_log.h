@@ -11,6 +11,7 @@
 #define NAZAR_DRIFTLOG_DRIFT_LOG_H
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/sim_date.h"
@@ -29,6 +30,21 @@ struct DriftLogEntry
     std::string weather;     ///< e.g. "snow" (cloud-enriched metadata).
     int64_t modelVersion = 0;
     bool drift = false;      ///< On-device detector verdict.
+};
+
+/**
+ * A DriftLogEntry whose strings are borrowed, e.g. from the bytes of a
+ * decoded WAL record; valid while those bytes are.
+ */
+struct DriftLogEntryView
+{
+    SimDate time;
+    std::string_view deviceId;
+    std::string_view deviceModel;
+    std::string_view location;
+    std::string_view weather;
+    int64_t modelVersion = 0;
+    bool drift = false;
 };
 
 /** Column names of the drift log's canonical schema. */
@@ -51,6 +67,15 @@ class DriftLog
 
     /** Ingest one entry. */
     void add(const DriftLogEntry &entry);
+
+    /**
+     * Ingest one entry from borrowed strings, column by column
+     * (Table::appendCells): the time string is formatted on the
+     * stack, and a cell's string is copied only when its column has
+     * not seen it yet. Same columns as add(DriftLogEntry) and as the
+     * Row-at-a-time Table::append.
+     */
+    void add(const DriftLogEntryView &entry);
 
     /** Number of entries. */
     size_t size() const { return table_.rowCount(); }

@@ -4,6 +4,8 @@
  */
 #include "table.h"
 
+#include <type_traits>
+
 #include "common/error.h"
 
 namespace nazar::driftlog {
@@ -57,6 +59,23 @@ Table::Table(Schema schema, std::vector<Column> columns)
     rowCount_ = columns_.empty() ? 0 : columns_[0].size();
 }
 
+bool
+Table::widens(size_t col, ValueType type) const
+{
+    if (type == ValueType::kNull)
+        return false;
+    // A double column widens int cells at ingest: 3 and 3.0 must land
+    // as one cell value, or downstream Value-keyed aggregations (FIM
+    // level 1, group-bys) split a single attribute group into two by
+    // variant index.
+    if (schema_.column(col).type == ValueType::kDouble &&
+        type == ValueType::kInt)
+        return true;
+    NAZAR_CHECK(type == schema_.column(col).type,
+                "type mismatch in column " + schema_.column(col).name);
+    return false;
+}
+
 void
 Table::append(Row row)
 {
@@ -64,24 +83,44 @@ Table::append(Row row)
                 "row width does not match schema");
     // Validate (and normalize numeric cells) before touching any
     // column, so a rejected row leaves the table unchanged.
-    for (size_t i = 0; i < row.size(); ++i) {
-        Value &cell = row[i];
-        if (cell.isNull())
-            continue;
-        if (schema_.column(i).type == ValueType::kDouble &&
-            cell.type() == ValueType::kInt) {
-            // A double column widens int cells at ingest: 3 and 3.0
-            // must land as one cell value, or downstream Value-keyed
-            // aggregations (FIM level 1, group-bys) split a single
-            // attribute group into two by variant index.
-            cell = Value(cell.asDouble());
-            continue;
-        }
-        NAZAR_CHECK(cell.type() == schema_.column(i).type,
-                    "type mismatch in column " + schema_.column(i).name);
-    }
+    for (size_t i = 0; i < row.size(); ++i)
+        if (widens(i, row[i].type()))
+            row[i] = Value(row[i].asDouble());
     for (size_t i = 0; i < row.size(); ++i)
         columns_[i].append(std::move(row[i]));
+    ++rowCount_;
+}
+
+void
+Table::appendCells(std::span<const CellRef> cells)
+{
+    NAZAR_CHECK(cells.size() == schema_.columnCount(),
+                "row width does not match schema");
+    // CellRef's alternatives are in ValueType order.
+    static_assert(std::is_same_v<std::variant_alternative_t<
+                                     static_cast<size_t>(ValueType::kString),
+                                     CellRef>,
+                                 std::string_view>);
+    for (size_t i = 0; i < cells.size(); ++i)
+        widens(i, static_cast<ValueType>(cells[i].index()));
+    for (size_t i = 0; i < cells.size(); ++i) {
+        Column &col = columns_[i];
+        std::visit(
+            [&col](const auto &cell) {
+                using T = std::decay_t<decltype(cell)>;
+                if constexpr (std::is_same_v<T, std::string_view>)
+                    col.appendString(cell);
+                else if constexpr (std::is_same_v<T, std::monostate>)
+                    col.append(Value());
+                else if constexpr (std::is_same_v<T, int64_t>)
+                    col.append(col.type() == ValueType::kDouble
+                                   ? Value(static_cast<double>(cell))
+                                   : Value(cell));
+                else
+                    col.append(Value(cell));
+            },
+            cells[i]);
+    }
     ++rowCount_;
 }
 

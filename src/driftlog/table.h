@@ -16,7 +16,10 @@
 #ifndef NAZAR_DRIFTLOG_TABLE_H
 #define NAZAR_DRIFTLOG_TABLE_H
 
+#include <span>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "driftlog/column.h"
@@ -56,6 +59,13 @@ class Schema
 /** A row as an ordered list of cell values. */
 using Row = std::vector<Value>;
 
+/**
+ * One cell of a borrowed row (Table::appendCells): a Value's
+ * alternatives, in ValueType order, with a string cell borrowed.
+ */
+using CellRef =
+    std::variant<std::monostate, int64_t, double, bool, std::string_view>;
+
 /** Column-major table with append + scan + aggregate operations. */
 class Table
 {
@@ -80,6 +90,16 @@ class Table
      *  move on into the column dictionaries. */
     void append(Row row);
 
+    /**
+     * Append one row of borrowed cells, column by column: the same
+     * checks and widening as append(Row), and the same columns as
+     * appending the Row these cells spell, but a string cell is
+     * copied only when its column has not seen it before. The typed
+     * ingest path (DriftLog::add) uses it; append(Row) serves the SQL
+     * and CSV paths.
+     */
+    void appendCells(std::span<const CellRef> cells);
+
     /** Cell accessor. */
     const Value &at(size_t row, size_t col) const;
 
@@ -101,6 +121,13 @@ class Table
     void clear();
 
   private:
+    /**
+     * Check a cell of @p type for column @p col: NULL fits anywhere,
+     * an int cell in a double column is to be widened (returns true),
+     * any other type must match. Throws NazarError on a mismatch.
+     */
+    bool widens(size_t col, ValueType type) const;
+
     Schema schema_;
     size_t rowCount_ = 0;
     std::vector<Column> columns_;

@@ -10,6 +10,7 @@
 #include <functional>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 
 #include "common/error.h"
 
@@ -123,6 +124,22 @@ Value::operator<=>(const Value &other) const
     return std::strong_ordering::equal;
 }
 
+namespace {
+
+/** Mix a cell's bits with its type index (splitmix64 finalizer): the
+ *  ints and doubles here hash to their own bits, which for small ints
+ *  and round doubles leave most bits zero. */
+size_t
+mixHash(uint64_t bits, size_t type_index)
+{
+    uint64_t h = bits + 0x9e3779b97f4a7c15ULL * (type_index + 1);
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    return static_cast<size_t>(h ^ (h >> 31));
+}
+
+} // namespace
+
 size_t
 Value::hash() const
 {
@@ -140,16 +157,19 @@ Value::hash() const
         bits = std::get<bool>(data_) ? 1 : 0;
         break;
       case ValueType::kString:
-        bits = std::hash<std::string>{}(std::get<std::string>(data_));
-        break;
+        return hashString(std::get<std::string>(data_));
     }
-    // Mix in the type index, then spread the bits (splitmix64
-    // finalizer): the ints and doubles here hash to their own bits,
-    // which for small ints and round doubles leave most bits zero.
-    uint64_t h = bits + 0x9e3779b97f4a7c15ULL * (data_.index() + 1);
-    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<size_t>(h ^ (h >> 31));
+    return mixHash(bits, data_.index());
+}
+
+size_t
+Value::hashString(std::string_view s)
+{
+    constexpr size_t kStringIndex = 4;
+    static_assert(std::is_same_v<std::variant_alternative_t<
+                                     kStringIndex, decltype(Value::data_)>,
+                                 std::string>);
+    return mixHash(std::hash<std::string_view>{}(s), kStringIndex);
 }
 
 std::ostream &

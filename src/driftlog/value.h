@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <variant>
 
 namespace nazar::driftlog {
@@ -69,14 +70,34 @@ class Value
      */
     size_t hash() const;
 
+    /** The hash() of a string Value holding @p s, without building it. */
+    static size_t hashString(std::string_view s);
+
+    /** True when this is a string cell equal to @p s. */
+    bool equalsString(std::string_view s) const
+    {
+        const auto *p = std::get_if<std::string>(&data_);
+        return p != nullptr && *p == s;
+    }
+
   private:
     std::variant<std::monostate, int64_t, double, bool, std::string> data_;
 };
 
-/** Hasher for unordered containers keyed on Value. */
+/**
+ * Hasher for containers keyed on Value. Transparent: a string_view
+ * hashes as the string Value holding it does, so a string cell can be
+ * looked up without building a Value (driftlog::Column's index).
+ */
 struct ValueHash
 {
+    using is_transparent = void;
+
     size_t operator()(const Value &v) const { return v.hash(); }
+    size_t operator()(std::string_view s) const
+    {
+        return Value::hashString(s);
+    }
 };
 
 std::ostream &operator<<(std::ostream &os, const Value &v);

@@ -24,7 +24,7 @@ Linear::Linear(size_t in_dim, size_t out_dim, Rng &rng)
 }
 
 Matrix
-Linear::forward(const Matrix &x, Mode mode)
+Linear::forward(const Matrix &x, Mode /*mode*/)
 {
     NAZAR_CHECK(x.cols() == inDim_, "Linear input width mismatch");
     // Cache in every mode: eval-mode backward passes (input-gradient

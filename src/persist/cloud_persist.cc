@@ -21,35 +21,20 @@ blobKey(int64_t id, const char *kind)
     return "versions/" + std::to_string(id) + "/" + kind;
 }
 
-/** Decode one kIngest payload (the inverse of encodeIngest). */
-IngestRecord
-decodeIngest(Reader &r)
-{
-    uint8_t flags = r.getU8();
-    IngestRecord rec;
-    rec.device = r.getI64();
-    NAZAR_CHECK(((flags & kFlagFromDevice) != 0) == (rec.device >= 0),
-                "persist: ingest record device flag mismatch");
-    rec.seq = r.getU64();
-    rec.entry = getEntry(r);
-    if (flags & kFlagHasUpload)
-        rec.upload = getUpload(r);
-    return rec;
-}
-
 /**
  * Replay one ingest attempt through the same DedupWindow::accept as
- * Cloud. The record is decoded in full (every bounds check) and
+ * Cloud. The record is decoded in place (viewIngest: every check) and
  * dedup-checked either way; @p materialize false means a later clear
- * discards the row, so an accepted row is only counted, not appended.
+ * discards the row, so an accepted row is only counted. A kept row
+ * goes from the payload's views straight into the drift log.
  */
 void
-replayIngest(RecoveredState &st, Reader &r, size_t dedup_window,
-             bool materialize)
+replayIngest(RecoveredState &st, std::string_view payload,
+             size_t dedup_window, bool materialize)
 {
-    IngestRecord rec = decodeIngest(r);
-    if (rec.device >= 0 &&
-        !st.dedup[rec.device].accept(rec.seq, dedup_window)) {
+    IngestView in = viewIngest(payload);
+    if (in.device >= 0 &&
+        !st.dedup[in.device].accept(in.seq, dedup_window)) {
         ++st.dedupHits;
         return;
     }
@@ -58,9 +43,11 @@ replayIngest(RecoveredState &st, Reader &r, size_t dedup_window,
         ++st.elidedRows;
         return;
     }
-    st.log.add(rec.entry);
-    if (rec.upload.has_value())
-        st.uploads.push_back(std::move(*rec.upload));
+    st.log.add(in.entry);
+    if (in.upload.has_value()) {
+        Reader r(*in.upload);
+        st.uploads.push_back(getUpload(r));
+    }
 }
 
 void
@@ -121,7 +108,7 @@ applyWalRecord(RecoveredState &st, const WalRecord &rec,
     Reader r(rec.payload);
     switch (rec.type) {
       case WalRecordType::kIngest:
-        replayIngest(st, r, dedup_window, materialize);
+        replayIngest(st, rec.payload, dedup_window, materialize);
         break;
       case WalRecordType::kCycleCommit:
         replayCycleCommit(st, r);
@@ -186,9 +173,12 @@ struct ChainRecovery
 struct DecodedChain
 {
     ChainRecovery head;
+    /** Every valid chain file, by id: the owner of the deltas' views. */
+    std::map<uint64_t, ChainFile> files;
     std::optional<SnapshotData> full;
     uint64_t fullLastWalSeq = 0; ///< The full file's header lastWalSeq.
-    /** Each delta's records and header lastWalSeq, base first. */
+    /** Each delta's records (views into `files`) and header
+     *  lastWalSeq, base first. */
     std::vector<std::pair<std::vector<WalRecord>, uint64_t>> deltas;
 };
 
@@ -204,7 +194,8 @@ DecodedChain
 decodeChain(const fs::path &dir)
 {
     DecodedChain out;
-    std::map<uint64_t, ChainFile> files = collectChainFiles(dir);
+    out.files = collectChainFiles(dir);
+    const std::map<uint64_t, ChainFile> &files = out.files;
     if (files.empty())
         return out;
 
@@ -316,11 +307,13 @@ encodeDeltaRecords(const std::vector<WalRecord> &records)
 }
 
 std::vector<WalRecord>
-decodeDeltaRecords(const std::string &payload)
+decodeDeltaRecords(std::string_view payload)
 {
     Reader r(payload);
     uint32_t count = r.getU32();
     std::vector<WalRecord> records;
+    // Each record takes at least its type, seq and length prefix.
+    records.reserve(std::min<size_t>(count, r.remaining() / 17));
     uint64_t last_seq = 0;
     for (uint32_t i = 0; i < count; ++i) {
         WalRecord rec;
@@ -332,11 +325,31 @@ decodeDeltaRecords(const std::string &payload)
         NAZAR_CHECK(rec.seq > last_seq,
                     "persist: non-increasing seq in delta snapshot");
         last_seq = rec.seq;
-        rec.payload = r.getString();
-        records.push_back(std::move(rec));
+        rec.payload = r.getStringView();
+        records.push_back(rec);
     }
     NAZAR_CHECK(r.atEnd(), "persist: trailing bytes in delta snapshot");
     return records;
+}
+
+IngestView
+viewIngest(std::string_view payload)
+{
+    Reader r(payload);
+    uint8_t flags = r.getU8();
+    IngestView in;
+    in.device = r.getI64();
+    NAZAR_CHECK(((flags & kFlagFromDevice) != 0) == (in.device >= 0),
+                "persist: ingest record device flag mismatch");
+    in.seq = r.getU64();
+    in.entry = getEntryView(r);
+    if (flags & kFlagHasUpload) {
+        const size_t start = payload.size() - r.remaining();
+        skipUpload(r);
+        const size_t end = payload.size() - r.remaining();
+        in.upload = payload.substr(start, end - start);
+    }
+    return in;
 }
 
 RecoveredState
@@ -524,12 +537,10 @@ CloudPersistence::writeDeltaSnapshot()
     // seqs above the chain head: a crash between a snapshot's rename
     // and its WAL truncation legitimately leaves older records behind.
     WalScan scan = Wal::scan(wal_->path());
-    std::vector<WalRecord> records;
-    records.reserve(scan.records.size());
-    for (auto &rec : scan.records) {
-        if (rec.seq > chainLastWalSeq_)
-            records.push_back(std::move(rec));
-    }
+    std::erase_if(scan.records, [this](const WalRecord &rec) {
+        return rec.seq <= chainLastWalSeq_;
+    });
+    const std::vector<WalRecord> &records = scan.records;
     uint64_t last_seq = wal_->lastSeq();
     ChainHeader header;
     header.kind = ChainKind::kDelta;

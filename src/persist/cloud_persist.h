@@ -34,6 +34,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "driftlog/drift_log.h"
@@ -88,9 +89,9 @@ struct RecoveredState
     bool snapshotLoaded = false;
     uint64_t replayedRecords = 0; ///< Live-WAL records replayed.
     /**
-     * Accepted ingest rows decoded and dedup-checked but not
-     * materialized, because a later replayed cycle commit or flush
-     * clears them anyway.
+     * Accepted ingest rows decoded in place (viewIngest: every check,
+     * no allocation) and dedup-checked but not materialized, because
+     * a later replayed cycle commit or flush clears them anyway.
      */
     uint64_t elidedRows = 0;
     uint64_t truncatedBytes = 0; ///< Torn WAL tail dropped on open.
@@ -118,6 +119,30 @@ RecoveredState recoverDir(const std::filesystem::path &dir,
                           size_t dedup_window = 4096);
 
 /**
+ * One kIngest payload decoded in place (viewIngest): every field, with
+ * the strings and the upload left as views into the payload.
+ */
+struct IngestView
+{
+    int64_t device = 0;
+    uint64_t seq = 0;
+    driftlog::DriftLogEntryView entry;
+    /** The upload's encoded bytes (putUpload), already checked;
+     *  getUpload over them builds the UploadRecord. */
+    std::optional<std::string_view> upload;
+};
+
+/**
+ * Decode one kIngest payload (CloudPersistence::encodeIngest's bytes)
+ * without materializing it: every check the materializing decode runs
+ * — bounds, string lengths, Value tags, the feature count, and the
+ * device flag against the device's sign — runs here, and nothing is
+ * allocated. Throws NazarError on exactly the payloads that decode
+ * throws on. The views borrow @p payload.
+ */
+IngestView viewIngest(std::string_view payload);
+
+/**
  * Encode WAL records as a delta-snapshot payload. A delta archives
  * the live WAL's records (everything since the chain base, because
  * the WAL is truncated at every snapshot) so recovery can replay them
@@ -127,9 +152,10 @@ std::string encodeDeltaRecords(const std::vector<WalRecord> &records);
 
 /**
  * Decode a delta-snapshot payload; throws NazarError on malformed
- * bytes, unknown record types, or non-increasing seqs.
+ * bytes, unknown record types, or non-increasing seqs. The records'
+ * payloads view @p payload (no copies).
  */
-std::vector<WalRecord> decodeDeltaRecords(const std::string &payload);
+std::vector<WalRecord> decodeDeltaRecords(std::string_view payload);
 
 /** What `nazar_ops scrub` reports about a state directory. */
 struct ScrubReport

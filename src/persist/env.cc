@@ -1,6 +1,7 @@
 #include "persist/env.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -380,6 +381,45 @@ Env::remove(const char *site, const fs::path &path)
     if (kind == FaultKind::kCrash)
         crash(site);
     return removed;
+}
+
+FileBytes
+readFile(const fs::path &path)
+{
+    FileBytes out;
+    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
+        // ENOENT means a fresh directory; anything else (EACCES,
+        // EIO, ...) means a file we must not pretend is absent.
+        out.unreadable = errno != ENOENT;
+        return out;
+    }
+    // A directory opens fine but cannot be read (EISDIR).
+    struct stat st;
+    if (::fstat(fd, &st) != 0 || S_ISDIR(st.st_mode)) {
+        out.unreadable = true;
+        ::close(fd);
+        return out;
+    }
+    const auto want = static_cast<size_t>(st.st_size);
+    out.data = std::make_unique_for_overwrite<char[]>(want);
+    // One read normally; loop only for a short read or EINTR. Media
+    // errors fail here.
+    while (out.size < want) {
+        ssize_t n = ::read(fd, out.data.get() + out.size, want - out.size);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n < 0) {
+            out.unreadable = true;
+            out.size = 0;
+            break;
+        }
+        if (n == 0)
+            break; // shrank since the fstat
+        out.size += static_cast<size_t>(n);
+    }
+    ::close(fd);
+    return out;
 }
 
 } // namespace nazar::persist

@@ -45,9 +45,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace nazar::persist {
 
@@ -244,6 +246,32 @@ class Env
     /** path -> had-unsynced-bytes-at-close, for kLostFile decisions. */
     std::map<std::string, bool> closedUnsynced_;
 };
+
+/**
+ * A whole file's bytes, read once (readFile). The buffer is on the
+ * heap and the object is move-only, so views into view() stay valid
+ * when a FileBytes moves, and end when it is destroyed.
+ */
+struct FileBytes
+{
+    std::unique_ptr<char[]> data;
+    size_t size = 0;
+    /**
+     * The file exists but could not be read (open failure other than
+     * ENOENT, or a read error such as EISDIR/EIO): NOT the same as an
+     * absent file, which reads as empty.
+     */
+    bool unreadable = false;
+
+    std::string_view view() const { return {data.get(), size}; }
+};
+
+/**
+ * Read @p path whole: one fstat for the size, then one read into a
+ * buffer of that size (no chunked appends, no copy). Recovery reads
+ * through here, not through an Env: reads have no fault sites.
+ */
+FileBytes readFile(const std::filesystem::path &path);
 
 } // namespace nazar::persist
 

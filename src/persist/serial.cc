@@ -1,74 +1,11 @@
 #include "persist/serial.h"
 
-#include <array>
+#include <algorithm>
 #include <cstring>
 
 #include "common/error.h"
 
 namespace nazar::persist {
-
-namespace {
-
-/**
- * Slicing-by-8 tables: kCrcTables[0] is the classic byte-at-a-time
- * table of the reflected 0xEDB88320 polynomial; kCrcTables[k][b] is
- * the CRC of byte b followed by k zero bytes, so eight table lookups
- * advance the register by eight input bytes at once.
- */
-constexpr std::array<std::array<uint32_t, 256>, 8>
-makeCrcTables()
-{
-    std::array<std::array<uint32_t, 256>, 8> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-        uint32_t c = i;
-        for (int k = 0; k < 8; ++k)
-            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-        t[0][i] = c;
-    }
-    for (size_t k = 1; k < 8; ++k)
-        for (uint32_t i = 0; i < 256; ++i)
-            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
-    return t;
-}
-
-constexpr auto kCrcTables = makeCrcTables();
-
-/** Little-endian u32 at @p p (byte-wise, so any alignment and host). */
-inline uint32_t
-loadLe32(const unsigned char *p)
-{
-    return static_cast<uint32_t>(p[0]) |
-           static_cast<uint32_t>(p[1]) << 8 |
-           static_cast<uint32_t>(p[2]) << 16 |
-           static_cast<uint32_t>(p[3]) << 24;
-}
-
-} // namespace
-
-uint32_t
-crc32Update(uint32_t crc, const void *data, size_t len)
-{
-    const auto &t = kCrcTables;
-    const auto *p = static_cast<const unsigned char *>(data);
-    crc ^= 0xFFFFFFFFu;
-    for (; len >= 8; p += 8, len -= 8) {
-        uint32_t lo = loadLe32(p) ^ crc;
-        uint32_t hi = loadLe32(p + 4);
-        crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
-              t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
-              t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
-              t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
-    }
-    for (; len > 0; ++p, --len)
-        crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
-    return crc ^ 0xFFFFFFFFu;
-}
-
-uint32_t
-crc32(const void *data, size_t len)
-{
-    return crc32Update(0, data, len);
-}
 
 void
 Writer::putU32(uint32_t v)
@@ -100,7 +37,7 @@ Writer::putBytes(const void *data, size_t len)
 }
 
 void
-Writer::putString(const std::string &s)
+Writer::putString(std::string_view s)
 {
     putU64(s.size());
     buf_.append(s);
@@ -152,14 +89,14 @@ Reader::getF64()
     return v;
 }
 
-std::string
-Reader::getString()
+std::string_view
+Reader::getStringView()
 {
     uint64_t n = getU64();
     NAZAR_CHECK(n <= remaining(),
                 "persist: string length exceeds buffer");
     const char *p = need(static_cast<size_t>(n));
-    return std::string(p, static_cast<size_t>(n));
+    return std::string_view(p, static_cast<size_t>(n));
 }
 
 void
@@ -204,6 +141,54 @@ getValue(Reader &r)
                      std::to_string(static_cast<int>(type)));
 }
 
+namespace {
+
+/** getValue's checks (tag, then the payload's bounds), no Value built. */
+void
+skipValue(Reader &r)
+{
+    auto type = static_cast<driftlog::ValueType>(r.getU8());
+    switch (type) {
+      case driftlog::ValueType::kNull:
+        return;
+      case driftlog::ValueType::kInt:
+      case driftlog::ValueType::kDouble:
+        r.skip(8);
+        return;
+      case driftlog::ValueType::kBool:
+        r.skip(1);
+        return;
+      case driftlog::ValueType::kString:
+        r.getStringView();
+        return;
+    }
+    throw NazarError("persist: unknown Value type tag " +
+                     std::to_string(static_cast<int>(type)));
+}
+
+/** An attribute set's count, checked against the bytes left: each
+ *  attribute takes at least its string length and its Value tag. */
+uint32_t
+getAttributeCount(Reader &r)
+{
+    uint32_t n = r.getU32();
+    NAZAR_CHECK(n <= r.remaining() / 9,
+                "persist: attribute count exceeds buffer");
+    return n;
+}
+
+/** An upload's feature count, checked against the bytes left. */
+uint64_t
+getFeatureCount(Reader &r)
+{
+    uint64_t n = r.getU64();
+    NAZAR_CHECK(n <= r.remaining() / 8,
+                "persist: upload feature count exceeds buffer");
+    return n;
+}
+
+} // namespace
+
 void
 putAttributeSet(Writer &w, const rca::AttributeSet &attrs)
 {
@@ -217,7 +202,7 @@ putAttributeSet(Writer &w, const rca::AttributeSet &attrs)
 rca::AttributeSet
 getAttributeSet(Reader &r)
 {
-    uint32_t n = r.getU32();
+    uint32_t n = getAttributeCount(r);
     std::vector<rca::Attribute> attrs;
     attrs.reserve(n);
     for (uint32_t i = 0; i < n; ++i) {
@@ -242,19 +227,34 @@ putEntry(Writer &w, const driftlog::DriftLogEntry &e)
     w.putBool(e.drift);
 }
 
-driftlog::DriftLogEntry
-getEntry(Reader &r)
+driftlog::DriftLogEntryView
+getEntryView(Reader &r)
 {
-    driftlog::DriftLogEntry e;
+    driftlog::DriftLogEntryView e;
     int day = static_cast<int>(r.getU32());
     int second = static_cast<int>(r.getU32());
     e.time = SimDate(day, second);
-    e.deviceId = r.getString();
-    e.deviceModel = r.getString();
-    e.location = r.getString();
-    e.weather = r.getString();
+    e.deviceId = r.getStringView();
+    e.deviceModel = r.getStringView();
+    e.location = r.getStringView();
+    e.weather = r.getStringView();
     e.modelVersion = r.getI64();
     e.drift = r.getBool();
+    return e;
+}
+
+driftlog::DriftLogEntry
+getEntry(Reader &r)
+{
+    driftlog::DriftLogEntryView v = getEntryView(r);
+    driftlog::DriftLogEntry e;
+    e.time = v.time;
+    e.deviceId = v.deviceId;
+    e.deviceModel = v.deviceModel;
+    e.location = v.location;
+    e.weather = v.weather;
+    e.modelVersion = v.modelVersion;
+    e.drift = v.drift;
     return e;
 }
 
@@ -321,15 +321,60 @@ UploadRecord
 getUpload(Reader &r)
 {
     UploadRecord u;
-    uint64_t n = r.getU64();
-    NAZAR_CHECK(n * 8 <= r.remaining(),
-                "persist: upload feature count exceeds buffer");
+    uint64_t n = getFeatureCount(r);
     u.features.reserve(static_cast<size_t>(n));
     for (uint64_t i = 0; i < n; ++i)
         u.features.push_back(r.getF64());
     u.context = getAttributeSet(r);
     u.driftFlag = r.getBool();
     return u;
+}
+
+namespace {
+
+/**
+ * getAttributeSet's checks without building the set: the count, each
+ * column string and Value, and the AttributeSet constructor's rule of
+ * at most one value per column.
+ */
+void
+skipAttributeSet(Reader &r)
+{
+    const Reader start = r;
+    uint32_t n = getAttributeCount(r);
+    bool ascending = true; // strictly ascending columns are distinct
+    std::string_view prev;
+    for (uint32_t i = 0; i < n; ++i) {
+        std::string_view column = r.getStringView();
+        ascending = ascending && (i == 0 || prev < column);
+        prev = column;
+        skipValue(r);
+    }
+    if (ascending)
+        return;
+    // Written out of order (putAttributeSet never does): compare every
+    // column with every other, as the constructor's sort does.
+    Reader again = start;
+    again.getU32();
+    std::vector<std::string_view> columns(n);
+    for (std::string_view &column : columns) {
+        column = again.getStringView();
+        skipValue(again);
+    }
+    std::sort(columns.begin(), columns.end());
+    NAZAR_CHECK(std::adjacent_find(columns.begin(), columns.end()) ==
+                    columns.end(),
+                "at most one value per column in an attribute set");
+}
+
+} // namespace
+
+void
+skipUpload(Reader &r)
+{
+    r.skip(static_cast<size_t>(getFeatureCount(r)) * 8);
+    skipAttributeSet(r);
+    r.getBool();
 }
 
 } // namespace nazar::persist

@@ -8,14 +8,19 @@
  * round trip), length-prefixed strings, and composite encoders for
  * the domain types the cloud persists (driftlog::Value,
  * rca::AttributeSet, drift-log entries, uploads). A CRC32 (the usual
- * reflected 0xEDB88320 polynomial, computed slicing-by-8: eight table
- * lookups per eight input bytes, portable C++) guards every WAL
- * record, chain file and wire frame; no external compression/CRC
- * library is used.
+ * reflected 0xEDB88320 polynomial) guards every WAL record, chain file
+ * and wire frame; no external compression/CRC library is used. It has
+ * two kernels (crc_kernel): carry-less-multiply folding (PCLMULQDQ)
+ * for long inputs where the CPU has it, and portable slicing-by-8
+ * (eight table lookups per eight input bytes) everywhere else and for
+ * short tails. Both compute the same values.
  *
  * Readers are bounds-checked: a short or corrupt buffer raises
  * NazarError, which the WAL open path converts into torn-tail
  * truncation and chain recovery into a refusal to adopt the state.
+ * Each get* decoder that materializes strings has a view or skip
+ * twin (getStringView, getEntryView, skipUpload) that runs the same
+ * checks and copies nothing; the twins borrow the Reader's buffer.
  */
 #ifndef NAZAR_PERSIST_SERIAL_H
 #define NAZAR_PERSIST_SERIAL_H
@@ -23,6 +28,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "driftlog/drift_log.h"
@@ -37,6 +43,49 @@ uint32_t crc32(const void *data, size_t len);
 /** Incremental variant; start from 0 and feed chunks in order. */
 uint32_t crc32Update(uint32_t crc, const void *data, size_t len);
 
+namespace crc_kernel {
+
+/**
+ * Advance the raw CRC register (no pre/post inversion) over
+ * [p, p + len).
+ */
+using Update = uint32_t (*)(uint32_t reg, const unsigned char *p,
+                            size_t len);
+
+/** One compiled CRC32 kernel. */
+struct Variant
+{
+    const char *isa; ///< "pclmul" or "baseline".
+    Update update;
+};
+
+/**
+ * The kernels compiled into this build that the host CPU can run,
+ * preferred first. Never empty: the slicing-by-8 baseline runs
+ * anywhere. crc32/crc32Update use the front one.
+ */
+const std::vector<Variant> &hostVariants();
+
+/**
+ * Route every crc32/crc32Update call through @p variant (an element
+ * of hostVariants()) for this object's lifetime, so tests can check
+ * every kernel the host runs. Not meant to race with CRCs on other
+ * threads.
+ */
+class ScopedVariant
+{
+  public:
+    explicit ScopedVariant(const Variant &variant);
+    ~ScopedVariant();
+    ScopedVariant(const ScopedVariant &) = delete;
+    ScopedVariant &operator=(const ScopedVariant &) = delete;
+
+  private:
+    const Variant *previous_;
+};
+
+} // namespace crc_kernel
+
 /** Append-only byte buffer with typed little-endian writers. */
 class Writer
 {
@@ -50,7 +99,7 @@ class Writer
     void putF64(double v);
     void putBytes(const void *data, size_t len);
     /** u64 length prefix + raw bytes. */
-    void putString(const std::string &s);
+    void putString(std::string_view s);
 
     const std::string &bytes() const { return buf_; }
     std::string take() { return std::move(buf_); }
@@ -65,7 +114,7 @@ class Reader
 {
   public:
     Reader(const char *data, size_t len) : data_(data), len_(len) {}
-    explicit Reader(const std::string &s) : Reader(s.data(), s.size()) {}
+    explicit Reader(std::string_view s) : Reader(s.data(), s.size()) {}
 
     uint8_t getU8();
     bool getBool() { return getU8() != 0; }
@@ -73,7 +122,9 @@ class Reader
     uint64_t getU64();
     int64_t getI64() { return static_cast<int64_t>(getU64()); }
     double getF64();
-    std::string getString();
+    std::string getString() { return std::string(getStringView()); }
+    /** getString's bytes in place: a view into the Reader's buffer. */
+    std::string_view getStringView();
 
     /** Advance past @p n bytes without decoding them (bounds-checked).
      *  Lets decoders step over unknown forward-compat fields. */
@@ -105,6 +156,9 @@ rca::AttributeSet getAttributeSet(Reader &r);
 void putEntry(Writer &w, const driftlog::DriftLogEntry &e);
 driftlog::DriftLogEntry getEntry(Reader &r);
 
+/** getEntry without the copies: the strings view @p r's buffer. */
+driftlog::DriftLogEntryView getEntryView(Reader &r);
+
 /**
  * A drift log as its dictionary-encoded columns:
  *
@@ -133,6 +187,15 @@ struct UploadRecord
 
 void putUpload(Writer &w, const UploadRecord &u);
 UploadRecord getUpload(Reader &r);
+
+/**
+ * Step past one encoded upload, running every check getUpload runs
+ * (feature count against the buffer, attribute strings, Value tags,
+ * at most one value per attribute column) and materializing nothing:
+ * getUpload throws on these bytes exactly when skipUpload does. Only
+ * an attribute set written out of column order costs an allocation.
+ */
+void skipUpload(Reader &r);
 
 /**
  * One ingest attempt, the same struct from device to disk: the

@@ -1,7 +1,6 @@
 #include "persist/snapshot.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 
 #include "common/error.h"
@@ -34,24 +33,6 @@ struct FileGuard
         f = nullptr;
     }
 };
-
-/** Read an entire file ("" when absent or unreadable). */
-std::string
-slurpFile(const fs::path &path)
-{
-    std::FILE *f = std::fopen(path.string().c_str(), "rb");
-    if (!f)
-        return std::string();
-    std::string bytes;
-    char buf[1 << 16];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        bytes.append(buf, n);
-    if (std::ferror(f))
-        bytes.clear();
-    std::fclose(f);
-    return bytes;
-}
 
 /**
  * The rename-on-commit sequence every chain file uses: write
@@ -136,7 +117,7 @@ encodeSnapshot(const SnapshotData &data)
 }
 
 SnapshotData
-decodeSnapshot(const std::string &payload)
+decodeSnapshot(std::string_view payload)
 {
     Reader r(payload);
     SnapshotData data;
@@ -155,7 +136,7 @@ decodeSnapshot(const std::string &payload)
         DedupWindow window;
         window.floor = r.getU64();
         uint64_t seen = r.getU64();
-        NAZAR_CHECK(seen * 8 <= r.remaining(),
+        NAZAR_CHECK(seen <= r.remaining() / 8,
                     "persist: dedup window exceeds snapshot");
         for (uint64_t s = 0; s < seen; ++s) {
             uint64_t seq = r.getU64();
@@ -245,10 +226,11 @@ writeChainFile(const fs::path &dir, ChainHeader header,
 std::optional<ChainFile>
 loadChainFile(const fs::path &path)
 {
-    std::string bytes = slurpFile(path);
+    FileBytes file = readFile(path);
+    const std::string_view bytes = file.view();
     constexpr size_t kHeaderSize = sizeof(kChainMagic) + 1 + 8 + 8 + 4 +
                                    8 + 8 + 4;
-    if (bytes.size() < kHeaderSize ||
+    if (file.unreadable || bytes.size() < kHeaderSize ||
         std::memcmp(bytes.data(), kChainMagic, sizeof(kChainMagic)) != 0)
         return std::nullopt;
     try {
@@ -272,6 +254,7 @@ loadChainFile(const fs::path &path)
                   static_cast<size_t>(len)) != out.header.payloadCrc)
             return std::nullopt;
         out.payload = bytes.substr(kHeaderSize);
+        out.bytes = std::move(file);
         return out;
     } catch (const NazarError &) {
         return std::nullopt;

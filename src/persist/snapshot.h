@@ -20,6 +20,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -103,7 +104,7 @@ std::string encodeSnapshot(const SnapshotData &data);
  * retired CSV-carrying payload (whose CSV length reads as a wrong
  * column count).
  */
-SnapshotData decodeSnapshot(const std::string &payload);
+SnapshotData decodeSnapshot(std::string_view payload);
 
 // ---- incremental snapshot chain ------------------------------------
 //
@@ -145,11 +146,17 @@ struct ChainHeader
     uint32_t payloadCrc = 0;
 };
 
-/** One loaded chain file. */
+/**
+ * One loaded chain file: the file's bytes as read, and its payload as
+ * a view past the header into them. Move-only; the payload (and every
+ * WalRecord decodeDeltaRecords returns over it) is valid while the
+ * ChainFile is.
+ */
 struct ChainFile
 {
     ChainHeader header;
-    std::string payload;
+    FileBytes bytes;
+    std::string_view payload;
 };
 
 /** "snap-000042.full" / "snap-000042.delta". */
@@ -172,8 +179,10 @@ uint32_t writeChainFile(const std::filesystem::path &dir,
                         Env &env);
 
 /**
- * Load one chain file. Returns nullopt when absent, torn, or failing
- * its checksum — the caller treats the element as missing.
+ * Load one chain file: one read of the whole file, then the header
+ * and the payload CRC are checked in place. Returns nullopt when
+ * absent, torn, or failing its checksum — the caller treats the
+ * element as missing.
  */
 std::optional<ChainFile>
 loadChainFile(const std::filesystem::path &path);

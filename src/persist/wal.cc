@@ -1,8 +1,5 @@
 #include "persist/wal.h"
 
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstring>
 
 #include "common/error.h"
@@ -16,43 +13,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
-struct SlurpResult
-{
-    std::string data;
-    /** Exists but can't be read — NOT the same as absent. */
-    bool unreadable = false;
-};
-
-/** Read an entire file into a string ("" when absent). */
-SlurpResult
-slurp(const fs::path &path)
-{
-    SlurpResult out;
-    errno = 0;
-    std::FILE *f = std::fopen(path.string().c_str(), "rb");
-    if (!f) {
-        // ENOENT means a fresh directory; anything else (EACCES,
-        // EIO, ...) means a file we must not pretend is absent.
-        out.unreadable = errno != ENOENT;
-        return out;
-    }
-    char buf[1 << 16];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out.data.append(buf, n);
-    if (std::ferror(f)) {
-        // fopen on a directory succeeds on Linux but fread fails
-        // with EISDIR; media errors surface the same way.
-        out.unreadable = true;
-        out.data.clear();
-    }
-    std::fclose(f);
-    return out;
-}
-
 /** Parse @p data; returns the scan plus the byte length of the good prefix. */
 std::pair<WalScan, size_t>
-parseWal(const std::string &data)
+parseWal(std::string_view data)
 {
     WalScan scan;
     if (data.size() < sizeof(Wal::kMagic) ||
@@ -86,7 +49,7 @@ parseWal(const std::string &data)
             break; // unknown type: treat as corruption
         if (rec.seq <= last_seq)
             break; // seqs are strictly increasing
-        rec.payload.assign(body + 9, len - 9);
+        rec.payload = std::string_view(body + 9, len - 9);
         last_seq = rec.seq;
         scan.records.push_back(std::move(rec));
         pos += 8 + len;
@@ -128,9 +91,10 @@ syncModeName(SyncMode mode)
 WalScan
 Wal::scan(const fs::path &path)
 {
-    SlurpResult slurped = slurp(path);
-    WalScan scan = parseWal(slurped.data).first;
-    scan.unreadable = slurped.unreadable;
+    FileBytes file = readFile(path);
+    WalScan scan = parseWal(file.view()).first;
+    scan.unreadable = file.unreadable;
+    scan.bytes = std::move(file);
     return scan;
 }
 
@@ -142,13 +106,13 @@ Wal::Wal(const fs::path &path, SyncMode sync, Env *env)
         env = ownedEnv_.get();
     }
     env_ = env;
-    SlurpResult slurped = slurp(path_);
-    NAZAR_CHECK(!slurped.unreadable,
+    recoveredBytes_ = readFile(path_);
+    NAZAR_CHECK(!recoveredBytes_.unreadable,
                 "Wal: " + path_.string() +
                     " exists but cannot be read; refusing to "
                     "overwrite it");
-    std::string data = std::move(slurped.data);
-    auto [scan, good] = parseWal(data);
+    const size_t size = recoveredBytes_.size;
+    auto [scan, good] = parseWal(recoveredBytes_.view());
     truncatedBytes_ = scan.truncatedBytes;
     records_ = std::move(scan.records);
     if (!records_.empty())
@@ -169,7 +133,7 @@ Wal::Wal(const fs::path &path, SyncMode sync, Env *env)
         }
         return;
     }
-    if (good < data.size())
+    if (good < size)
         env_->resize("env.wal.truncate", path_, good); // drop torn tail
     file_ = env_->open("env.wal.open", path_, "ab");
     if (truncatedBytes_ > 0)

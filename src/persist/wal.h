@@ -28,6 +28,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "persist/env.h"
@@ -42,17 +43,25 @@ enum class WalRecordType : uint8_t {
     kRegistryGc = 4,  ///< Registry eviction of versions below a floor.
 };
 
-/** One decoded record, as returned by scan() / replay. */
+/**
+ * One decoded record, as returned by scan() / replay. The payload is
+ * a view into its owner's bytes, never a copy: a WalScan's `bytes`, a
+ * Wal's recovered file until dropRecords(), or a loaded chain file
+ * (decodeDeltaRecords). It is valid while that owner is.
+ */
 struct WalRecord
 {
     WalRecordType type;
     uint64_t seq = 0;
-    std::string payload;
+    std::string_view payload;
 };
 
 /** Result of scanning a WAL file without opening it for append. */
 struct WalScan
 {
+    /** The file as read; `records` view into it (move-only, and a
+     *  move keeps the views valid). */
+    FileBytes bytes;
     std::vector<WalRecord> records;
     uint64_t truncatedBytes = 0; ///< Torn-tail bytes dropped (0 = clean).
     bool validHeader = false;
@@ -142,11 +151,19 @@ class Wal
      */
     void truncateAll();
 
-    /** Records recovered at open time (seq > any snapshot's cut). */
+    /** Records recovered at open time (seq > any snapshot's cut);
+     *  their payloads view the file bytes read at open. */
     const std::vector<WalRecord> &records() const { return records_; }
 
-    /** Free the recovered records once replay has consumed them. */
-    void dropRecords() { records_.clear(); records_.shrink_to_fit(); }
+    /** Free the recovered records, and the bytes they view, once
+     *  replay has consumed them. */
+    void
+    dropRecords()
+    {
+        records_.clear();
+        records_.shrink_to_fit();
+        recoveredBytes_ = FileBytes{};
+    }
 
     /** Torn-tail bytes truncated at open (0 when the shutdown was clean). */
     uint64_t truncatedBytes() const { return truncatedBytes_; }
@@ -196,6 +213,7 @@ class Wal
     SyncMode sync_ = SyncMode::kFlush;
     uint64_t nextSeq_ = 1;
     uint64_t truncatedBytes_ = 0;
+    FileBytes recoveredBytes_; ///< The file read at open; records_ view it.
     std::vector<WalRecord> records_;
 };
 

@@ -5,7 +5,8 @@
  * appended cells verbatim and derives every dictionary answer from a
  * std::map keyed on Value (total order), so a dictionary id is simply
  * the value's rank among the distinct cells — no lazy normalization,
- * no hashing.
+ * no hashing. appendEntryRow is the Row-at-a-time drift-log append
+ * that test_columnar compares DriftLog::add with.
  */
 #ifndef NAZAR_TESTS_COLUMN_ORACLE_H
 #define NAZAR_TESTS_COLUMN_ORACLE_H
@@ -16,6 +17,8 @@
 #include <optional>
 #include <vector>
 
+#include "driftlog/drift_log.h"
+#include "driftlog/table.h"
 #include "driftlog/value.h"
 
 namespace nazar::driftlog::oracle {
@@ -83,6 +86,26 @@ class OrderedColumn
     std::vector<Value> cells_;
     std::map<Value, size_t> counts_; ///< Distinct cell -> row count.
 };
+
+/**
+ * Append @p e to @p table the way DriftLog::add did before it appended
+ * column by column: one Row of owned Values (the time string built by
+ * SimDate::toDateTimeString) through Table::append.
+ */
+inline void
+appendEntryRow(Table &table, const DriftLogEntry &e)
+{
+    Row row;
+    row.emplace_back(static_cast<int64_t>(e.time.dayIndex()));
+    row.emplace_back(e.time.toDateTimeString());
+    row.emplace_back(e.deviceId);
+    row.emplace_back(e.deviceModel);
+    row.emplace_back(e.location);
+    row.emplace_back(e.weather);
+    row.emplace_back(e.modelVersion);
+    row.emplace_back(e.drift);
+    table.append(std::move(row));
+}
 
 } // namespace nazar::driftlog::oracle
 

@@ -1,11 +1,13 @@
 /**
  * @file
  * Plain reference implementations for the durability tests: a CRC32
- * computed one bit at a time, the std::set dedup window, and a
- * recovery that replays every record of the snapshot chain and the
- * live WAL and materializes every row (no skip rule), built on the
- * public decoders only. test_persist compares persist::crc32,
- * DedupWindow::accept and persist::recoverDir with them.
+ * computed one bit at a time, the std::set dedup window, the
+ * materializing kIngest decode, and a recovery that replays every
+ * record of the snapshot chain and the live WAL and materializes
+ * every row (no skip rule), built on the public decoders only.
+ * test_persist compares persist::crc32 (every host kernel),
+ * DedupWindow::accept and persist::recoverDir with them, and
+ * test_diskfault persist::viewIngest with decodeIngest.
  */
 #ifndef NAZAR_TESTS_PERSIST_ORACLE_H
 #define NAZAR_TESTS_PERSIST_ORACLE_H
@@ -16,6 +18,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.h"
@@ -73,6 +76,28 @@ struct SetDedupWindow
     }
 };
 
+/**
+ * Decode one kIngest payload the materializing way, as recovery did
+ * before it decoded records in place: the flags, the device (whose
+ * sign must agree with the from-device flag), the seq, then getEntry
+ * and getUpload into owned strings and vectors.
+ */
+inline IngestRecord
+decodeIngest(std::string_view payload)
+{
+    Reader r(payload);
+    uint8_t flags = r.getU8();
+    IngestRecord rec;
+    rec.device = r.getI64();
+    NAZAR_CHECK(((flags & 2) != 0) == (rec.device >= 0),
+                "oracle: ingest record device flag mismatch");
+    rec.seq = r.getU64();
+    rec.entry = getEntry(r);
+    if (flags & 1)
+        rec.upload = getUpload(r);
+    return rec;
+}
+
 /** Apply one record exactly as written: every row is materialized. */
 inline void
 applyRecord(RecoveredState &st, const WalRecord &rec, size_t dedup_window)
@@ -80,15 +105,10 @@ applyRecord(RecoveredState &st, const WalRecord &rec, size_t dedup_window)
     Reader r(rec.payload);
     switch (rec.type) {
       case WalRecordType::kIngest: {
-        uint8_t flags = r.getU8();
-        int64_t device = r.getI64();
-        uint64_t seq = r.getU64();
-        driftlog::DriftLogEntry entry = getEntry(r);
-        bool has_upload = (flags & 1) != 0;
-        UploadRecord upload;
-        if (has_upload)
-            upload = getUpload(r);
-        if (flags & 2) {
+        IngestRecord in = decodeIngest(rec.payload);
+        const int64_t device = in.device;
+        const uint64_t seq = in.seq;
+        if (device >= 0) {
             DedupWindow &window = st.dedup[device];
             bool seen = std::binary_search(window.seen.begin(),
                                            window.seen.end(), seq);
@@ -104,10 +124,10 @@ applyRecord(RecoveredState &st, const WalRecord &rec, size_t dedup_window)
                 window.seen.erase(window.seen.begin());
             }
         }
-        st.log.add(entry);
+        st.log.add(in.entry);
         ++st.totalIngested;
-        if (has_upload)
-            st.uploads.push_back(std::move(upload));
+        if (in.upload.has_value())
+            st.uploads.push_back(std::move(*in.upload));
         return;
       }
       case WalRecordType::kCycleCommit: {

@@ -26,6 +26,7 @@
 #include "column_oracle.h"
 #include "common/rng.h"
 #include "driftlog/csv.h"
+#include "driftlog/drift_log.h"
 #include "driftlog/plan.h"
 #include "driftlog/query.h"
 #include "driftlog/sql.h"
@@ -105,7 +106,7 @@ TEST(Column, IdOfAndBoundsMatchBruteForce)
     std::vector<Value> probes;
     for (int64_t x = -25; x <= 25; ++x)
         probes.push_back(Value(x));
-    probes.push_back(Value());
+    probes.emplace_back();
     for (const Value &probe : probes) {
         bool present = false;
         size_t lt = 0, le = 0;
@@ -118,8 +119,9 @@ TEST(Column, IdOfAndBoundsMatchBruteForce)
                 ++le;
         }
         EXPECT_EQ(col.idOf(probe).has_value(), present);
-        if (present)
+        if (present) {
             EXPECT_EQ(col.dictValue(*col.idOf(probe)), probe);
+        }
         EXPECT_EQ(col.lowerBound(probe), lt);
         EXPECT_EQ(col.upperBound(probe), le);
     }
@@ -305,6 +307,139 @@ TEST(ColumnDifferential, TableWideningMatchesOrderedMapOracle)
     EXPECT_EQ(table.column("d").idOf(Value(int64_t{3})), std::nullopt);
     EXPECT_EQ(table.column("d").idOf(Value(3.0)),
               o[1].idOf(Value(3.0)));
+}
+
+/** @p v as a borrowed cell (a string cell views @p v's string). */
+CellRef
+cellOf(const Value &v)
+{
+    switch (v.type()) {
+      case ValueType::kNull:
+        return std::monostate{};
+      case ValueType::kInt:
+        return v.asInt();
+      case ValueType::kDouble:
+        return v.asDouble();
+      case ValueType::kBool:
+        return v.asBool();
+      case ValueType::kString:
+        return std::string_view(v.asString());
+    }
+    return std::monostate{};
+}
+
+/** Both tables hold the same columns: dictionaries, ids, NULLs, CSV. */
+void
+expectSameColumns(const Table &got, const Table &want)
+{
+    ASSERT_EQ(got.rowCount(), want.rowCount());
+    for (size_t c = 0; c < want.schema().columnCount(); ++c) {
+        SCOPED_TRACE(want.schema().column(c).name);
+        EXPECT_EQ(got.column(c).dictionary(), want.column(c).dictionary());
+        EXPECT_EQ(got.column(c).ids(), want.column(c).ids());
+        EXPECT_EQ(got.column(c).nullCount(), want.column(c).nullCount());
+    }
+    std::ostringstream a, b;
+    writeCsv(got, a);
+    writeCsv(want, b);
+    EXPECT_EQ(a.str(), b.str());
+}
+
+TEST(ValueHashTest, StringViewHashesAsItsStringValue)
+{
+    for (const char *s : {"", "a", "snow", "2020-01-18 06:02:01",
+                          "a string well past the small-string buffer"})
+        EXPECT_EQ(ValueHash{}(std::string_view(s)),
+                  ValueHash{}(Value(std::string(s))))
+            << s;
+    EXPECT_TRUE(Value("x").equalsString("x"));
+    EXPECT_FALSE(Value("x").equalsString("y"));
+    EXPECT_FALSE(Value(int64_t{1}).equalsString("1"));
+    EXPECT_FALSE(Value().equalsString(""));
+}
+
+TEST(ColumnDifferential, AppendCellsMatchesAppendRow)
+{
+    // The borrowed-cell append builds the same columns as the Row
+    // append: same widening of int cells into the double column, same
+    // NULLs, same ids in the same order.
+    Schema schema({{"i", ValueType::kInt},
+                   {"d", ValueType::kDouble},
+                   {"b", ValueType::kBool},
+                   {"s", ValueType::kString}});
+    Rng rng(808);
+    Table rows(schema);
+    Table cells(schema);
+    for (size_t r = 0; r < 2000; ++r) {
+        Row row;
+        for (size_t c = 0; c < schema.columnCount(); ++c)
+            row.push_back(hostileCell(rng, schema.column(c).type));
+        if (rng.bernoulli(0.3) && !row[1].isNull())
+            row[1] = Value(rng.uniformInt(-8, 8)); // an int cell
+        std::vector<CellRef> refs;
+        for (const Value &v : row)
+            refs.push_back(cellOf(v));
+        cells.appendCells(refs);
+        rows.append(row);
+        if (rng.bernoulli(0.05)) // normalize both mid-stream
+            expectSameColumns(cells, rows);
+    }
+    expectSameColumns(cells, rows);
+    // A mistyped cell is refused before any column changes.
+    const CellRef bad[] = {int64_t{1}, 2.0, true, int64_t{4}};
+    EXPECT_THROW(cells.appendCells(bad), NazarError);
+    const CellRef narrow[] = {int64_t{1}, 2.0, true};
+    EXPECT_THROW(cells.appendCells(narrow), NazarError);
+    expectSameColumns(cells, rows);
+}
+
+TEST(DriftLogAppendDifferential, AddMatchesRowAppendOracle)
+{
+    // DriftLog::add appends column by column from borrowed strings; it
+    // must build exactly the columns the Row-at-a-time append builds.
+    // Times arrive out of order (the dictionary goes unsorted), strings
+    // repeat and are new, short and past the small-string buffer.
+    for (uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed * 7919);
+        DriftLog log;
+        Table want(DriftLog::canonicalSchema());
+        // A second round after clear() reuses the emptied index.
+        for (size_t rows : {size_t{3000}, size_t{500}}) {
+            log.clear();
+            want.clear();
+            for (size_t i = 0; i < rows; ++i) {
+                DriftLogEntry e;
+                e.time = SimDate(static_cast<int>(rng.index(112)),
+                                 static_cast<int>(rng.index(86400)));
+                size_t device = rng.index(60);
+                e.deviceId =
+                    device % 2 == 0
+                        ? "android_" + std::to_string(device)
+                        : "a_device_id_past_the_small_string_buffer_" +
+                              std::to_string(device);
+                e.deviceModel = "model_" + std::to_string(device % 5);
+                e.location = rng.bernoulli(0.1)
+                                 ? ""
+                                 : "loc_" + std::to_string(rng.index(9));
+                e.weather = rng.bernoulli(0.5) ? "snow" : "clear-day";
+                e.modelVersion = rng.uniformInt(-3, 40);
+                e.drift = rng.bernoulli(0.4);
+                if (i % 2 == 0) {
+                    log.add(e);
+                } else {
+                    log.add(DriftLogEntryView{e.time, e.deviceId,
+                                              e.deviceModel, e.location,
+                                              e.weather, e.modelVersion,
+                                              e.drift});
+                }
+                oracle::appendEntryRow(want, e);
+                if (rng.bernoulli(0.01))
+                    expectSameColumns(log.table(), want);
+            }
+            expectSameColumns(log.table(), want);
+        }
+    }
 }
 
 // ---- randomized workload generators -------------------------------------

@@ -31,6 +31,7 @@
 #include "persist/env.h"
 #include "persist/snapshot.h"
 #include "persist/wal.h"
+#include "persist_oracle.h"
 #include "sim/cloud.h"
 
 namespace nazar::persist {
@@ -616,6 +617,151 @@ TEST_F(DiskFaultCloudTest, DeltaRecordCodecRejectsMalformedPayloads)
     bad_seq[1].seq = 5;
     EXPECT_THROW(decodeDeltaRecords(encodeDeltaRecords(bad_seq)),
                  NazarError);
+}
+
+TEST(ReadFileTest, AbsentEmptyUnreadableAndWhole)
+{
+    TempDir dir("read_file");
+    FileBytes absent = persist::readFile(dir.path / "absent");
+    EXPECT_EQ(absent.size, 0u);
+    EXPECT_FALSE(absent.unreadable); // absent is a fresh start
+    writeFile(dir.path / "empty", "");
+    FileBytes empty = persist::readFile(dir.path / "empty");
+    EXPECT_EQ(empty.size, 0u);
+    EXPECT_FALSE(empty.unreadable);
+    fs::create_directories(dir.path / "sub");
+    EXPECT_TRUE(persist::readFile(dir.path / "sub").unreadable);
+    std::string bytes(200000, '\0');
+    for (size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<char>(i * 31 + 7);
+    writeFile(dir.path / "whole", bytes);
+    FileBytes whole = persist::readFile(dir.path / "whole");
+    EXPECT_FALSE(whole.unreadable);
+    EXPECT_EQ(whole.view(), bytes);
+    // Moving keeps views into the buffer valid.
+    std::string_view view = whole.view();
+    FileBytes moved = std::move(whole);
+    EXPECT_EQ(view.data(), moved.view().data());
+}
+
+/** The bytes putUpload writes for @p up (for comparing uploads). */
+std::string
+uploadBytes(const UploadRecord &up)
+{
+    Writer w;
+    putUpload(w, up);
+    return w.take();
+}
+
+/** A kIngest payload whose upload context is written in the given
+ *  column order (putAttributeSet always writes ascending columns). */
+std::string
+ingestWithContext(const std::vector<rca::Attribute> &context)
+{
+    Writer w;
+    w.putU8(3); // has upload, from device
+    w.putI64(2);
+    w.putU64(5);
+    putEntry(w, script::entry(4));
+    w.putU64(1);
+    w.putF64(0.5);
+    w.putU32(static_cast<uint32_t>(context.size()));
+    for (const rca::Attribute &attr : context) {
+        w.putString(attr.column);
+        putValue(w, attr.value);
+    }
+    w.putBool(true);
+    return w.take();
+}
+
+TEST(IngestViewDifferential, ThrowsExactlyWhenTheFullDecodeThrows)
+{
+    // Replay decodes every kIngest record in place (viewIngest) and
+    // builds only the rows it keeps. The in-place decode must refuse
+    // exactly the payloads the materializing decode refuses, and agree
+    // with it on the rest: every truncation and seeded byte flips of
+    // payloads with and without an upload, with every Value type in
+    // the upload context.
+    std::vector<std::string> payloads;
+    for (int i = 0; i < 24; ++i) {
+        IngestRecord rec{i % 5 == 0 ? -1 : i % 3, static_cast<uint64_t>(i),
+                         script::entry(i), script::upload(i)};
+        if (rec.upload.has_value() && i % 2 == 0)
+            rec.upload->context = rca::AttributeSet({
+                {"a_null", driftlog::Value()},
+                {"b_int", driftlog::Value(int64_t{-7})},
+                {"c_double", driftlog::Value(2.5)},
+                {"d_bool", driftlog::Value(true)},
+                {"e_string", driftlog::Value("snow")},
+            });
+        payloads.push_back(CloudPersistence::encodeIngest(rec));
+    }
+    // Out of column order: legal; a repeated column: refused.
+    payloads.push_back(ingestWithContext(
+        {{"weather", driftlog::Value("rain")},
+         {"location", driftlog::Value("tibet")}}));
+    payloads.push_back(ingestWithContext(
+        {{"weather", driftlog::Value("rain")},
+         {"location", driftlog::Value("tibet")},
+         {"weather", driftlog::Value("snow")}}));
+
+    Rng rng(20261018);
+    size_t refused = 0;
+    size_t accepted = 0;
+    for (const std::string &payload : payloads) {
+        std::vector<std::string> mutants{payload};
+        for (size_t len = 0; len < payload.size(); ++len)
+            mutants.push_back(payload.substr(0, len));
+        for (int k = 0; k < 300; ++k) {
+            std::string m = payload;
+            int flips = 1 + static_cast<int>(rng.index(3));
+            for (int f = 0; f < flips; ++f)
+                m[rng.index(m.size())] =
+                    static_cast<char>(rng.index(256));
+            mutants.push_back(std::move(m));
+        }
+        for (const std::string &m : mutants) {
+            std::optional<IngestRecord> full;
+            std::optional<IngestView> view;
+            try {
+                full = oracle::decodeIngest(m);
+            } catch (const NazarError &) {
+            }
+            try {
+                view = viewIngest(m);
+            } catch (const NazarError &) {
+            }
+            ASSERT_EQ(full.has_value(), view.has_value())
+                << "payload of " << m.size() << " bytes";
+            if (!full.has_value()) {
+                ++refused;
+                continue;
+            }
+            ++accepted;
+            EXPECT_EQ(view->device, full->device);
+            EXPECT_EQ(view->seq, full->seq);
+            EXPECT_EQ(view->entry.time, full->entry.time);
+            EXPECT_EQ(view->entry.deviceId, full->entry.deviceId);
+            EXPECT_EQ(view->entry.deviceModel, full->entry.deviceModel);
+            EXPECT_EQ(view->entry.location, full->entry.location);
+            EXPECT_EQ(view->entry.weather, full->entry.weather);
+            EXPECT_EQ(view->entry.modelVersion, full->entry.modelVersion);
+            EXPECT_EQ(view->entry.drift, full->entry.drift);
+            ASSERT_EQ(view->upload.has_value(), full->upload.has_value());
+            if (full->upload.has_value()) {
+                Reader r(*view->upload);
+                EXPECT_EQ(uploadBytes(getUpload(r)),
+                          uploadBytes(*full->upload));
+                EXPECT_TRUE(r.atEnd());
+            }
+        }
+    }
+    EXPECT_GT(refused, 0u);
+    EXPECT_GT(accepted, payloads.size());
+    // The two hand-written contexts: order alone is fine, a repeated
+    // column is not.
+    EXPECT_NO_THROW(viewIngest(payloads[payloads.size() - 2]));
+    EXPECT_THROW(viewIngest(payloads.back()), NazarError);
 }
 
 } // namespace

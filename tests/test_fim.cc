@@ -171,9 +171,10 @@ TEST(Fim, OccurrencePruningDropsRareSingletons)
     // infrequent singletons (clear-day occ 0.6 and new_york 0.6 and
     // android_21 0.6 survive; snow 0.4 does not).
     for (const auto &c : causes) {
-        if (c.attrs.size() >= 2)
+        if (c.attrs.size() >= 2) {
             for (const auto &a : c.attrs.attributes())
                 EXPECT_NE(a.value.toString(), "snow");
+        }
     }
 }
 
@@ -307,8 +308,9 @@ TEST_F(FimBitmap, RowBitsetTailWordStaysMasked)
         for (size_t r = 0; r < n; ++r)
             bits.set(r);
         EXPECT_EQ(bits.count(), n);
-        if (n % 64 != 0) // bits past the last row never get set
+        if (n % 64 != 0) { // bits past the last row never get set
             EXPECT_EQ(bits.words()[n / 64] >> (n % 64), 0u);
+        }
         if (n > 0) {
             bits.set(n - 1, false);
             EXPECT_FALSE(bits.test(n - 1));

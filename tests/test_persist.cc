@@ -83,27 +83,47 @@ TEST(Serial, Crc32KnownVector)
     EXPECT_EQ(inc, 0xCBF43926u);
 }
 
+TEST(Serial, Crc32HostVariants)
+{
+    const auto &variants = crc_kernel::hostVariants();
+    ASSERT_FALSE(variants.empty());
+    EXPECT_STREQ(variants.back().isa, "baseline");
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("pclmul") &&
+        __builtin_cpu_supports("sse4.1")) {
+        EXPECT_STREQ(variants.front().isa, "pclmul");
+    }
+#endif
+}
+
 TEST(Serial, Crc32MatchesBitwiseOracle)
 {
     Rng rng(77);
-    std::vector<unsigned char> buf((1u << 20) + 8);
+    std::vector<unsigned char> buf((1u << 20) + 16);
     for (auto &b : buf)
         b = static_cast<unsigned char>(rng.index(256));
-    // Every alignment of the eight-byte stride, every tail length.
-    for (size_t off = 0; off < 8; ++off)
-        for (size_t len = 0; len <= 300; ++len)
-            ASSERT_EQ(crc32(buf.data() + off, len),
-                      oracle::crc32Bitwise(buf.data() + off, len))
-                << "offset " << off << " length " << len;
-    // Chunked updates agree with one pass at every split point.
-    const uint32_t whole = oracle::crc32Bitwise(buf.data(), 64);
-    for (size_t split = 0; split <= 64; ++split) {
-        uint32_t crc = crc32Update(0, buf.data(), split);
-        crc = crc32Update(crc, buf.data() + split, 64 - split);
-        ASSERT_EQ(crc, whole) << "split " << split;
+    for (const crc_kernel::Variant &variant : crc_kernel::hostVariants()) {
+        SCOPED_TRACE(variant.isa);
+        crc_kernel::ScopedVariant pin(variant);
+        // Every alignment of a 16-byte lane, every length up to and
+        // well past the folding kernel's minimum, so both the folded
+        // prefix and every tail length run.
+        for (size_t off = 0; off < 16; ++off)
+            for (size_t len = 0; len <= 1024; ++len)
+                ASSERT_EQ(crc32(buf.data() + off, len),
+                          oracle::crc32Bitwise(buf.data() + off, len))
+                    << "offset " << off << " length " << len;
+        // Chunked updates agree with one pass at every split point.
+        const uint32_t whole = oracle::crc32Bitwise(buf.data(), 64);
+        for (size_t split = 0; split <= 64; ++split) {
+            uint32_t crc = crc32Update(0, buf.data(), split);
+            crc = crc32Update(crc, buf.data() + split, 64 - split);
+            ASSERT_EQ(crc, whole) << "split " << split;
+        }
+        EXPECT_EQ(crc32(buf.data(), 1u << 20),
+                  oracle::crc32Bitwise(buf.data(), 1u << 20));
     }
-    EXPECT_EQ(crc32(buf.data(), 1u << 20),
-              oracle::crc32Bitwise(buf.data(), 1u << 20));
 }
 
 TEST(Serial, ScalarRoundTrip)
@@ -1273,6 +1293,70 @@ TEST_F(ReplaySkipTest, BrokenChainIsRefusedAndTheWalLeftAlone)
         EXPECT_THROW(recoverDir(sd.path(), kWindow), NazarError);
         EXPECT_THROW(CloudPersistence(sd.config(), kWindow), NazarError);
         EXPECT_EQ(readBytes(wal), before) << "missing " << missing_base;
+    }
+}
+
+TEST_F(ReplaySkipTest, CorruptElidedRecordIsRefused)
+{
+    // Replay decodes an ingest record a later cycle commit clears in
+    // place and builds nothing from it, but runs every check. A delta
+    // whose elided record is corrupt, with the chain file's CRC
+    // recomputed so it loads, must still be refused.
+    for (int corruption = 0; corruption < 3; ++corruption) {
+        SCOPED_TRACE("corruption " + std::to_string(corruption));
+        ScriptedDir sd("elided_corrupt_" + std::to_string(corruption));
+        sd.full();
+        for (int i = 0; i < 6; ++i)
+            sd.ingest(i % 3, static_cast<uint64_t>(i / 3), i);
+        sd.commit();
+        sd.delta();
+        sd.ingest(0, 9, 6);
+        sd.close();
+        ASSERT_EQ(recoverDir(sd.path(), kWindow).elidedRows, 6u);
+
+        const fs::path path =
+            sd.path() / chainFileName(2, ChainKind::kDelta);
+        std::optional<ChainFile> delta = loadChainFile(path);
+        ASSERT_TRUE(delta.has_value());
+        std::vector<WalRecord> records =
+            decodeDeltaRecords(delta->payload);
+        ASSERT_EQ(records[0].type, WalRecordType::kIngest);
+        std::string bad(records[0].payload);
+        const IngestRecord rec = oracle::decodeIngest(bad);
+        ASSERT_TRUE(rec.upload.has_value());
+        switch (corruption) {
+          case 0: // the device flag disagrees with the device's sign
+            bad[0] = static_cast<char>(bad[0] ^ 2);
+            break;
+          case 1: // the upload's last byte is gone
+            bad.pop_back();
+            break;
+          default: { // the first context Value's tag is unknown
+            // flags, device, seq, day, second, model version, drift,
+            // feature count, features, attribute count, column.
+            const UploadRecord &up = *rec.upload;
+            size_t at = 1 + 8 + 8 + 4 + 4 + 8 + 1 + 8 +
+                        8 * up.features.size() + 4 + 8 +
+                        up.context.attributes()[0].column.size();
+            for (const std::string *str :
+                 {&rec.entry.deviceId, &rec.entry.deviceModel,
+                  &rec.entry.location, &rec.entry.weather})
+                at += 8 + str->size();
+            ASSERT_EQ(bad[at],
+                      static_cast<char>(driftlog::ValueType::kString));
+            bad[at] = 9;
+            break;
+          }
+        }
+        EXPECT_THROW(oracle::decodeIngest(bad), NazarError);
+        records[0].payload = bad;
+        Env env;
+        writeChainFile(sd.path(), delta->header,
+                       encodeDeltaRecords(records), env);
+        ASSERT_TRUE(loadChainFile(path).has_value())
+            << "the CRC must be valid: the record is what is refused";
+        EXPECT_THROW(recoverDir(sd.path(), kWindow), NazarError);
+        EXPECT_THROW(CloudPersistence(sd.config(), kWindow), NazarError);
     }
 }
 

@@ -100,8 +100,9 @@ TEST_P(WholeNetGradTest, AdaptModeGradientReachesOnlyBnParams)
     auto bn = model.net().params(Mode::kAdapt);
     for (Param *p : all) {
         bool is_bn = std::find(bn.begin(), bn.end(), p) != bn.end();
-        if (!is_bn)
+        if (!is_bn) {
             EXPECT_EQ(p->grad.maxAbs(), 0.0) << p->name;
+        }
     }
 }
 

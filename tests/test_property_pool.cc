@@ -61,8 +61,9 @@ TEST_P(PoolPropertyTest, InvariantsHoldUnderRandomInstalls)
         pool.install(std::move(v));
 
         // Capacity respected.
-        if (capacity > 0)
+        if (capacity > 0) {
             EXPECT_LE(pool.size(), capacity);
+        }
 
         // Causes are unique.
         std::set<AttributeSet> seen;
@@ -157,8 +158,9 @@ TEST(MatcherProperty, SelectedVersionAlwaysMatchesContext)
              {"device_id",
               Value("v" + std::to_string(rng.index(3)))}});
         const ModelVersion *picked = selectVersion(pool, context);
-        if (picked != nullptr)
+        if (picked != nullptr) {
             EXPECT_TRUE(causeMatchesContext(picked->cause, context));
+        }
     }
 }
 

@@ -88,11 +88,12 @@ TEST_P(RandomLogTest, OccurrenceIsAntitoneInAttributeSets)
     // occurrence(a) >= occurrence(b) (downward closure).
     for (const auto &a : causes) {
         for (const auto &b : causes) {
-            if (a.attrs.isProperSubsetOf(b.attrs))
+            if (a.attrs.isProperSubsetOf(b.attrs)) {
                 EXPECT_GE(a.metrics.occurrence + 1e-12,
                           b.metrics.occurrence)
                     << a.attrs.toString() << " vs "
                     << b.attrs.toString();
+            }
         }
     }
 }
@@ -113,17 +114,19 @@ TEST_P(RandomLogTest, CountsAreInternallyConsistent)
                         static_cast<double>(t.rowCount()),
                     1e-12);
         // support == setDrift / totalDrift.
-        if (total_drift > 0)
+        if (total_drift > 0) {
             EXPECT_NEAR(c.metrics.support,
                         static_cast<double>(c.metrics.setDriftCount) /
                             static_cast<double>(total_drift),
                         1e-12);
+        }
         // confidence == setDrift / setCount.
-        if (c.metrics.setCount > 0)
+        if (c.metrics.setCount > 0) {
             EXPECT_NEAR(c.metrics.confidence,
                         static_cast<double>(c.metrics.setDriftCount) /
                             static_cast<double>(c.metrics.setCount),
                         1e-12);
+        }
     }
 }
 

@@ -105,8 +105,9 @@ TEST(Workload, FixedSeverityPolicy)
     c.severity = 4;
     WorkloadGenerator gen(f.app, f.weather, c);
     for (const auto &ev : gen.generate())
-        if (ev.trueDrift)
+        if (ev.trueDrift) {
             EXPECT_EQ(ev.severity, 4);
+        }
 }
 
 TEST(Workload, NormalSeverityPolicyVaries)

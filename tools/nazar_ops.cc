@@ -85,6 +85,7 @@
 #include <iostream>
 #include <iterator>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -258,10 +259,20 @@ printSnapshot(const obs::Snapshot &snap)
     }
     std::printf("spans:\n%s\n", spans.toString().c_str());
 
+    // Which pool thread runs a chunk (the caller or a worker) depends
+    // on scheduling; every other counter is a deterministic work
+    // count, so the `counters:` block can be diffed across runs.
+    const std::set<std::string> scheduling = {"runtime.chunks.caller",
+                                              "runtime.chunks.worker"};
     TablePrinter counters({"counter", "value"});
+    TablePrinter scheduled({"counter", "value"});
     for (const auto &[name, value] : snap.counters)
-        counters.addRow({name, TablePrinter::num(value)});
+        (scheduling.count(name) > 0 ? scheduled : counters)
+            .addRow({name, TablePrinter::num(value)});
     std::printf("counters:\n%s\n", counters.toString().c_str());
+    if (scheduled.rowCount() > 0)
+        std::printf("scheduling-dependent counters:\n%s\n",
+                    scheduled.toString().c_str());
 }
 
 /** Write the snapshot to --metrics-out if given (empty = skip). */
