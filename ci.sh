@@ -148,6 +148,18 @@ if [ "$DO_RELEASE" = 1 ]; then
         echo "sim counters: no counters block" >&2; exit 1; }
     diff build-ci/sim_counters_1.txt build-ci/sim_counters_2.txt || {
         echo "sim counters: two runs differ" >&2; exit 1; }
+    # The thread-count contract on the device-inference path: the
+    # examples print the same stdout at one pool thread and at four.
+    for ex in quickstart selfdriving_fleet; do
+        echo "==== $ex stdout at NAZAR_THREADS=1 == 4 (Release) ===="
+        for threads in 1 4; do
+            NAZAR_THREADS="$threads" "./build-ci/examples/$ex" \
+                > "build-ci/${ex}_$threads.out"
+        done
+        diff "build-ci/${ex}_1.out" "build-ci/${ex}_4.out" || {
+            echo "$ex: stdout differs between 1 and 4 threads" >&2
+            exit 1; }
+    done
     # Chaos smoke: a short e2e sim over a lossy channel must still
     # complete, dedup retransmissions, and hold the documented
     # accuracy floor (clean drifted accuracy is ~0.84 at this scale;

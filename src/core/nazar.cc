@@ -10,7 +10,7 @@ namespace nazar::core {
 
 Nazar::Nazar(NazarConfig config, nn::Classifier base)
     : config_(std::move(config)), base_(std::move(base)),
-      scratch_(base_.clone()), cleanPatch_(base_.bnPatch()),
+      cleanPatch_(base_.bnPatch()),
       detector_(config_.mspThreshold), rng_(config_.seed)
 {
     cloud_ = std::make_unique<sim::Cloud>(config_.cloud, base_);
@@ -42,7 +42,7 @@ Nazar::infer(int device_id, const data::StreamEvent &event)
 {
     sim::Device &dev = device(device_id);
     sim::InferenceOutcome out =
-        dev.infer(event, scratch_, cleanPatch_, detector_);
+        dev.infer(event, base_, cleanPatch_, detector_);
 
     std::vector<persist::IngestRecord> batch(1);
     if (rng_.bernoulli(config_.uploadSampleRate))

@@ -115,7 +115,6 @@ class Nazar
 
     NazarConfig config_;
     nn::Classifier base_;
-    nn::Classifier scratch_;
     nn::BnPatch cleanPatch_;
     std::unique_ptr<sim::Cloud> cloud_;
     std::map<int, sim::Device> devices_;

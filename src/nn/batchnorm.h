@@ -54,6 +54,7 @@ class BatchNorm1d : public Layer
 
     size_t features() const { return features_; }
     double momentum() const { return momentum_; }
+    double eps() const { return eps_; }
 
     /** Copy out the full BN state (for BnPatch extraction). */
     BnState state() const;
@@ -63,6 +64,8 @@ class BatchNorm1d : public Layer
 
     Param &gamma() { return gamma_; }
     Param &beta() { return beta_; }
+    const Param &gamma() const { return gamma_; }
+    const Param &beta() const { return beta_; }
     const Matrix &runningMean() const { return runningMean_; }
     const Matrix &runningVar() const { return runningVar_; }
 

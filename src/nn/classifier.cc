@@ -40,56 +40,105 @@ hiddenDims(Architecture arch)
     return {};
 }
 
+namespace {
+
+void
+checkDims(size_t input_dim, size_t num_classes)
+{
+    NAZAR_CHECK(input_dim > 0, "input dim must be positive");
+    NAZAR_CHECK(num_classes >= 2, "need at least two classes");
+}
+
+/**
+ * The layer chain of (arch, dims): Linear->BatchNorm1d->Relu per hidden
+ * width, then the output Linear. @p linear(in, out) makes each Linear,
+ * in network order.
+ */
+template <typename MakeLinear>
+std::unique_ptr<Sequential>
+buildChain(Architecture arch, size_t input_dim, size_t num_classes,
+           MakeLinear &&linear)
+{
+    auto net = std::make_unique<Sequential>();
+    size_t prev = input_dim;
+    for (size_t h : hiddenDims(arch)) {
+        net->add(linear(prev, h));
+        net->add(std::make_unique<BatchNorm1d>(h));
+        net->add(std::make_unique<Relu>(h));
+        prev = h;
+    }
+    net->add(linear(prev, num_classes));
+    return net;
+}
+
+} // namespace
+
 Classifier::Classifier(Architecture arch, size_t input_dim,
                        size_t num_classes, uint64_t seed)
     : arch_(arch), inputDim_(input_dim), numClasses_(num_classes)
 {
-    NAZAR_CHECK(input_dim > 0, "input dim must be positive");
-    NAZAR_CHECK(num_classes >= 2, "need at least two classes");
-    buildNetwork(seed);
+    checkDims(input_dim, num_classes);
+    Rng rng(seed);
+    net_ = buildChain(arch, input_dim, num_classes,
+                      [&](size_t in, size_t out) {
+                          return std::make_unique<Linear>(in, out, rng);
+                      });
 }
 
-void
-Classifier::buildNetwork(uint64_t seed)
+Classifier::Classifier(Architecture arch, size_t input_dim,
+                       size_t num_classes, std::unique_ptr<Sequential> net)
+    : arch_(arch), inputDim_(input_dim), numClasses_(num_classes),
+      net_(std::move(net))
 {
-    Rng rng(seed);
-    net_ = std::make_unique<Sequential>();
-    size_t prev = inputDim_;
-    for (size_t h : hiddenDims(arch_)) {
-        net_->add(std::make_unique<Linear>(prev, h, rng));
-        net_->add(std::make_unique<BatchNorm1d>(h));
-        net_->add(std::make_unique<Relu>(h));
-        prev = h;
-    }
-    net_->add(std::make_unique<Linear>(prev, numClasses_, rng));
 }
 
 Classifier
 Classifier::clone() const
 {
-    Classifier copy(arch_, inputDim_, numClasses_, /*seed=*/0);
-    // Copy every trainable tensor.
-    auto src = const_cast<Sequential &>(*net_).params(Mode::kTrain);
-    auto dst = copy.net_->params(Mode::kTrain);
-    NAZAR_ASSERT(src.size() == dst.size(), "clone layout mismatch");
-    for (size_t i = 0; i < src.size(); ++i)
-        dst[i]->value = src[i]->value;
-    // Copy BN running statistics.
-    BnPatch::extract(*net_).apply(*copy.net_);
+    std::vector<const Linear *> linears;
+    for (size_t i = 0; i < net_->layerCount(); ++i)
+        if (const auto *l = dynamic_cast<const Linear *>(&net_->layer(i)))
+            linears.push_back(l);
+    size_t next = 0;
+    Classifier copy(arch_, inputDim_, numClasses_,
+                    buildChain(arch_, inputDim_, numClasses_,
+                               [&](size_t, size_t) {
+                                   const Linear &src = *linears.at(next++);
+                                   return std::make_unique<Linear>(
+                                       src.weight().value,
+                                       src.bias().value);
+                               }));
+    bnPatch().apply(*copy.net_);
     return copy;
+}
+
+Matrix
+Classifier::infer(const Matrix &x) const
+{
+    NAZAR_CHECK(x.cols() == inputDim_, "input width mismatch");
+    return net_->infer(x);
+}
+
+Matrix
+Classifier::infer(const Matrix &x, const BnPatch &patch) const
+{
+    NAZAR_CHECK(x.cols() == inputDim_, "input width mismatch");
+    return net_->infer(x, &patch);
 }
 
 Matrix
 Classifier::logits(const Matrix &x, Mode mode)
 {
+    if (mode == Mode::kEval)
+        return infer(x);
     NAZAR_CHECK(x.cols() == inputDim_, "input width mismatch");
     return net_->forward(x, mode);
 }
 
 std::vector<int>
-Classifier::predict(const Matrix &x)
+Classifier::predict(const Matrix &x) const
 {
-    Matrix z = logits(x);
+    Matrix z = infer(x);
     std::vector<int> out(z.rows());
     for (size_t r = 0; r < z.rows(); ++r)
         out[r] = static_cast<int>(z.argmaxRow(r));
@@ -97,20 +146,20 @@ Classifier::predict(const Matrix &x)
 }
 
 int
-Classifier::predictOne(const std::vector<double> &x)
+Classifier::predictOne(const std::vector<double> &x) const
 {
-    Matrix z = logits(Matrix::rowVector(x));
+    Matrix z = infer(Matrix::rowVector(x));
     return static_cast<int>(z.argmaxRow(0));
 }
 
 std::vector<double>
-Classifier::mspScores(const Matrix &x)
+Classifier::mspScores(const Matrix &x) const
 {
-    return maxSoftmax(logits(x));
+    return maxSoftmax(infer(x));
 }
 
 double
-Classifier::accuracy(const Matrix &x, const std::vector<int> &labels)
+Classifier::accuracy(const Matrix &x, const std::vector<int> &labels) const
 {
     NAZAR_CHECK(x.rows() == labels.size(), "label count mismatch");
     if (x.rows() == 0)
@@ -318,20 +367,39 @@ Classifier::load(std::istream &is)
     else
         throw NazarError("unknown architecture: " + arch_name);
 
-    Classifier model(arch, input_dim, num_classes, /*seed=*/0);
+    checkDims(input_dim, num_classes);
+
+    // The tensors come in params(kTrain) order: each hidden block's
+    // Linear weight and bias, then its BN gamma and beta, and last the
+    // output Linear's weight and bias. The BN patch that follows
+    // restates gamma and beta, so the chain takes them from there.
     size_t count = 0;
     is >> count;
-    auto params = model.net_->params(Mode::kTrain);
-    NAZAR_CHECK(count == params.size(), "parameter-count mismatch");
-    for (Param *p : params) {
-        size_t rows = 0, cols = 0;
-        is >> rows >> cols;
-        NAZAR_CHECK(rows == p->value.rows() && cols == p->value.cols(),
-                    "parameter shape mismatch");
-        for (size_t r = 0; r < rows; ++r)
-            for (size_t c = 0; c < cols; ++c)
-                is >> p->value(r, c);
-    }
+    NAZAR_CHECK(count == 4 * hiddenDims(arch).size() + 2,
+                "parameter-count mismatch");
+    auto read_tensor = [&](size_t rows, size_t cols) {
+        size_t r = 0, c = 0;
+        is >> r >> c;
+        NAZAR_CHECK(r == rows && c == cols, "parameter shape mismatch");
+        Matrix m(rows, cols);
+        for (size_t i = 0; i < rows; ++i)
+            for (size_t j = 0; j < cols; ++j)
+                is >> m(i, j);
+        return m;
+    };
+    size_t linears = 0;
+    Classifier model(arch, input_dim, num_classes,
+                     buildChain(arch, input_dim, num_classes,
+                                [&](size_t in, size_t out) {
+                                    if (linears++ > 0) {
+                                        read_tensor(1, in); // BN gamma
+                                        read_tensor(1, in); // BN beta
+                                    }
+                                    Matrix weight = read_tensor(in, out);
+                                    return std::make_unique<Linear>(
+                                        std::move(weight),
+                                        read_tensor(1, out));
+                                }));
     NAZAR_CHECK(!is.fail(), "malformed model body");
     model.applyBnPatch(BnPatch::load(is));
     return model;

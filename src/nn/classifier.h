@@ -74,25 +74,44 @@ class Classifier
     Classifier(Classifier &&) = default;
     Classifier &operator=(Classifier &&) = default;
 
-    /** Deep copy (weights, BN statistics, everything). */
+    /**
+     * Deep copy of the weights and BN state, built straight from them:
+     * no weight draw, no forward cache, zero gradients.
+     */
     Classifier clone() const;
 
     // ---- inference ------------------------------------------------------
 
-    /** Logits for a batch (eval mode unless told otherwise). */
+    /**
+     * Eval-mode logits under this model's own BN state (see
+     * Sequential::infer: no layer state is written).
+     */
+    Matrix infer(const Matrix &x) const;
+
+    /**
+     * Eval-mode logits under @p patch instead of this model's BN state:
+     * a model version runs on the shared base weights, with no copy of
+     * the model and no patch applied to it.
+     */
+    Matrix infer(const Matrix &x, const BnPatch &patch) const;
+
+    /**
+     * Logits for a batch. kEval runs infer(); kTrain and kAdapt run the
+     * caching forward pass, which updates BN running statistics.
+     */
     Matrix logits(const Matrix &x, Mode mode = Mode::kEval);
 
     /** Predicted class per row (eval mode). */
-    std::vector<int> predict(const Matrix &x);
+    std::vector<int> predict(const Matrix &x) const;
 
     /** Predicted class for a single feature vector. */
-    int predictOne(const std::vector<double> &x);
+    int predictOne(const std::vector<double> &x) const;
 
     /** MSP confidence per row (eval mode). */
-    std::vector<double> mspScores(const Matrix &x);
+    std::vector<double> mspScores(const Matrix &x) const;
 
     /** Fraction of rows predicted correctly (eval mode). */
-    double accuracy(const Matrix &x, const std::vector<int> &labels);
+    double accuracy(const Matrix &x, const std::vector<int> &labels) const;
 
     // ---- training -------------------------------------------------------
 
@@ -163,8 +182,8 @@ class Classifier
     static Classifier load(std::istream &is);
 
   private:
-    /** Rebuild the layer chain for (arch, dims); weights from seed. */
-    void buildNetwork(uint64_t seed);
+    Classifier(Architecture arch, size_t input_dim, size_t num_classes,
+               std::unique_ptr<Sequential> net);
 
     Architecture arch_;
     size_t inputDim_;

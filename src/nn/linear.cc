@@ -12,15 +12,22 @@
 namespace nazar::nn {
 
 Linear::Linear(size_t in_dim, size_t out_dim, Rng &rng)
-    : inDim_(in_dim), outDim_(out_dim),
-      weight_(Matrix::randomNormal(in_dim, out_dim,
-                                   std::sqrt(2.0 / static_cast<double>(
-                                                 in_dim)),
-                                   rng),
-              "linear.weight"),
-      bias_(Matrix(1, out_dim), "linear.bias")
+    : Linear(Matrix::randomNormal(in_dim, out_dim,
+                                  std::sqrt(2.0 / static_cast<double>(
+                                                in_dim)),
+                                  rng),
+             Matrix(1, out_dim))
 {
-    NAZAR_CHECK(in_dim > 0 && out_dim > 0, "Linear dims must be positive");
+}
+
+Linear::Linear(Matrix weight, Matrix bias)
+    : inDim_(weight.rows()), outDim_(weight.cols()),
+      weight_(std::move(weight), "linear.weight"),
+      bias_(std::move(bias), "linear.bias")
+{
+    NAZAR_CHECK(inDim_ > 0 && outDim_ > 0, "Linear dims must be positive");
+    NAZAR_CHECK(bias_.value.rows() == 1 && bias_.value.cols() == outDim_,
+                "Linear bias must be 1 x out_dim");
 }
 
 Matrix

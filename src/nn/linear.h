@@ -22,6 +22,15 @@ class Linear : public Layer
      */
     Linear(size_t in_dim, size_t out_dim, Rng &rng);
 
+    /**
+     * A layer holding the given tensors, with zero gradients and no
+     * forward cache (cloning and loading build layers this way).
+     *
+     * @param weight in_dim x out_dim.
+     * @param bias   1 x out_dim.
+     */
+    Linear(Matrix weight, Matrix bias);
+
     Matrix forward(const Matrix &x, Mode mode) override;
     Matrix backward(const Matrix &grad_out, Mode mode) override;
     std::vector<Param *> params(Mode mode) override;

@@ -12,6 +12,9 @@
 
 namespace nazar::nn {
 
+class BnPatch;
+class Linear;
+
 /** Ordered chain of layers with whole-network forward/backward. */
 class Sequential
 {
@@ -27,8 +30,26 @@ class Sequential
     /** Append a layer; returns a reference for chaining. */
     Sequential &add(std::unique_ptr<Layer> layer);
 
-    /** Run the full chain forward. */
+    /**
+     * Run the full chain forward, caching what backward() needs. Use
+     * it for training, adaptation and input-gradient detectors; plain
+     * inference goes through infer().
+     */
     Matrix forward(const Matrix &x, Mode mode);
+
+    /**
+     * Eval-mode logits without touching any layer state: the same bits
+     * as forward(x, Mode::kEval), but no cache is written, so any
+     * number of threads may run it on one network at once.
+     *
+     * Each Linear->BatchNorm1d->Relu block is one product followed by
+     * one pass that adds the bias, applies BN with its running
+     * statistics and clamps at zero, in that order; a bare Linear gets
+     * the bias add only. BN state comes from @p patch (a model
+     * version) when given, else from the layers. Throws NazarError
+     * when the chain has another shape or the patch another BN layout.
+     */
+    Matrix infer(const Matrix &x, const BnPatch *patch = nullptr) const;
 
     /**
      * Run the full chain backward from dLoss/dLogits, accumulating
@@ -54,7 +75,24 @@ class Sequential
     size_t parameterCount();
 
   private:
+    /**
+     * One fused unit of infer(): a product, then its epilogue. A
+     * hidden block has both bn and relu; an output block has neither.
+     */
+    struct Block
+    {
+        const Linear *linear = nullptr;
+        const BatchNorm1d *bn = nullptr;
+        bool relu = false;
+    };
+
+    /** Extend the block plan by @p layer, the next layer added. */
+    void plan(const Layer &layer);
+
     std::vector<std::unique_ptr<Layer>> layers_;
+    std::vector<Block> blocks_; ///< infer()'s view of layers_.
+    size_t bnCount_ = 0;        ///< BN layers in blocks_.
+    bool fusable_ = true;       ///< No layer fell outside a Block.
 };
 
 } // namespace nazar::nn

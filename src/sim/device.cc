@@ -39,7 +39,7 @@ Device::contextFor(const data::StreamEvent &event) const
 }
 
 InferenceOutcome
-Device::infer(const data::StreamEvent &event, nn::Classifier &scratch,
+Device::infer(const data::StreamEvent &event, const nn::Classifier &base,
               const nn::BnPatch &clean_patch,
               const detect::MspDetector &detector) const
 {
@@ -48,13 +48,9 @@ Device::infer(const data::StreamEvent &event, nn::Classifier &scratch,
     inferences.add(1);
     const deploy::ModelVersion *version =
         deploy::selectVersion(pool_, contextFor(event));
-    if (version != nullptr)
-        scratch.applyBnPatch(version->patch);
-    else
-        scratch.applyBnPatch(clean_patch);
-
     nn::Matrix logits =
-        scratch.logits(nn::Matrix::rowVector(event.features));
+        base.infer(nn::Matrix::rowVector(event.features),
+                   version != nullptr ? version->patch : clean_patch);
     InferenceOutcome out;
     out.predicted = static_cast<int>(logits.argmaxRow(0));
     out.msp = nn::maxSoftmax(logits)[0];

@@ -74,17 +74,19 @@ class Device
     rca::AttributeSet contextFor(const data::StreamEvent &event) const;
 
     /**
-     * Run one inference: select a version, apply its patch to the
-     * scratch model, predict, and run drift detection.
+     * Run one inference: select a version, run the base model under its
+     * patch, and run drift detection. Nothing is written to @p base, so
+     * every device (and thread) shares one base model.
      *
      * @param event       The arriving input.
-     * @param scratch     A model holding the base weights; its BN state
-     *                    is overwritten by the selected version's patch.
-     * @param clean_patch BN patch of the current clean model.
+     * @param base        The frozen base model (weights shared by every
+     *                    version).
+     * @param clean_patch BN patch of the current clean model, used when
+     *                    no held version matches.
      * @param detector    The on-device MSP detector.
      */
     InferenceOutcome infer(const data::StreamEvent &event,
-                           nn::Classifier &scratch,
+                           const nn::Classifier &base,
                            const nn::BnPatch &clean_patch,
                            const detect::MspDetector &detector) const;
 

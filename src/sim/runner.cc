@@ -254,7 +254,6 @@ Runner::run()
         obs::Registry::global().gauge("fleet.stale_devices");
     int64_t latest_pushed = 0;
 
-    nn::Classifier scratch = base_->clone();
     nn::BnPatch clean_patch = base_->bnPatch();
     // A restarted run resumes calibration from the recovered clean
     // patch instead of the base model's. In remote mode the server
@@ -351,13 +350,13 @@ Runner::run()
                 sample_rng.bernoulli(config_.uploadSampleRate) ? 1 : 0;
 
         std::vector<InferenceOutcome> outcomes(window_count);
+        NAZAR_SPAN_BEGIN(infer_span, "sim.infer");
         switch (config_.strategy) {
           case Strategy::kNazar: {
             // Per-device shards: events of one device always run on
-            // one shard, each shard on its own clone of the base
-            // weights (BN state is overwritten per inference by the
-            // selected version's patch, so a fresh clone is equivalent
-            // to the shared scratch model of the sequential path).
+            // one shard. Every shard reads the one base model, each
+            // inference under its selected version's patch; nothing
+            // writes to the base, so no shard needs a copy.
             std::vector<std::vector<size_t>> by_device(devices.size());
             for (size_t i = 0; i < window_count; ++i)
                 by_device[static_cast<size_t>(
@@ -369,13 +368,12 @@ Runner::run()
                 0, devices.size(), grain, ShardMetrics{},
                 [&](size_t dev_begin, size_t dev_end) {
                     ShardMetrics shard;
-                    nn::Classifier local = base_->clone();
                     for (size_t d = dev_begin; d < dev_end; ++d) {
                         for (size_t i : by_device[d]) {
                             const data::StreamEvent &ev =
                                 events[window_begin + i];
                             outcomes[i] = devices[d].infer(
-                                ev, local, clean_patch, detector);
+                                ev, *base_, clean_patch, detector);
                             accumulate(shard, ev, outcomes[i]);
                         }
                     }
@@ -394,11 +392,10 @@ Runner::run()
             // batched forward pass over the whole window; row r of the
             // batch is bit-identical to a single-row forward.
             if (window_count > 0) {
-                scratch.applyBnPatch(global_patch);
                 nn::Matrix batch(window_count, app_.domain.featureDim());
                 for (size_t i = 0; i < window_count; ++i)
                     batch.setRow(i, events[window_begin + i].features);
-                nn::Matrix logits = scratch.logits(batch);
+                nn::Matrix logits = base_->infer(batch, global_patch);
                 ShardMetrics totals;
                 for (size_t i = 0; i < window_count; ++i) {
                     outcomes[i].predicted =
@@ -414,6 +411,7 @@ Runner::run()
             break;
           }
         }
+        infer_span.stop();
 
         // ---- Telemetry to the cloud, in event order ------------------
         // Shards buffered their outcomes; emitting in the original
@@ -422,6 +420,7 @@ Runner::run()
         // sequential path at any thread count. Every emission rides
         // the unreliable channel; what survives transport is ingested
         // idempotently via per-device sequence numbers.
+        NAZAR_SPAN_BEGIN(telemetry_span, "sim.telemetry");
         for (size_t i = 0; i < window_count; ++i) {
             const data::StreamEvent &ev = events[window_begin + i];
             const InferenceOutcome &out = outcomes[i];
@@ -458,6 +457,7 @@ Runner::run()
                 cloud->ingestBatchFrom(std::move(delivered));
             });
         }
+        telemetry_span.stop();
 
         // ---- Window boundary: run the strategy's adaptation ----------
         switch (config_.strategy) {

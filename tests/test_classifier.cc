@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 #include "common/error.h"
@@ -92,6 +93,62 @@ TEST(Classifier, CloneIsDeepAndExact)
     copy.scaleLogits(3.0);
     EXPECT_FALSE(
         model.logits(d.x).approxEquals(copy.logits(d.x), 1e-6));
+}
+
+/** True when @p a and @p b have the same shape and the same bits. */
+bool
+sameBits(const Matrix &a, const Matrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Classifier, CloneCopiesValuesBitwiseButNoGradsOrCaches)
+{
+    data::Domain domain = easyDomain();
+    Rng rng(9);
+    auto train = domain.makeBalancedDataset(40, rng);
+    Classifier model(Architecture::kResNet50, 8, 4, 7);
+    model.trainSupervised(train.x, train.labels, fastTrain());
+    // Leave large caches and nonzero gradients behind in the source.
+    Matrix big = Matrix::randomNormal(500, 8, 1.0, rng);
+    Matrix z = model.net().forward(big, Mode::kTrain);
+    model.net().backward(z, Mode::kTrain);
+
+    Classifier copy = model.clone();
+    auto src = model.net().params(Mode::kTrain);
+    auto dst = copy.net().params(Mode::kTrain);
+    ASSERT_EQ(src.size(), dst.size());
+    double src_grad = 0.0;
+    for (size_t i = 0; i < src.size(); ++i) {
+        EXPECT_TRUE(sameBits(src[i]->value, dst[i]->value)) << i;
+        ASSERT_EQ(dst[i]->grad.rows(), src[i]->grad.rows());
+        ASSERT_EQ(dst[i]->grad.cols(), src[i]->grad.cols());
+        EXPECT_EQ(dst[i]->grad.maxAbs(), 0.0) << i;
+        src_grad += src[i]->grad.maxAbs();
+    }
+    EXPECT_GT(src_grad, 0.0);
+    const BnPatch a = model.bnPatch(), b = copy.bnPatch();
+    ASSERT_EQ(a.layerCount(), b.layerCount());
+    for (size_t i = 0; i < a.layerCount(); ++i) {
+        EXPECT_TRUE(sameBits(a.state(i).gamma, b.state(i).gamma));
+        EXPECT_TRUE(sameBits(a.state(i).beta, b.state(i).beta));
+        EXPECT_TRUE(sameBits(a.state(i).runningMean, b.state(i).runningMean));
+        EXPECT_TRUE(sameBits(a.state(i).runningVar, b.state(i).runningVar));
+    }
+    EXPECT_TRUE(sameBits(model.infer(big), copy.infer(big)));
+
+    // The source can run backward from its cache; the clone has none.
+    Matrix grad(big.rows(), 4, 1.0);
+    EXPECT_NO_THROW(model.net().backward(grad, Mode::kEval));
+    try {
+        copy.net().backward(grad, Mode::kEval);
+        FAIL() << "backward on a fresh clone must throw";
+    } catch (const NazarError &e) {
+        EXPECT_NE(std::string(e.what()).find("backward() without forward()"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Classifier, SaveLoadRoundTrip)

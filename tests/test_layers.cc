@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "common/error.h"
 #include "nn/activation.h"
 #include "nn/batchnorm.h"
+#include "nn/bn_patch.h"
 #include "nn/linear.h"
 #include "nn/sequential.h"
 
@@ -300,6 +303,89 @@ TEST(Sequential, ChainsLayersAndCollectsParams)
     EXPECT_EQ(g.rows(), 5u);
     EXPECT_EQ(g.cols(), 4u);
     EXPECT_GT(net.parameterCount(), 0u);
+}
+
+TEST(Sequential, InferMatchesEvalForwardOnSpecialValues)
+{
+    // One Linear->BatchNorm1d->Relu block whose pre-activations are
+    // -0.0 (x = 2: gamma * +0.0 * inv_std + beta with gamma = -1 and
+    // beta = -0.0), NaN (x = NaN) and positive (x = -1). The ReLU select
+    // must map the first two to +0.0 on both paths.
+    Sequential net;
+    net.add(std::make_unique<Linear>(Matrix::fromRows({{1.0}}),
+                                     Matrix(1, 1)));
+    auto bn = std::make_unique<BatchNorm1d>(1);
+    bn->setState(BnState{Matrix(1, 1, -1.0), Matrix(1, 1, -0.0),
+                         Matrix(1, 1, 2.0), Matrix(1, 1, 1.0)});
+    net.add(std::move(bn));
+    net.add(std::make_unique<Relu>(1));
+
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    Matrix x = Matrix::fromRows({{2.0}, {nan}, {-1.0}});
+    Matrix fused = net.infer(x);
+    Matrix layered = net.forward(x, Mode::kEval);
+    ASSERT_EQ(fused.rows(), 3u);
+    EXPECT_EQ(std::memcmp(fused.data(), layered.data(),
+                          fused.size() * sizeof(double)),
+              0);
+    EXPECT_FALSE(std::signbit(fused(0, 0)));
+    EXPECT_EQ(fused(0, 0), 0.0);
+    EXPECT_EQ(fused(1, 0), 0.0);
+    EXPECT_GT(fused(2, 0), 0.0);
+}
+
+TEST(Sequential, InferReadsPatchAndLeavesNoCache)
+{
+    Rng rng(12);
+    Sequential net;
+    net.add(std::make_unique<Linear>(4, 6, rng));
+    net.add(std::make_unique<BatchNorm1d>(6));
+    net.add(std::make_unique<Relu>(6));
+    net.add(std::make_unique<Linear>(6, 3, rng));
+    Matrix x = Matrix::randomNormal(5, 4, 1.0, rng);
+
+    // A patch with other statistics changes the logits without being
+    // installed.
+    BnState moved = net.batchNormLayers()[0]->state();
+    moved.runningMean = Matrix(1, 6, 0.5);
+    BnPatch patch = BnPatch::fromStates({moved});
+    const BnPatch own = BnPatch::extract(net);
+    Matrix before = net.infer(x);
+    Matrix patched = net.infer(x, &patch);
+    EXPECT_FALSE(patched.approxEquals(before, 1e-9));
+    EXPECT_TRUE(BnPatch::extract(net).approxEquals(own, 0.0));
+    patch.apply(net);
+    EXPECT_TRUE(net.forward(x, Mode::kEval).approxEquals(patched, 0.0));
+
+    // infer() wrote no cache: a fresh chain cannot run backward.
+    Rng rng2(12);
+    Sequential fresh;
+    fresh.add(std::make_unique<Linear>(4, 3, rng2));
+    fresh.infer(x);
+    EXPECT_THROW(fresh.backward(Matrix(5, 3), Mode::kEval), NazarError);
+}
+
+TEST(Sequential, InferRejectsOtherShapesAndLayouts)
+{
+    Rng rng(13);
+    Sequential tanh_net;
+    tanh_net.add(std::make_unique<Linear>(2, 2, rng));
+    tanh_net.add(std::make_unique<Tanh>(2));
+    EXPECT_THROW(tanh_net.infer(Matrix(1, 2)), NazarError);
+
+    Sequential no_relu;
+    no_relu.add(std::make_unique<Linear>(2, 2, rng));
+    no_relu.add(std::make_unique<BatchNorm1d>(2));
+    EXPECT_THROW(no_relu.infer(Matrix(1, 2)), NazarError);
+
+    Sequential net;
+    net.add(std::make_unique<Linear>(2, 2, rng));
+    net.add(std::make_unique<BatchNorm1d>(2));
+    net.add(std::make_unique<Relu>(2));
+    BnPatch empty;
+    EXPECT_THROW(net.infer(Matrix(1, 2), &empty), NazarError);
+    EXPECT_THROW(net.infer(Matrix(1, 3)), NazarError);
+    EXPECT_NO_THROW(net.infer(Matrix(1, 2)));
 }
 
 TEST(Sequential, RejectsNullLayer)

@@ -7,13 +7,17 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <string>
 
 #include "adapt/tent.h"
 #include "data/domain.h"
 #include "nn/bn_patch.h"
 #include "nn/classifier.h"
+#include "nn/gemm.h"
 #include "nn/loss.h"
+#include "runtime/thread_pool.h"
 
 namespace nazar::nn {
 namespace {
@@ -208,6 +212,112 @@ TEST(NnInvariants, AdaptForwardMovesTowardBatchDistribution)
     double after = model.accuracy(shifted, data.labels);
     EXPECT_GE(after + 1e-9, before);
 }
+
+/** True when @p a and @p b have the same shape and the same bits. */
+bool
+sameBits(const Matrix &a, const Matrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/** A model with random weights and BN state moved off its defaults. */
+Classifier
+statefulModel(Architecture arch, size_t dim, uint64_t seed)
+{
+    Classifier model(arch, dim, 5, seed);
+    Rng rng(seed + 1);
+    for (int i = 0; i < 3; ++i)
+        model.net().forward(Matrix::randomNormal(16, dim, 1.5, rng),
+                            Mode::kAdapt);
+    for (Param *p : model.net().params(Mode::kAdapt))
+        p->value = Matrix::randomNormal(1, p->value.cols(), 1.0, rng);
+    return model;
+}
+
+/** Gaussian rows with NaN, +-inf and -0.0 planted in some of them. */
+Matrix
+specialInputs(size_t rows, size_t dim, Rng &rng)
+{
+    Matrix x = Matrix::randomNormal(rows, dim, 1.0, rng);
+    const double inf = std::numeric_limits<double>::infinity();
+    for (size_t r = 0; r < rows; ++r) {
+        const size_t c = r % dim;
+        switch (r % 5) {
+          case 1: x(r, c) = std::numeric_limits<double>::quiet_NaN(); break;
+          case 2: x(r, c) = inf; break;
+          case 3: x(r, c) = -inf; break;
+          case 4: x(r, c) = -0.0; break;
+          default: break;
+        }
+    }
+    return x;
+}
+
+class InferDifferential : public ::testing::TestWithParam<Architecture>
+{
+};
+
+TEST_P(InferDifferential, InferIsEvalForwardBitForBit)
+{
+    constexpr size_t kDim = 12;
+    Classifier model = statefulModel(GetParam(), kDim, 31);
+    Rng rng(37);
+    for (const gemm::Variant &variant : gemm::hostVariants()) {
+        gemm::ScopedVariant pin(variant);
+        for (size_t rows = 1; rows <= 70; ++rows) {
+            Matrix x = specialInputs(rows, kDim, rng);
+            EXPECT_TRUE(sameBits(model.infer(x),
+                                 model.net().forward(x, Mode::kEval)))
+                << variant.isa << " rows " << rows;
+        }
+    }
+}
+
+TEST_P(InferDifferential, InferAboveTheParallelCutoffMatches)
+{
+    // 1500 rows: every product is past kParallelFlopCutoff (1 << 20
+    // multiply-adds), so it runs row-partitioned on the pool.
+    Classifier model = statefulModel(GetParam(), 12, 41);
+    Rng rng(43);
+    Matrix x = specialInputs(1500, 12, rng);
+    runtime::setThreads(4);
+    Matrix fused = model.infer(x);
+    Matrix layered = model.net().forward(x, Mode::kEval);
+    runtime::setThreads(0);
+    EXPECT_TRUE(sameBits(fused, layered));
+}
+
+TEST_P(InferDifferential, PatchedInferIsAppliedPatchBitForBit)
+{
+    constexpr size_t kDim = 12;
+    Classifier base = statefulModel(GetParam(), kDim, 47);
+    Rng rng(53);
+    Matrix drift = Matrix::randomNormal(24, kDim, 1.0, rng);
+    drift.addRowBroadcast(Matrix(1, kDim, 0.75));
+    Classifier adapted = base.clone();
+    adapt::TentAdapter(adapt::AdaptConfig{}).adapt(adapted, drift);
+    const BnPatch clean = base.bnPatch();
+    const BnPatch tent = adapted.bnPatch();
+    ASSERT_FALSE(tent.approxEquals(clean, 0.0));
+
+    Matrix x = specialInputs(40, kDim, rng);
+    for (const BnPatch *patch : {&clean, &tent}) {
+        Matrix fused = base.infer(x, *patch);
+        Classifier installed = base.clone();
+        installed.applyBnPatch(*patch);
+        EXPECT_TRUE(sameBits(fused, installed.logits(x)));
+        EXPECT_TRUE(
+            sameBits(fused, installed.net().forward(x, Mode::kEval)));
+    }
+    // The base model itself was only read.
+    EXPECT_TRUE(base.bnPatch().approxEquals(clean, 0.0));
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, InferDifferential,
+                         ::testing::Values(Architecture::kResNet18,
+                                           Architecture::kResNet34,
+                                           Architecture::kResNet50));
 
 /** Every logit of @p model on @p x as %.17g, one row per line. */
 std::string

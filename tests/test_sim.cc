@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <sstream>
 #include <thread>
 
 #include "common/logging.h"
@@ -640,6 +641,61 @@ TEST_F(RunnerTest, SkippedCausesAreCountedPerWindow)
     EXPECT_GT(causes, 0u);
     EXPECT_EQ(skipped, causes);
     EXPECT_EQ(versions, 0u);
+}
+
+/**
+ * A seeded Nazar-strategy run rendered as text: per window the counts
+ * every inference, detection, RCA and deployment step feeds, then the
+ * per-corruption tallies. Any change to a logit bit that moves an
+ * argmax, an MSP flag or an adapted patch shows up here.
+ */
+std::string
+goldenRunText()
+{
+    data::AppSpec app = data::makeCityscapesApp();
+    data::WeatherModel weather(app.locations, 24, 2020);
+    RunnerConfig config;
+    config.arch = nn::Architecture::kResNet50;
+    config.strategy = Strategy::kNazar;
+    config.windows = 3;
+    config.workload.days = 24;
+    config.cloud.minAdaptSamples = 16;
+    config.uploadSampleRate = 0.5;
+    config.workload.seed = 4101;
+    config.train.epochs = 6;
+    config.seed = 4102;
+    RunResult r = Runner(app, weather, config).run();
+    std::ostringstream os;
+    for (const auto &w : r.windows)
+        os << "window " << w.window << " events " << w.events
+           << " correctAll " << w.correctAll << " flagged " << w.flagged
+           << " rootCauses " << w.rootCauses << " newVersions "
+           << w.newVersions << " poolSize " << w.poolSize << "\n";
+    for (const auto &[type, acc] : r.perCorruption)
+        os << data::toString(type) << " " << acc.correct << "/"
+           << acc.total << "\n";
+    return os.str();
+}
+
+/**
+ * goldenRunText() as printed by the layer-by-layer eval path, which
+ * ran each shard on its own clone of the base model with the selected
+ * patch installed per event.
+ */
+const char *const kGoldenRun =
+    "window 0 events 1734 correctAll 1076 flagged 1415 rootCauses 4 "
+    "newVersions 4 poolSize 4\n"
+    "window 1 events 1730 correctAll 1161 flagged 1403 rootCauses 12 "
+    "newVersions 7 poolSize 11\n"
+    "window 2 events 1691 correctAll 1081 flagged 1344 rootCauses 15 "
+    "newVersions 5 poolSize 15\n"
+    "snow 342/607\n"
+    "fog 229/509\n"
+    "rain 565/1045\n";
+
+TEST_F(RunnerTest, NazarRunMatchesPinnedGolden)
+{
+    EXPECT_EQ(goldenRunText(), kGoldenRun);
 }
 
 TEST(WindowMetrics, DerivedRatios)
