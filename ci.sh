@@ -218,7 +218,25 @@ if [ "$DO_RELEASE" = 1 ]; then
         > build-ci/crash_scrub.out
     grep -q "SCRUB ok" build-ci/crash_scrub.out || {
         echo "crash smoke: scrub found integrity issues" >&2; exit 1; }
-    ./build-ci/bench/bench_crash_recovery --quick > /dev/null
+    # Crash-recovery work counters are deterministic: each --quick row,
+    # cut before its wall-clock recoverMs (recorded, never gated), must
+    # appear verbatim in the committed ledger, i.e. the row with the
+    # same (snapshotEvery, fullEvery, ingests) has the same walBytes,
+    # dirBytes, snapshotLoaded, replayedRecords and elidedRows.
+    echo "==== crash-recovery counters == BENCH_crash_recovery.json (Release) ===="
+    ./build-ci/bench/bench_crash_recovery --quick \
+        > build-ci/crash_recovery_quick.json
+    gated=0
+    while IFS= read -r row; do
+        counters="${row%%, \"recoverMs\"*}"
+        grep -qF -- "$counters, \"recoverMs\"" BENCH_crash_recovery.json || {
+            echo "crash-recovery counters differ from the ledger:" >&2
+            echo "$counters" >&2
+            exit 1; }
+        gated=$((gated + 1))
+    done < <(grep '"snapshotEvery"' build-ci/crash_recovery_quick.json)
+    [ "$gated" -gt 0 ] || {
+        echo "crash-recovery counters: no rows to compare" >&2; exit 1; }
     # Disk-fault smoke: a sim with an injected mid-run ENOSPC on the
     # WAL write path must latch the fsync gate (not crash), rebuild
     # from the last durable state, finish every window, and leave a

@@ -169,6 +169,36 @@ struct ChainRecovery
     uint64_t deltasSinceFull = 0;
 };
 
+/**
+ * The records recovery replays, in seq order: each chain element and
+ * then the live WAL contributes the records above everything before
+ * it.
+ */
+struct ReplayPlan
+{
+    std::vector<const WalRecord *> records;
+    uint64_t cut = 0; ///< Highest seq already covered.
+
+    void
+    take(const std::vector<WalRecord> &more)
+    {
+        for (const WalRecord &rec : more) {
+            if (rec.seq <= cut)
+                continue; // already inside an earlier element
+            records.push_back(&rec);
+            cut = rec.seq;
+        }
+    }
+};
+
+/** True when @p rec empties the drift log and the upload buffer. */
+bool
+clears(const WalRecord &rec)
+{
+    return rec.type == WalRecordType::kCycleCommit ||
+           rec.type == WalRecordType::kFlush;
+}
+
 /** The newest snapshot chain, validated and decoded. */
 struct DecodedChain
 {
@@ -176,10 +206,10 @@ struct DecodedChain
     /** Every valid chain file, by id: the owner of the deltas' views. */
     std::map<uint64_t, ChainFile> files;
     std::optional<SnapshotData> full;
-    uint64_t fullLastWalSeq = 0; ///< The full file's header lastWalSeq.
-    /** Each delta's records (views into `files`) and header
-     *  lastWalSeq, base first. */
-    std::vector<std::pair<std::vector<WalRecord>, uint64_t>> deltas;
+    /** Each delta's records (views into `files`), base first. */
+    std::vector<std::vector<WalRecord>> deltas;
+    /** The deltas' records to replay; its cut covers the whole chain. */
+    ReplayPlan plan;
 };
 
 /**
@@ -188,7 +218,9 @@ struct DecodedChain
  * payload that fails to decode is corrupt: recovery REFUSES
  * (NazarError) rather than silently adopting stale state — the base
  * provably existed when the delta committed, so its absence means
- * the directory was damaged outside the protocol.
+ * the directory was damaged outside the protocol. The full snapshot
+ * is decoded last: when a delta record to replay clears the pending
+ * drift log and uploads, its copies of them are only checked.
  */
 DecodedChain
 decodeChain(const fs::path &dir)
@@ -222,11 +254,23 @@ decodeChain(const fs::path &dir)
         cur = &base->second;
     }
     out.head.deltasSinceFull = chain.size() - 1;
-    out.full = decodeSnapshot(chain.back()->payload);
-    out.fullLastWalSeq = chain.back()->header.lastWalSeq;
-    for (auto it = chain.rbegin() + 1; it != chain.rend(); ++it)
-        out.deltas.emplace_back(decodeDeltaRecords((*it)->payload),
-                                (*it)->header.lastWalSeq);
+    const ChainFile &full = *chain.back();
+    // The snapshot's own lastWalSeq leads its payload.
+    out.plan.cut =
+        std::max(Reader(full.payload).getU64(), full.header.lastWalSeq);
+    out.deltas.reserve(chain.size() - 1);
+    for (auto it = chain.rbegin() + 1; it != chain.rend(); ++it) {
+        out.deltas.push_back(decodeDeltaRecords((*it)->payload));
+        out.plan.take(out.deltas.back());
+        out.plan.cut = std::max(out.plan.cut, (*it)->header.lastWalSeq);
+    }
+    const bool cleared = std::any_of(
+        out.plan.records.begin(), out.plan.records.end(),
+        [](const WalRecord *rec) { return clears(*rec); });
+    {
+        NAZAR_SPAN("persist.recover.snapshot");
+        out.full = decodeSnapshot(full.payload, !cleared);
+    }
     out.head.loaded = true;
     return out;
 }
@@ -242,7 +286,8 @@ decodeChain(const fs::path &dir)
  * Skip rule: an ingest below the seq of the last kCycleCommit/kFlush
  * among the replayed records is still decoded, dedup-checked and
  * counted, but not materialized — that clear empties the log and the
- * upload buffer, so the result is the same.
+ * upload buffer, so the result is the same. The full snapshot's log
+ * and uploads are likewise only checked when a delta's clear follows.
  */
 template <typename OpenWal>
 ChainRecovery
@@ -255,38 +300,20 @@ recoverInto(RecoveredState &st, const fs::path &dir,
         chain = decodeChain(dir);
     }
     NAZAR_SPAN("persist.recover.replay");
-    // Select what to replay, in seq order: each element contributes
-    // the records above everything before it.
-    std::vector<const WalRecord *> plan;
-    uint64_t cut = 0;
-    auto take = [&plan, &cut](const std::vector<WalRecord> &records) {
-        for (const WalRecord &rec : records) {
-            if (rec.seq <= cut)
-                continue; // already inside an earlier element
-            plan.push_back(&rec);
-            cut = rec.seq;
-        }
-    };
-    if (chain.full.has_value())
-        cut = std::max(chain.full->lastWalSeq, chain.fullLastWalSeq);
-    for (const auto &[records, last_seq] : chain.deltas) {
-        take(records);
-        cut = std::max(cut, last_seq);
-    }
-    size_t chain_records = plan.size();
-    take(open_wal(cut));
-    st.replayedRecords = plan.size() - chain_records;
+    ReplayPlan &plan = chain.plan;
+    const size_t chain_records = plan.records.size();
+    plan.take(open_wal(plan.cut));
+    st.replayedRecords = plan.records.size() - chain_records;
 
     uint64_t clear_seq = 0;
-    for (const WalRecord *rec : plan)
-        if (rec->type == WalRecordType::kCycleCommit ||
-            rec->type == WalRecordType::kFlush)
+    for (const WalRecord *rec : plan.records)
+        if (clears(*rec))
             clear_seq = rec->seq;
     if (chain.full.has_value())
         applySnapshot(st, std::move(*chain.full));
-    for (const WalRecord *rec : plan)
+    for (const WalRecord *rec : plan.records)
         applyWalRecord(st, *rec, dedup_window, rec->seq >= clear_seq);
-    st.lastWalSeq = cut;
+    st.lastWalSeq = plan.cut;
     st.snapshotLoaded = chain.head.loaded;
     return chain.head;
 }
@@ -656,7 +683,7 @@ scrubStateDir(const fs::path &dir)
             ++report.chainLength;
             try {
                 if (cur->header.kind == ChainKind::kFull)
-                    decodeSnapshot(cur->payload);
+                    decodeSnapshot(cur->payload, /*build_pending=*/false);
                 else
                     decodeDeltaRecords(cur->payload);
             } catch (const NazarError &e) {

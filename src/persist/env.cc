@@ -1,11 +1,14 @@
 #include "persist/env.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <vector>
 
 #include "common/error.h"
 #include "obs/metrics.h"
@@ -383,26 +386,48 @@ Env::remove(const char *site, const fs::path &path)
     return removed;
 }
 
-FileBytes
-readFile(const fs::path &path)
+void
+FileRelease::operator()(char *p) const
 {
-    FileBytes out;
+    if (mapped > 0)
+        ::munmap(p, mapped);
+    else
+        delete[] p;
+}
+
+namespace {
+
+/**
+ * Open @p path to read it whole: returns the fd and sets @p size, or
+ * returns -1, leaving @p out empty and marked unreadable unless the
+ * file is simply absent.
+ */
+int
+openWhole(const fs::path &path, FileBytes &out, size_t &size)
+{
     int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd < 0) {
         // ENOENT means a fresh directory; anything else (EACCES,
         // EIO, ...) means a file we must not pretend is absent.
         out.unreadable = errno != ENOENT;
-        return out;
+        return -1;
     }
     // A directory opens fine but cannot be read (EISDIR).
     struct stat st;
     if (::fstat(fd, &st) != 0 || S_ISDIR(st.st_mode)) {
         out.unreadable = true;
         ::close(fd);
-        return out;
+        return -1;
     }
-    const auto want = static_cast<size_t>(st.st_size);
-    out.data = std::make_unique_for_overwrite<char[]>(want);
+    size = static_cast<size_t>(st.st_size);
+    return fd;
+}
+
+/** Read @p want bytes of @p fd into a heap buffer. */
+void
+readWhole(int fd, size_t want, FileBytes &out)
+{
+    out.data.reset(new char[want]);
     // One read normally; loop only for a short read or EINTR. Media
     // errors fail here.
     while (out.size < want) {
@@ -418,6 +443,59 @@ readFile(const fs::path &path)
             break; // shrank since the fstat
         out.size += static_cast<size_t>(n);
     }
+}
+
+/**
+ * Map @p want bytes of @p fd read-only with every page read in up
+ * front. False when the kernel cannot map the file or did not bring
+ * every page in: a page that failed to read in would raise SIGBUS when
+ * touched, where read() reports the same media error as an error.
+ */
+bool
+mapWhole(int fd, size_t want, FileBytes &out)
+{
+    void *p = ::mmap(nullptr, want, PROT_READ, MAP_PRIVATE | MAP_POPULATE,
+                     fd, 0);
+    if (p == MAP_FAILED)
+        return false;
+    std::unique_ptr<char, FileRelease> mapped(static_cast<char *>(p),
+                                              FileRelease{want});
+    const auto page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+    std::vector<unsigned char> resident((want + page - 1) / page);
+    if (::mincore(p, want, resident.data()) != 0 ||
+        std::any_of(resident.begin(), resident.end(),
+                    [](unsigned char r) { return (r & 1) == 0; }))
+        return false;
+    out.data = std::move(mapped);
+    out.size = want;
+    return true;
+}
+
+} // namespace
+
+FileBytes
+readFile(const fs::path &path)
+{
+    FileBytes out;
+    size_t want = 0;
+    int fd = openWhole(path, out, want);
+    if (fd < 0)
+        return out;
+    readWhole(fd, want, out);
+    ::close(fd);
+    return out;
+}
+
+FileBytes
+mapFile(const fs::path &path)
+{
+    FileBytes out;
+    size_t want = 0;
+    int fd = openWhole(path, out, want);
+    if (fd < 0)
+        return out;
+    if (!mapWhole(fd, want, out)) // an empty file cannot be mapped
+        readWhole(fd, want, out);
     ::close(fd);
     return out;
 }

@@ -247,14 +247,22 @@ class Env
     std::map<std::string, bool> closedUnsynced_;
 };
 
+/** Frees FileBytes' bytes: munmap for a mapping, delete[] otherwise. */
+struct FileRelease
+{
+    size_t mapped = 0; ///< Mapping length; 0 = a heap buffer.
+    void operator()(char *p) const;
+};
+
 /**
- * A whole file's bytes, read once (readFile). The buffer is on the
- * heap and the object is move-only, so views into view() stay valid
- * when a FileBytes moves, and end when it is destroyed.
+ * A whole file's bytes, read once (readFile) or mapped (mapFile). The
+ * object is move-only and the bytes do not move with it, so views into
+ * view() stay valid when a FileBytes moves, and end when it is
+ * destroyed.
  */
 struct FileBytes
 {
-    std::unique_ptr<char[]> data;
+    std::unique_ptr<char, FileRelease> data;
     size_t size = 0;
     /**
      * The file exists but could not be read (open failure other than
@@ -268,10 +276,21 @@ struct FileBytes
 
 /**
  * Read @p path whole: one fstat for the size, then one read into a
- * buffer of that size (no chunked appends, no copy). Recovery reads
- * through here, not through an Env: reads have no fault sites.
+ * heap buffer of that size (no chunked appends, no copy). Recovery
+ * reads through here, not through an Env: reads have no fault sites.
  */
 FileBytes readFile(const std::filesystem::path &path);
+
+/**
+ * readFile for a file nobody rewrites in place while it is mapped (a
+ * committed chain file: a new one replaces it by rename, and GC only
+ * unlinks it). The bytes are the page cache's, mapped read-only and
+ * read in up front: no copy, and no fresh heap pages to fault in.
+ * Falls back to readFile's read when the file cannot be mapped or a
+ * page did not read in, so a media error is still reported as
+ * `unreadable`, never as SIGBUS on a later touch.
+ */
+FileBytes mapFile(const std::filesystem::path &path);
 
 } // namespace nazar::persist
 

@@ -1,103 +1,36 @@
 #include "persist/serial.h"
 
 #include <algorithm>
+#include <bit>
+#include <compare>
 #include <cstring>
+#include <limits>
 
 #include "common/error.h"
 
 namespace nazar::persist {
 
-void
-Writer::putU32(uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        putU8(static_cast<uint8_t>(v >> (8 * i)));
-}
+namespace detail {
 
+// Out of line so each inline getter stays one compare and one load.
 void
-Writer::putU64(uint64_t v)
+throwTruncated(size_t need, size_t have)
 {
-    for (int i = 0; i < 8; ++i)
-        putU8(static_cast<uint8_t>(v >> (8 * i)));
+    throw NazarError(::nazar::detail::formatCheckMessage(
+        "check", "len_ - pos_ >= n", __FILE__, __LINE__,
+        "persist: truncated record (need " + std::to_string(need) +
+            " bytes, have " + std::to_string(have) + ")"));
 }
 
 void
-Writer::putF64(double v)
+throwStringOverrun()
 {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    putU64(bits);
+    throw NazarError(::nazar::detail::formatCheckMessage(
+        "check", "n <= remaining()", __FILE__, __LINE__,
+        "persist: string length exceeds buffer"));
 }
 
-void
-Writer::putBytes(const void *data, size_t len)
-{
-    buf_.append(static_cast<const char *>(data), len);
-}
-
-void
-Writer::putString(std::string_view s)
-{
-    putU64(s.size());
-    buf_.append(s);
-}
-
-const char *
-Reader::need(size_t n)
-{
-    NAZAR_CHECK(len_ - pos_ >= n,
-                "persist: truncated record (need " + std::to_string(n) +
-                    " bytes, have " + std::to_string(len_ - pos_) + ")");
-    const char *p = data_ + pos_;
-    pos_ += n;
-    return p;
-}
-
-uint8_t
-Reader::getU8()
-{
-    return static_cast<uint8_t>(*need(1));
-}
-
-uint32_t
-Reader::getU32()
-{
-    const char *p = need(4);
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-    return v;
-}
-
-uint64_t
-Reader::getU64()
-{
-    const char *p = need(8);
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-    return v;
-}
-
-double
-Reader::getF64()
-{
-    uint64_t bits = getU64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-}
-
-std::string_view
-Reader::getStringView()
-{
-    uint64_t n = getU64();
-    NAZAR_CHECK(n <= remaining(),
-                "persist: string length exceeds buffer");
-    const char *p = need(static_cast<size_t>(n));
-    return std::string_view(p, static_cast<size_t>(n));
-}
+} // namespace detail
 
 void
 putValue(Writer &w, const driftlog::Value &v)
@@ -143,27 +76,59 @@ getValue(Reader &r)
 
 namespace {
 
-/** getValue's checks (tag, then the payload's bounds), no Value built. */
-void
-skipValue(Reader &r)
+/** One encoded Value read in place: getValue's checks (the tag, then
+ *  the payload's bounds), no Value built. */
+struct ValueView
 {
-    auto type = static_cast<driftlog::ValueType>(r.getU8());
-    switch (type) {
+    driftlog::ValueType type = driftlog::ValueType::kNull;
+    uint64_t bits = 0; ///< An int's or double's bits; a bool's 0/1.
+    std::string_view str;
+};
+
+ValueView
+getValueView(Reader &r)
+{
+    ValueView v;
+    v.type = static_cast<driftlog::ValueType>(r.getU8());
+    switch (v.type) {
       case driftlog::ValueType::kNull:
-        return;
+        return v;
       case driftlog::ValueType::kInt:
       case driftlog::ValueType::kDouble:
-        r.skip(8);
-        return;
+        v.bits = r.getU64();
+        return v;
       case driftlog::ValueType::kBool:
-        r.skip(1);
-        return;
+        v.bits = r.getBool() ? 1 : 0;
+        return v;
       case driftlog::ValueType::kString:
-        r.getStringView();
-        return;
+        v.str = r.getStringView();
+        return v;
     }
     throw NazarError("persist: unknown Value type tag " +
-                     std::to_string(static_cast<int>(type)));
+                     std::to_string(static_cast<int>(v.type)));
+}
+
+/** Value's `<` over two views: by type, then by value (doubles by IEEE
+ *  totalOrder, strings bytewise). */
+bool
+lessThan(const ValueView &a, const ValueView &b)
+{
+    if (a.type != b.type)
+        return a.type < b.type;
+    switch (a.type) {
+      case driftlog::ValueType::kNull:
+        return false;
+      case driftlog::ValueType::kInt:
+        return static_cast<int64_t>(a.bits) < static_cast<int64_t>(b.bits);
+      case driftlog::ValueType::kDouble:
+        return std::strong_order(std::bit_cast<double>(a.bits),
+                                 std::bit_cast<double>(b.bits)) < 0;
+      case driftlog::ValueType::kBool:
+        return a.bits < b.bits;
+      case driftlog::ValueType::kString:
+        return a.str < b.str;
+    }
+    return false;
 }
 
 /** An attribute set's count, checked against the bytes left: each
@@ -308,6 +273,62 @@ getDriftLog(Reader &r)
 }
 
 void
+skipDriftLog(Reader &r)
+{
+    const driftlog::Schema schema = driftlog::DriftLog::canonicalSchema();
+    NAZAR_CHECK(r.getU32() == schema.columnCount(),
+                "persist: drift log has the wrong column count");
+    std::vector<uint64_t> lengths;
+    std::vector<bool> referenced;
+    for (const driftlog::ColumnDef &def : schema.columns()) {
+        NAZAR_CHECK(r.getU8() == static_cast<uint8_t>(def.type),
+                    "persist: drift-log column " + def.name +
+                        " has the wrong type");
+        uint64_t entries = r.getU64();
+        NAZAR_CHECK(entries <= r.remaining(),
+                    "persist: drift-log dictionary exceeds buffer");
+        // Column's from-parts checks run after the whole column is
+        // read; note the first entry that fails one, in their order.
+        const char *bad_entry = nullptr;
+        ValueView prev;
+        for (uint64_t i = 0; i < entries; ++i) {
+            ValueView v = getValueView(r);
+            if (bad_entry != nullptr)
+                continue;
+            if (v.type != driftlog::ValueType::kNull && v.type != def.type)
+                bad_entry = "dictionary entry type does not match column "
+                            "type";
+            else if (i > 0 && !lessThan(prev, v))
+                bad_entry = "column dictionary is not strictly ascending";
+            prev = v;
+        }
+        uint64_t rows = r.getU64();
+        NAZAR_CHECK(rows <= r.remaining() / 4,
+                    "persist: drift-log ids exceed buffer");
+        // Column reserves its largest id as the index's empty slot.
+        NAZAR_CHECK(entries < std::numeric_limits<driftlog::Column::Id>::max(),
+                    "column dictionary overflow");
+        NAZAR_CHECK(bad_entry == nullptr, bad_entry);
+        NAZAR_CHECK(entries == 0 || std::bit_ceil(std::max<uint64_t>(
+                                        16, 2 * entries)) <=
+                                        (uint64_t{1} << 32),
+                    "column index overflow");
+        referenced.assign(static_cast<size_t>(entries), false);
+        for (uint64_t i = 0; i < rows; ++i) {
+            uint32_t id = r.getU32();
+            NAZAR_CHECK(id < entries, "column id out of range");
+            referenced[id] = true;
+        }
+        NAZAR_CHECK(std::find(referenced.begin(), referenced.end(),
+                              false) == referenced.end(),
+                    "column dictionary has an unreferenced entry");
+        lengths.push_back(rows);
+    }
+    for (uint64_t rows : lengths)
+        NAZAR_CHECK(rows == lengths.front(), "columns differ in length");
+}
+
+void
 putUpload(Writer &w, const UploadRecord &u)
 {
     w.putU64(u.features.size());
@@ -348,7 +369,7 @@ skipAttributeSet(Reader &r)
         std::string_view column = r.getStringView();
         ascending = ascending && (i == 0 || prev < column);
         prev = column;
-        skipValue(r);
+        getValueView(r);
     }
     if (ascending)
         return;
@@ -359,7 +380,7 @@ skipAttributeSet(Reader &r)
     std::vector<std::string_view> columns(n);
     for (std::string_view &column : columns) {
         column = again.getStringView();
-        skipValue(again);
+        getValueView(again);
     }
     std::sort(columns.begin(), columns.end());
     NAZAR_CHECK(std::adjacent_find(columns.begin(), columns.end()) ==

@@ -25,7 +25,9 @@
 #ifndef NAZAR_PERSIST_SERIAL_H
 #define NAZAR_PERSIST_SERIAL_H
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -86,45 +88,98 @@ class ScopedVariant
 
 } // namespace crc_kernel
 
+namespace detail {
+
+/** @p v converted between native and little-endian byte order (the
+ *  same swap either way; a no-op on little-endian hosts). */
+template <typename T>
+inline T
+swapIfBigEndian(T v)
+{
+    static_assert(sizeof(T) == 4 || sizeof(T) == 8);
+    if constexpr (std::endian::native == std::endian::big) {
+        if constexpr (sizeof(T) == 4)
+            return __builtin_bswap32(v);
+        else
+            return __builtin_bswap64(v);
+    }
+    return v;
+}
+
+/** Throws Reader's "truncated record" NazarError. */
+[[noreturn]] void throwTruncated(size_t need, size_t have);
+
+/** Throws the NazarError for a string length past the buffer. */
+[[noreturn]] void throwStringOverrun();
+
+} // namespace detail
+
 /** Append-only byte buffer with typed little-endian writers. */
 class Writer
 {
   public:
     void putU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
     void putBool(bool v) { putU8(v ? 1 : 0); }
-    void putU32(uint32_t v);
-    void putU64(uint64_t v);
+    void putU32(uint32_t v) { putLittleEndian(v); }
+    void putU64(uint64_t v) { putLittleEndian(v); }
     void putI64(int64_t v) { putU64(static_cast<uint64_t>(v)); }
     /** Bit-exact: the IEEE-754 pattern is copied, NaN payloads intact. */
-    void putF64(double v);
-    void putBytes(const void *data, size_t len);
+    void putF64(double v) { putU64(std::bit_cast<uint64_t>(v)); }
+    void putBytes(const void *data, size_t len)
+    {
+        buf_.append(static_cast<const char *>(data), len);
+    }
     /** u64 length prefix + raw bytes. */
-    void putString(std::string_view s);
+    void putString(std::string_view s)
+    {
+        putU64(s.size());
+        buf_.append(s);
+    }
 
     const std::string &bytes() const { return buf_; }
     std::string take() { return std::move(buf_); }
     size_t size() const { return buf_.size(); }
 
   private:
+    template <typename T>
+    void putLittleEndian(T v)
+    {
+        v = detail::swapIfBigEndian(v);
+        char bytes[sizeof(T)];
+        std::memcpy(bytes, &v, sizeof(T));
+        buf_.append(bytes, sizeof(T));
+    }
+
     std::string buf_;
 };
 
-/** Bounds-checked reader over a byte range; throws NazarError on underrun. */
+/**
+ * Bounds-checked reader over a byte range; throws NazarError on
+ * underrun. Every getter is one compare against the bytes left and
+ * one little-endian load; the throw is out of line.
+ */
 class Reader
 {
   public:
     Reader(const char *data, size_t len) : data_(data), len_(len) {}
     explicit Reader(std::string_view s) : Reader(s.data(), s.size()) {}
 
-    uint8_t getU8();
+    uint8_t getU8() { return static_cast<uint8_t>(*need(1)); }
     bool getBool() { return getU8() != 0; }
-    uint32_t getU32();
-    uint64_t getU64();
+    uint32_t getU32() { return getLittleEndian<uint32_t>(); }
+    uint64_t getU64() { return getLittleEndian<uint64_t>(); }
     int64_t getI64() { return static_cast<int64_t>(getU64()); }
-    double getF64();
+    double getF64() { return std::bit_cast<double>(getU64()); }
     std::string getString() { return std::string(getStringView()); }
     /** getString's bytes in place: a view into the Reader's buffer. */
-    std::string_view getStringView();
+    std::string_view getStringView()
+    {
+        uint64_t n = getU64();
+        if (n > remaining()) [[unlikely]]
+            detail::throwStringOverrun();
+        return std::string_view(need(static_cast<size_t>(n)),
+                                static_cast<size_t>(n));
+    }
 
     /** Advance past @p n bytes without decoding them (bounds-checked).
      *  Lets decoders step over unknown forward-compat fields. */
@@ -134,7 +189,22 @@ class Reader
     bool atEnd() const { return pos_ == len_; }
 
   private:
-    const char *need(size_t n);
+    const char *need(size_t n)
+    {
+        if (len_ - pos_ < n) [[unlikely]]
+            detail::throwTruncated(n, len_ - pos_);
+        const char *p = data_ + pos_;
+        pos_ += n;
+        return p;
+    }
+
+    template <typename T>
+    T getLittleEndian()
+    {
+        T v = 0;
+        std::memcpy(&v, need(sizeof(T)), sizeof(T));
+        return detail::swapIfBigEndian(v);
+    }
 
     const char *data_;
     size_t len_;
@@ -176,6 +246,15 @@ driftlog::DriftLogEntryView getEntryView(Reader &r);
  */
 void putDriftLog(Writer &w, const driftlog::DriftLog &log);
 driftlog::DriftLog getDriftLog(Reader &r);
+
+/**
+ * Step past one encoded drift log, running every check getDriftLog
+ * runs, the Column and Table from-parts checks included, in the same
+ * order and with the same messages, and building no Value, column or
+ * index: getDriftLog throws on these bytes exactly when skipDriftLog
+ * does.
+ */
+void skipDriftLog(Reader &r);
 
 /** A sampled raw input uploaded with a drift-log entry. */
 struct UploadRecord

@@ -71,10 +71,17 @@ writeFileAtomic(const fs::path &tmp, const fs::path &final,
 bool
 DedupWindow::accept(uint64_t seq, size_t capacity)
 {
-    auto it = std::lower_bound(seen.begin(), seen.end(), seq);
-    if (seq < floor || (it != seen.end() && *it == seq))
-        return false;
-    seen.insert(it, seq);
+    // In-order fast path (nearly every seq): above everything retained,
+    // so neither a duplicate nor below the floor, and it goes at the
+    // back without a search.
+    if (seen.empty() ? seq >= floor : seq > seen.back()) {
+        seen.push_back(seq);
+    } else {
+        auto it = std::lower_bound(seen.begin(), seen.end(), seq);
+        if (seq < floor || (it != seen.end() && *it == seq))
+            return false;
+        seen.insert(it, seq);
+    }
     while (seen.size() > capacity) {
         floor = seen.front() + 1;
         seen.pop_front();
@@ -117,7 +124,7 @@ encodeSnapshot(const SnapshotData &data)
 }
 
 SnapshotData
-decodeSnapshot(std::string_view payload)
+decodeSnapshot(std::string_view payload, bool build_pending)
 {
     Reader r(payload);
     SnapshotData data;
@@ -126,10 +133,17 @@ decodeSnapshot(std::string_view payload)
     data.nextVersionId = r.getI64();
     data.totalIngested = r.getU64();
     data.dedupHits = r.getU64();
-    data.driftLog = getDriftLog(r);
+    if (build_pending)
+        data.driftLog = getDriftLog(r);
+    else
+        skipDriftLog(r);
     uint64_t uploads = r.getU64();
-    for (uint64_t i = 0; i < uploads; ++i)
-        data.uploads.push_back(getUpload(r));
+    for (uint64_t i = 0; i < uploads; ++i) {
+        if (build_pending)
+            data.uploads.push_back(getUpload(r));
+        else
+            skipUpload(r);
+    }
     uint64_t devices = r.getU64();
     for (uint64_t i = 0; i < devices; ++i) {
         int64_t device = r.getI64();
@@ -226,7 +240,7 @@ writeChainFile(const fs::path &dir, ChainHeader header,
 std::optional<ChainFile>
 loadChainFile(const fs::path &path)
 {
-    FileBytes file = readFile(path);
+    FileBytes file = mapFile(path);
     const std::string_view bytes = file.view();
     constexpr size_t kHeaderSize = sizeof(kChainMagic) + 1 + 8 + 8 + 4 +
                                    8 + 8 + 4;

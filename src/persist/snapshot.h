@@ -103,8 +103,15 @@ std::string encodeSnapshot(const SnapshotData &data);
  * any drift-log column that breaks the dictionary invariant and the
  * retired CSV-carrying payload (whose CSV length reads as a wrong
  * column count).
+ *
+ * With @p build_pending false, the pending drift log and the upload
+ * buffer are checked as they are when built (skipDriftLog, skipUpload)
+ * but left empty: recovery passes false when a replayed cycle commit
+ * or flush clears them anyway. It throws on exactly the payloads the
+ * building decode throws on.
  */
-SnapshotData decodeSnapshot(std::string_view payload);
+SnapshotData decodeSnapshot(std::string_view payload,
+                            bool build_pending = true);
 
 // ---- incremental snapshot chain ------------------------------------
 //
@@ -147,10 +154,10 @@ struct ChainHeader
 };
 
 /**
- * One loaded chain file: the file's bytes as read, and its payload as
- * a view past the header into them. Move-only; the payload (and every
- * WalRecord decodeDeltaRecords returns over it) is valid while the
- * ChainFile is.
+ * One loaded chain file: the file's bytes as mapped (mapFile), and its
+ * payload as a view past the header into them. Move-only; the payload
+ * (and every WalRecord decodeDeltaRecords returns over it) is valid
+ * while the ChainFile is.
  */
 struct ChainFile
 {
@@ -179,8 +186,8 @@ uint32_t writeChainFile(const std::filesystem::path &dir,
                         Env &env);
 
 /**
- * Load one chain file: one read of the whole file, then the header
- * and the payload CRC are checked in place. Returns nullopt when
+ * Load one chain file: the whole file mapped once (mapFile), then the
+ * header and the payload CRC are checked in place. Returns nullopt when
  * absent, torn, or failing its checksum — the caller treats the
  * element as missing.
  */

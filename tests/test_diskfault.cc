@@ -622,26 +622,31 @@ TEST_F(DiskFaultCloudTest, DeltaRecordCodecRejectsMalformedPayloads)
 TEST(ReadFileTest, AbsentEmptyUnreadableAndWhole)
 {
     TempDir dir("read_file");
-    FileBytes absent = persist::readFile(dir.path / "absent");
-    EXPECT_EQ(absent.size, 0u);
-    EXPECT_FALSE(absent.unreadable); // absent is a fresh start
     writeFile(dir.path / "empty", "");
-    FileBytes empty = persist::readFile(dir.path / "empty");
-    EXPECT_EQ(empty.size, 0u);
-    EXPECT_FALSE(empty.unreadable);
     fs::create_directories(dir.path / "sub");
-    EXPECT_TRUE(persist::readFile(dir.path / "sub").unreadable);
     std::string bytes(200000, '\0');
     for (size_t i = 0; i < bytes.size(); ++i)
         bytes[i] = static_cast<char>(i * 31 + 7);
     writeFile(dir.path / "whole", bytes);
-    FileBytes whole = persist::readFile(dir.path / "whole");
-    EXPECT_FALSE(whole.unreadable);
-    EXPECT_EQ(whole.view(), bytes);
-    // Moving keeps views into the buffer valid.
-    std::string_view view = whole.view();
-    FileBytes moved = std::move(whole);
-    EXPECT_EQ(view.data(), moved.view().data());
+    // mapFile keeps readFile's contract; only where the bytes live
+    // differs.
+    for (auto read : {&persist::readFile, &persist::mapFile}) {
+        SCOPED_TRACE(read == &persist::readFile ? "readFile" : "mapFile");
+        FileBytes absent = read(dir.path / "absent");
+        EXPECT_EQ(absent.size, 0u);
+        EXPECT_FALSE(absent.unreadable); // absent is a fresh start
+        FileBytes empty = read(dir.path / "empty");
+        EXPECT_EQ(empty.size, 0u);
+        EXPECT_FALSE(empty.unreadable);
+        EXPECT_TRUE(read(dir.path / "sub").unreadable);
+        FileBytes whole = read(dir.path / "whole");
+        EXPECT_FALSE(whole.unreadable);
+        EXPECT_EQ(whole.view(), bytes);
+        // Moving keeps views into the bytes valid.
+        std::string_view view = whole.view();
+        FileBytes moved = std::move(whole);
+        EXPECT_EQ(view.data(), moved.view().data());
+    }
 }
 
 /** The bytes putUpload writes for @p up (for comparing uploads). */

@@ -8,13 +8,17 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 #include "common/error.h"
 #include "common/logging.h"
@@ -182,6 +186,34 @@ TEST(Serial, ReaderThrowsOnUnderrun)
     w2.putU64(1ull << 40);
     Reader r2(w2.bytes());
     EXPECT_THROW(r2.getString(), NazarError);
+}
+
+TEST(Serial, LittleEndianByteOrderIsPinned)
+{
+    // The on-disk and wire bytes of fixed values, whatever the host's
+    // byte order.
+    const std::string bytes("\x01\x02\x03\x04"                 // u32
+                            "\x01\x02\x03\x04\x05\x06\x07\x08" // u64
+                            "\xfe\xff\xff\xff\xff\xff\xff\xff" // i64 -2
+                            "\x00\x00\x00\x00\x00\x00\xf8\x3f" // 1.5
+                            "\x01\x00\x00\x00\x00\x00\xf8\xff", // -NaN(1)
+                            36);
+    const uint64_t nan_bits = 0xfff8000000000001ull;
+    Reader r(bytes);
+    EXPECT_EQ(r.getU32(), 0x04030201u);
+    EXPECT_EQ(r.getU64(), 0x0807060504030201ull);
+    EXPECT_EQ(r.getI64(), -2);
+    EXPECT_EQ(r.getF64(), 1.5);
+    EXPECT_EQ(std::bit_cast<uint64_t>(r.getF64()), nan_bits);
+    EXPECT_TRUE(r.atEnd());
+
+    Writer w;
+    w.putU32(0x04030201u);
+    w.putU64(0x0807060504030201ull);
+    w.putI64(-2);
+    w.putF64(1.5);
+    w.putF64(std::bit_cast<double>(nan_bits));
+    EXPECT_EQ(w.bytes(), bytes);
 }
 
 TEST(Serial, ValueAndAttributeSetRoundTrip)
@@ -497,6 +529,105 @@ TEST(SnapshotTest, DecodeRejectsTruncatedPayload)
     EXPECT_THROW(decodeSnapshot(payload), NazarError);
 }
 
+/** @p bytes in a heap buffer of exactly their size, so the ASan build
+ *  reports any read past their end. */
+std::unique_ptr<char[]>
+exactCopy(std::string_view bytes)
+{
+    auto copy = std::make_unique<char[]>(bytes.size());
+    std::memcpy(copy.get(), bytes.data(), bytes.size());
+    return copy;
+}
+
+TEST(SnapshotTest, EveryProperPrefixIsRefused)
+{
+    IngestRecord rec;
+    rec.device = 4;
+    rec.seq = 11;
+    rec.entry.time = SimDate(3, 4000);
+    rec.entry.deviceId = "android_4";
+    rec.entry.deviceModel = "pixel_6";
+    rec.entry.location = "tibet";
+    rec.entry.weather = "snow";
+    rec.entry.drift = true;
+    rec.upload = sampleSnapshot().uploads.front();
+    const std::string ingest = CloudPersistence::encodeIngest(rec);
+    const std::string delta = encodeDeltaRecords(
+        {WalRecord{WalRecordType::kIngest, 3, ingest},
+         WalRecord{WalRecordType::kFlush, 4, ""}});
+    const std::string snapshot = encodeSnapshot(sampleSnapshot());
+
+    using Decode = void (*)(std::string_view);
+    const std::vector<std::tuple<const char *, const std::string *,
+                                 Decode>>
+        cases = {
+            {"viewIngest", &ingest,
+             [](std::string_view b) { (void)viewIngest(b); }},
+            {"decodeIngest", &ingest,
+             [](std::string_view b) { (void)oracle::decodeIngest(b); }},
+            {"decodeDeltaRecords", &delta,
+             [](std::string_view b) { (void)decodeDeltaRecords(b); }},
+            {"decodeSnapshot", &snapshot,
+             [](std::string_view b) { (void)decodeSnapshot(b); }},
+            {"decodeSnapshot(check only)", &snapshot,
+             [](std::string_view b) { (void)decodeSnapshot(b, false); }},
+        };
+    for (const auto &[name, bytes, decode] : cases) {
+        SCOPED_TRACE(name);
+        ASSERT_NO_THROW(decode(*bytes));
+        for (size_t n = 0; n < bytes->size(); ++n) {
+            std::unique_ptr<char[]> prefix =
+                exactCopy(std::string_view(*bytes).substr(0, n));
+            EXPECT_THROW(decode(std::string_view(prefix.get(), n)),
+                         NazarError)
+                << n << " of " << bytes->size() << " bytes";
+        }
+    }
+}
+
+/**
+ * What @p decode throws on @p bytes: the NazarError's message after
+ * its source location, or nullopt when it does not throw.
+ */
+template <typename Decode>
+std::optional<std::string>
+failure(Decode &&decode, std::string_view bytes)
+{
+    std::unique_ptr<char[]> copy = exactCopy(bytes);
+    try {
+        decode(std::string_view(copy.get(), bytes.size()));
+        return std::nullopt;
+    } catch (const NazarError &e) {
+        std::string what = e.what();
+        size_t dash = what.find(" — ");
+        return dash == std::string::npos ? what : what.substr(dash);
+    }
+}
+
+TEST(SnapshotTest, CheckOnlyDecodeRefusesExactlyWhatTheBuildRefuses)
+{
+    // Every one-byte corruption of a snapshot payload: the check-only
+    // decode recovery runs when a clear follows throws exactly when
+    // the building decode does, with the same message.
+    const std::string payload = encodeSnapshot(sampleSnapshot());
+    auto build = [](std::string_view b) { (void)decodeSnapshot(b); };
+    auto check = [](std::string_view b) {
+        (void)decodeSnapshot(b, false);
+    };
+    size_t refused = 0;
+    for (size_t i = 0; i < payload.size(); ++i) {
+        for (uint8_t flip : {0x01, 0x80, 0xff}) {
+            std::string bad = payload;
+            bad[i] = static_cast<char>(bad[i] ^ flip);
+            std::optional<std::string> want = failure(build, bad);
+            EXPECT_EQ(failure(check, bad), want)
+                << "byte " << i << " ^ " << int(flip);
+            refused += want.has_value() ? 1 : 0;
+        }
+    }
+    EXPECT_GT(refused, 0u);
+}
+
 // ---- drift-log column codec ----------------------------------------
 
 /** A log with NULL cells and repeated values in every column. */
@@ -647,6 +778,58 @@ TEST(DriftLogColumns, DecodeRejectsEveryInvariantViolation)
     EXPECT_THROW(decodeLog(torn), NazarError);
 }
 
+/** skipDriftLog over @p bytes, then the same end check as decodeLog. */
+void
+skipLog(std::string_view bytes)
+{
+    Reader r(bytes);
+    skipDriftLog(r);
+    NAZAR_CHECK(r.atEnd(), "trailing bytes after the drift log");
+}
+
+TEST(DriftLogColumns, SkipRefusesExactlyWhatDecodeRefuses)
+{
+    auto decode = [](std::string_view b) {
+        (void)decodeLog(std::string(b));
+    };
+    const std::vector<ColumnParts> good = partsOf(mixedLog(12));
+    const size_t device = 2;
+    // Each invariant violation of DecodeRejectsEveryInvariantViolation,
+    // and two at once (the first in decode order is the one reported).
+    std::vector<std::vector<ColumnParts>> cases(9, good);
+    cases[1].pop_back();
+    cases[2][0].type = static_cast<uint8_t>(driftlog::ValueType::kString);
+    std::swap(cases[3][device].dict[0], cases[3][device].dict[1]);
+    cases[4][device].dict[1] = cases[4][device].dict[0];
+    cases[5][device].dict[0] = driftlog::Value(int64_t{5});
+    cases[6][device].ids[3] =
+        static_cast<uint32_t>(cases[6][device].dict.size());
+    cases[7][device].dict.push_back(driftlog::Value("zzz_unused"));
+    cases[8][device].ids.push_back(0);
+    cases[8][device + 1].dict.push_back(driftlog::Value("zzz_unused"));
+    for (size_t c = 0; c < cases.size(); ++c) {
+        const std::string bytes = encodeParts(cases[c]);
+        std::optional<std::string> want = failure(decode, bytes);
+        EXPECT_EQ(want.has_value(), c > 0) << "case " << c;
+        EXPECT_EQ(failure(skipLog, bytes), want) << "case " << c;
+    }
+    // Every one-byte corruption and every proper prefix.
+    for (size_t rows : {0, 1, 12}) {
+        const std::string bytes = encodeLog(mixedLog(rows));
+        for (size_t i = 0; i < bytes.size(); ++i) {
+            EXPECT_EQ(failure(skipLog, bytes.substr(0, i)),
+                      failure(decode, bytes.substr(0, i)))
+                << rows << " rows, prefix " << i;
+            for (uint8_t flip : {0x01, 0x80, 0xff}) {
+                std::string bad = bytes;
+                bad[i] = static_cast<char>(bad[i] ^ flip);
+                EXPECT_EQ(failure(skipLog, bad), failure(decode, bad))
+                    << rows << " rows, byte " << i << " ^ " << int(flip);
+            }
+        }
+    }
+}
+
 TEST(DriftLogColumns, CsvCarryingFullSnapshotIsRefused)
 {
     // The retired full-snapshot payload carried the drift log as one
@@ -769,6 +952,91 @@ TEST(DedupWindowDifferential, AcceptMatchesTheSetModel)
             EXPECT_LT(accepted, stream.size());
             EXPECT_GT(window.floor, 0u) << "capacity " << capacity;
         }
+    }
+}
+
+/**
+ * Run @p stream through @p window and @p model side by side, checking
+ * the verdict, floor, highWater() and retained seqs after every step.
+ * Returns how many seqs were accepted.
+ */
+size_t
+expectSameVerdicts(DedupWindow &window, oracle::SetDedupWindow &model,
+                   size_t capacity, const std::vector<uint64_t> &stream)
+{
+    size_t accepted = 0;
+    for (size_t i = 0; i < stream.size(); ++i) {
+        const uint64_t seq = stream[i];
+        const bool want = model.accept(seq, capacity);
+        EXPECT_EQ(window.accept(seq, capacity), want)
+            << "step " << i << " seq " << seq;
+        EXPECT_EQ(window.floor, model.floor) << "step " << i;
+        EXPECT_EQ(window.highWater(), model.highWater()) << "step " << i;
+        EXPECT_TRUE(std::equal(window.seen.begin(), window.seen.end(),
+                               model.seen.begin(), model.seen.end()))
+            << "step " << i;
+        if (::testing::Test::HasFailure())
+            return accepted;
+        accepted += want ? 1 : 0;
+    }
+    return accepted;
+}
+
+TEST(DedupWindowDifferential, InOrderStreamTakesTheFastPath)
+{
+    // Every seq is above everything retained, as in a replay of one
+    // device's sends: all accepted, the window pruned from the front.
+    std::vector<uint64_t> stream(3000);
+    for (size_t i = 0; i < stream.size(); ++i)
+        stream[i] = 5 + 2 * i; // gaps too: the fast path needs only >
+    for (size_t capacity : {size_t{1}, size_t{4}, size_t{4096}}) {
+        SCOPED_TRACE("capacity " + std::to_string(capacity));
+        DedupWindow window;
+        oracle::SetDedupWindow model;
+        EXPECT_EQ(expectSameVerdicts(window, model, capacity, stream),
+                  stream.size());
+        EXPECT_EQ(window.highWater(), stream.back());
+        EXPECT_EQ(window.seen.size(),
+                  std::min(capacity, stream.size()));
+    }
+}
+
+TEST(DedupWindowDifferential, CapacityTwo)
+{
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        DedupWindow window;
+        oracle::SetDedupWindow model;
+        const std::vector<uint64_t> stream = dedupStream(seed, 3000);
+        size_t accepted = expectSameVerdicts(window, model, 2, stream);
+        EXPECT_GT(accepted, 0u);
+        EXPECT_LT(accepted, stream.size());
+        EXPECT_LE(window.seen.size(), 2u);
+    }
+}
+
+TEST(DedupWindowDifferential, RestoredEmptyWindowAboveItsFloor)
+{
+    // A snapshot may hold a window whose seqs were all pruned: no
+    // `seen`, floor > 0. Its first in-order accept takes the fast
+    // path's empty-window branch; seqs below the floor stay rejected.
+    SnapshotData data;
+    data.dedup[3] = DedupWindow{100, {}};
+    const SnapshotData back = decodeSnapshot(encodeSnapshot(data));
+    ASSERT_EQ(back.dedup.at(3), data.dedup.at(3));
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        DedupWindow window = back.dedup.at(3);
+        oracle::SetDedupWindow model;
+        model.floor = window.floor;
+        // Seqs from 90: the first lands below the floor, then 100
+        // exactly at it, then the mixed stream around it.
+        std::vector<uint64_t> stream{90, 99, 100, 100, 99};
+        for (uint64_t seq : dedupStream(seed, 2000))
+            stream.push_back(90 + seq);
+        size_t accepted = expectSameVerdicts(window, model, 8, stream);
+        EXPECT_GT(accepted, 0u);
+        EXPECT_GT(window.floor, 100u);
     }
 }
 
