@@ -296,7 +296,7 @@ if [ "$DO_RELEASE" = 1 ]; then
     rm -rf build-ci/supervise_state
     ./build-ci/tools/nazar_served supervise \
         --persist-dir=build-ci/supervise_state \
-        --kills=2 --kill-after-ms=300 --clients=4 --events=8000 \
+        --kills=2 --kill-after-acks=8000 --clients=4 --events=8000 \
         --drop=0.02 --dup=0.05 --fault-seed=11 \
         > build-ci/supervise.log
     grep -q "RECONCILED ok" build-ci/supervise.log || {

@@ -52,10 +52,16 @@ MspDetector::MspDetector(double threshold) : threshold_(threshold)
 bool
 MspDetector::isDrift(const std::vector<double> &logit_row) const
 {
+    return flag(score(logit_row));
+}
+
+bool
+MspDetector::flag(double msp) const
+{
     NAZAR_SPAN("detect.msp.is_drift");
     static DriftCounters counters("detect.msp.samples",
                                   "detect.msp.flags");
-    return counters.record(score(logit_row) < threshold_);
+    return counters.record(msp < threshold_);
 }
 
 double

@@ -23,9 +23,18 @@ class MspDetector : public Detector
   public:
     explicit MspDetector(double threshold = kDefaultMspThreshold);
 
+    /** flag(score(logit_row)). */
     bool isDrift(const std::vector<double> &logit_row) const override;
     double score(const std::vector<double> &logit_row) const override;
     std::string name() const override;
+
+    /**
+     * The detector's decision on an already computed MSP: drift when
+     * @p msp < threshold. Counts the sample (and flag) like isDrift,
+     * so a caller holding a batch's MSP column decides each row
+     * without a second softmax.
+     */
+    bool flag(double msp) const;
 
     double threshold() const { return threshold_; }
 

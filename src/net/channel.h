@@ -38,8 +38,9 @@
 #define NAZAR_NET_CHANNEL_H
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
-#include <optional>
+#include <numeric>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -178,43 +179,42 @@ class Channel
         // is older, which the stable sort below preserves for ties).
         std::vector<Arrival> arrivals = std::move(delayed_);
         delayed_.clear();
+        arrivals.reserve(arrivals.size() + pendingQueued());
 
         for (size_t d = 0; d < queues_.size(); ++d) {
             if (offline_[d])
                 continue;
             auto &queue = queues_[d];
             while (!queue.empty()) {
-                Queued msg = std::move(queue.front());
-                queue.pop_front();
+                Queued &msg = queue.front();
                 double latency = 0.0;
-                if (!transmit(latency))
-                    continue; // gave up; message lost
-                if (rng_.bernoulli(config_.reorderProb))
-                    latency += rng_.uniform(0.0, config_.timeoutTicks);
-                bool hold = rng_.bernoulli(config_.delayProb);
-                bool dup = rng_.bernoulli(config_.dupProb);
-                Arrival arrival{latency, msg.sendIndex, d, msg.seq,
-                                std::move(msg.payload)};
-                std::optional<Arrival> copy;
-                if (dup) {
-                    ++stats_.duplicates;
-                    duplicates_.add(1);
-                    copy = arrival;
-                    copy->dupRank = 1;
-                }
-                // The original goes in before its copy: with an
-                // identical (latency, sendIndex) key the dedup window
-                // must reject the duplicate, not the original.
-                if (hold) {
-                    ++stats_.delayed;
-                    delayedCounter_.add(1);
-                    delayed_.push_back(std::move(arrival));
-                } else {
-                    arrivals.push_back(std::move(arrival));
-                }
-                if (copy)
-                    (hold ? delayed_ : arrivals)
-                        .push_back(std::move(*copy));
+                if (transmit(latency)) {
+                    if (rng_.bernoulli(config_.reorderProb))
+                        latency +=
+                            rng_.uniform(0.0, config_.timeoutTicks);
+                    bool hold = rng_.bernoulli(config_.delayProb);
+                    bool dup = rng_.bernoulli(config_.dupProb);
+                    if (hold) {
+                        ++stats_.delayed;
+                        delayedCounter_.add(1);
+                    }
+                    // The original goes in before its copy: with an
+                    // identical (latency, sendIndex) key the dedup
+                    // window must reject the duplicate, not the
+                    // original.
+                    std::vector<Arrival> &to =
+                        hold ? delayed_ : arrivals;
+                    to.emplace_back(latency, msg.sendIndex, d, msg.seq,
+                                    std::move(msg.payload));
+                    if (dup) {
+                        ++stats_.duplicates;
+                        duplicates_.add(1);
+                        Arrival copy = to.back();
+                        copy.dupRank = 1;
+                        to.push_back(std::move(copy));
+                    }
+                } // else gave up: the message is lost
+                queue.pop_front();
             }
         }
         inflightDelayed_.set(static_cast<double>(delayed_.size()));
@@ -222,18 +222,24 @@ class Channel
         // Arrival order: by accumulated latency, send order breaking
         // ties — so a zero-latency round degenerates to send order.
         // Duplicated copies rank after their original on a full tie.
-        std::stable_sort(arrivals.begin(), arrivals.end(),
-                         [](const Arrival &a, const Arrival &b) {
+        // The sort moves indices, not payloads: a payload moves from
+        // its queue into `arrivals`, then once more into the sink.
+        std::vector<uint32_t> order(arrivals.size());
+        std::iota(order.begin(), order.end(), uint32_t{0});
+        std::stable_sort(order.begin(), order.end(),
+                         [&arrivals](uint32_t i, uint32_t j) {
+                             const Arrival &a = arrivals[i];
+                             const Arrival &b = arrivals[j];
                              if (a.latency != b.latency)
                                  return a.latency < b.latency;
                              if (a.sendIndex != b.sendIndex)
                                  return a.sendIndex < b.sendIndex;
                              return a.dupRank < b.dupRank;
                          });
-        for (auto &a : arrivals) {
+        for (uint32_t i : order) {
             ++stats_.delivered;
             delivered_.add(1);
-            invokeSink(sink, a);
+            invokeSink(sink, arrivals[i]);
         }
     }
 
@@ -257,10 +263,7 @@ class Channel
     size_t
     pendingCount() const
     {
-        size_t pending = delayed_.size();
-        for (const auto &q : queues_)
-            pending += q.size();
-        return pending;
+        return delayed_.size() + pendingQueued();
     }
 
     /** End of run: everything still in flight counts as undelivered. */
@@ -292,6 +295,16 @@ class Channel
         Payload payload;
         uint8_t dupRank = 0; ///< 0 = original, 1 = duplicated copy.
     };
+
+    /** Messages in the send queues (offline devices' included). */
+    size_t
+    pendingQueued() const
+    {
+        size_t pending = 0;
+        for (const auto &q : queues_)
+            pending += q.size();
+        return pending;
+    }
 
     /** Call @p sink with or without the trailing isDup flag. */
     template <typename Sink>

@@ -4,10 +4,11 @@
  */
 #include "bn_patch.h"
 
+#include <charconv>
 #include <cmath>
-#include <iomanip>
 #include <istream>
 #include <ostream>
+#include <string>
 
 #include "common/error.h"
 
@@ -15,14 +16,36 @@ namespace nazar::nn {
 
 namespace {
 
+/**
+ * One matrix line: "rows cols v0 v1 ...". Each value is printf's
+ * "%.17g" (what `os << setprecision(17) << v` prints, -0, denormals,
+ * inf and nan included), formatted by std::to_chars into one buffer
+ * and written with a single call.
+ */
 void
 writeMatrix(std::ostream &os, const Matrix &m)
 {
-    os << m.rows() << " " << m.cols();
-    for (size_t r = 0; r < m.rows(); ++r)
-        for (size_t c = 0; c < m.cols(); ++c)
-            os << " " << m(r, c);
-    os << "\n";
+    // Longest texts: a size_t is 20 digits, a "%.17g" double 24
+    // characters ("-1.2345678901234567e-308"); each value has a
+    // leading space, the header one space and the line its newline.
+    constexpr size_t kMaxSize = 20, kMaxDouble = 24;
+    std::string line(2 * kMaxSize + 2 + m.rows() * m.cols() * (kMaxDouble + 1),
+                     '\0');
+    char *out = line.data();
+    char *const end = out + line.size();
+    out = std::to_chars(out, end, m.rows()).ptr;
+    *out++ = ' ';
+    out = std::to_chars(out, end, m.cols()).ptr;
+    for (size_t r = 0; r < m.rows(); ++r) {
+        for (size_t c = 0; c < m.cols(); ++c) {
+            *out++ = ' ';
+            out = std::to_chars(out, end, m(r, c),
+                                std::chars_format::general, 17)
+                      .ptr;
+        }
+    }
+    *out++ = '\n';
+    os.write(line.data(), out - line.data());
 }
 
 Matrix
@@ -123,7 +146,6 @@ BnPatch::maxAbsDiff(const BnPatch &other) const
 void
 BnPatch::save(std::ostream &os) const
 {
-    os << std::setprecision(17);
     os << "nazar-bnpatch 1 " << states_.size() << "\n";
     for (const auto &s : states_) {
         writeMatrix(os, s.gamma);

@@ -136,6 +136,14 @@ class Writer
         buf_.append(s);
     }
 
+    /** Overwrite the 4 bytes at @p pos, already written, with @p v. */
+    void patchU32(size_t pos, uint32_t v)
+    {
+        v = detail::swapIfBigEndian(v);
+        std::memcpy(buf_.data() + pos, &v, sizeof(v));
+    }
+    void reserve(size_t n) { buf_.reserve(n); }
+
     const std::string &bytes() const { return buf_; }
     std::string take() { return std::move(buf_); }
     size_t size() const { return buf_.size(); }

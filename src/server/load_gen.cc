@@ -88,6 +88,8 @@ driveClient(const LoadConfig &config, int index, std::latch &connected,
             auto it = inFlight.find(ack.seq);
             if (it == inFlight.end())
                 return; // the chaos duplicate's second ack
+            if (config.ackedEvents != nullptr)
+                config.ackedEvents->fetch_add(1);
             out.latenciesMs.push_back(
                 std::chrono::duration<double, std::milli>(
                     Clock::now() - it->second)

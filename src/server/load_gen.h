@@ -17,6 +17,7 @@
 #ifndef NAZAR_SERVER_LOAD_GEN_H
 #define NAZAR_SERVER_LOAD_GEN_H
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -45,6 +46,12 @@ struct LoadConfig
      * and the reconciliation invariant must still hold at the end.
      */
     net::ReconnectPolicy reconnect;
+    /**
+     * When set, each client's ack observer adds one here per event it
+     * sees acknowledged (a chaos duplicate's second ack excluded), so
+     * a supervisor can act on the load's progress.
+     */
+    std::atomic<uint64_t> *ackedEvents = nullptr;
 };
 
 /**

@@ -4,6 +4,8 @@
  */
 #include "device.h"
 
+#include <algorithm>
+
 #include "data/apps.h"
 #include "nn/loss.h"
 #include "obs/metrics.h"
@@ -43,20 +45,84 @@ Device::infer(const data::StreamEvent &event, const nn::Classifier &base,
               const nn::BnPatch &clean_patch,
               const detect::MspDetector &detector) const
 {
+    const data::StreamEvent *one[] = {&event};
+    InferenceOutcome out;
+    inferBatch(one, base, clean_patch, detector, &out);
+    return out;
+}
+
+void
+Device::inferBatch(std::span<const data::StreamEvent *const> events,
+                   const nn::Classifier &base,
+                   const nn::BnPatch &clean_patch,
+                   const detect::MspDetector &detector,
+                   InferenceOutcome *outcomes,
+                   rca::AttributeSet *const *contexts) const
+{
     static obs::Counter &inferences =
         obs::Registry::global().counter("sim.inferences");
-    inferences.add(1);
-    const deploy::ModelVersion *version =
-        deploy::selectVersion(pool_, contextFor(event));
-    nn::Matrix logits =
-        base.infer(nn::Matrix::rowVector(event.features),
-                   version != nullptr ? version->patch : clean_patch);
-    InferenceOutcome out;
-    out.predicted = static_cast<int>(logits.argmaxRow(0));
-    out.msp = nn::maxSoftmax(logits)[0];
-    out.driftFlag = detector.isDrift(logits.rowVec(0));
-    out.versionId = version ? version->id : 0;
-    return out;
+    inferences.add(events.size());
+
+    // One run per selected version, in order of first appearance; the
+    // pool does not change while a window infers. An event's context
+    // (and so its version) depends only on its weather, so each
+    // weather's context is built and matched once. A device holds few
+    // versions and sees few weathers, so linear scans find both.
+    struct Run
+    {
+        const deploy::ModelVersion *version;
+        std::vector<size_t> rows;
+    };
+    struct Choice
+    {
+        data::Weather weather;
+        rca::AttributeSet context;
+        size_t run;
+    };
+    std::vector<Run> runs;
+    std::vector<Choice> choices;
+    for (size_t i = 0; i < events.size(); ++i) {
+        const data::Weather weather = events[i]->weather;
+        auto choice = std::find_if(
+            choices.begin(), choices.end(),
+            [&](const Choice &c) { return c.weather == weather; });
+        if (choice == choices.end()) {
+            rca::AttributeSet context = contextFor(*events[i]);
+            const deploy::ModelVersion *version =
+                deploy::selectVersion(pool_, context);
+            auto run = std::find_if(runs.begin(), runs.end(),
+                                    [&](const Run &r) {
+                                        return r.version == version;
+                                    });
+            if (run == runs.end())
+                run = runs.insert(runs.end(), Run{version, {}});
+            choice = choices.insert(
+                choices.end(),
+                Choice{weather, std::move(context),
+                       static_cast<size_t>(run - runs.begin())});
+        }
+        runs[choice->run].rows.push_back(i);
+        if (contexts != nullptr && contexts[i] != nullptr)
+            *contexts[i] = choice->context;
+    }
+
+    for (const Run &run : runs) {
+        nn::Matrix batch(run.rows.size(),
+                         events[run.rows[0]]->features.size());
+        for (size_t r = 0; r < run.rows.size(); ++r)
+            batch.setRow(r, events[run.rows[r]]->features);
+        nn::Matrix logits = base.infer(
+            batch, run.version != nullptr ? run.version->patch
+                                          : clean_patch);
+        std::vector<double> msp = nn::maxSoftmax(logits);
+        for (size_t r = 0; r < run.rows.size(); ++r) {
+            InferenceOutcome &out = outcomes[run.rows[r]];
+            out.predicted = static_cast<int>(logits.argmaxRow(r));
+            out.msp = msp[r];
+            out.driftFlag = detector.flag(msp[r]);
+            out.versionId = run.version != nullptr ? run.version->id : 0;
+        }
+    }
 }
 
 driftlog::DriftLogEntry

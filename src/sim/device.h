@@ -10,6 +10,7 @@
 #ifndef NAZAR_SIM_DEVICE_H
 #define NAZAR_SIM_DEVICE_H
 
+#include <span>
 #include <string>
 
 #include "data/stream.h"
@@ -69,14 +70,13 @@ class Device
 
     /**
      * Current context attributes for an input (metadata the device
-     * knows at inference time), matching drift-log column names.
+     * knows at inference time), matching drift-log column names. Of
+     * the event it reads only the weather.
      */
     rca::AttributeSet contextFor(const data::StreamEvent &event) const;
 
     /**
-     * Run one inference: select a version, run the base model under its
-     * patch, and run drift detection. Nothing is written to @p base, so
-     * every device (and thread) shares one base model.
+     * Run one inference: the one-event case of inferBatch.
      *
      * @param event       The arriving input.
      * @param base        The frozen base model (weights shared by every
@@ -89,6 +89,30 @@ class Device
                            const nn::Classifier &base,
                            const nn::BnPatch &clean_patch,
                            const detect::MspDetector &detector) const;
+
+    /**
+     * Run a batch of this device's inferences. Each event gets its
+     * context and selected version once; events are grouped by
+     * selected version (in order of first appearance), and each group
+     * runs one `base.infer` under that version's patch and one
+     * softmax pass. Row r of a batch is bit-identical to a one-row
+     * call, so every outcome equals the one-event infer's. Nothing is
+     * written to @p base, so every device (and thread) shares one base
+     * model.
+     *
+     * @param events      The events, each owned by this device.
+     * @param outcomes    Receives events.size() outcomes, in order.
+     * @param contexts    When non-null, event i's context (contextFor)
+     *                    is copied to *contexts[i] wherever that
+     *                    pointer is non-null: an upload reuses the
+     *                    context its version was selected with.
+     */
+    void inferBatch(std::span<const data::StreamEvent *const> events,
+                    const nn::Classifier &base,
+                    const nn::BnPatch &clean_patch,
+                    const detect::MspDetector &detector,
+                    InferenceOutcome *outcomes,
+                    rca::AttributeSet *const *contexts = nullptr) const;
 
     /** Build the drift-log entry for an inference. */
     driftlog::DriftLogEntry makeLogEntry(const data::StreamEvent &event,

@@ -13,6 +13,7 @@
 #include "common/stats.h"
 #include "net/channel.h"
 #include "net/ingest_client.h"
+#include "nn/loss.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "runtime/thread_pool.h"
@@ -350,6 +351,9 @@ Runner::run()
                 sample_rng.bernoulli(config_.uploadSampleRate) ? 1 : 0;
 
         std::vector<InferenceOutcome> outcomes(window_count);
+        // Each uploaded event's device context; kNazar keeps the one
+        // its version was selected with.
+        std::vector<rca::AttributeSet> contexts(window_count);
         NAZAR_SPAN_BEGIN(infer_span, "sim.infer");
         switch (config_.strategy) {
           case Strategy::kNazar: {
@@ -368,13 +372,25 @@ Runner::run()
                 0, devices.size(), grain, ShardMetrics{},
                 [&](size_t dev_begin, size_t dev_end) {
                     ShardMetrics shard;
+                    std::vector<const data::StreamEvent *> evs;
+                    std::vector<InferenceOutcome> outs;
+                    std::vector<rca::AttributeSet *> ctxs;
                     for (size_t d = dev_begin; d < dev_end; ++d) {
-                        for (size_t i : by_device[d]) {
-                            const data::StreamEvent &ev =
-                                events[window_begin + i];
-                            outcomes[i] = devices[d].infer(
-                                ev, *base_, clean_patch, detector);
-                            accumulate(shard, ev, outcomes[i]);
+                        const std::vector<size_t> &mine = by_device[d];
+                        evs.clear();
+                        ctxs.clear();
+                        for (size_t i : mine) {
+                            evs.push_back(&events[window_begin + i]);
+                            ctxs.push_back(do_upload[i] ? &contexts[i]
+                                                        : nullptr);
+                        }
+                        outs.resize(mine.size());
+                        devices[d].inferBatch(evs, *base_, clean_patch,
+                                              detector, outs.data(),
+                                              ctxs.data());
+                        for (size_t k = 0; k < mine.size(); ++k) {
+                            outcomes[mine[k]] = outs[k];
+                            accumulate(shard, *evs[k], outs[k]);
                         }
                     }
                     return shard;
@@ -396,15 +412,20 @@ Runner::run()
                 for (size_t i = 0; i < window_count; ++i)
                     batch.setRow(i, events[window_begin + i].features);
                 nn::Matrix logits = base_->infer(batch, global_patch);
+                std::vector<double> msp = nn::maxSoftmax(logits);
                 ShardMetrics totals;
                 for (size_t i = 0; i < window_count; ++i) {
                     outcomes[i].predicted =
                         static_cast<int>(logits.argmaxRow(i));
-                    outcomes[i].driftFlag =
-                        detector.isDrift(logits.rowVec(i));
+                    outcomes[i].msp = msp[i];
+                    outcomes[i].driftFlag = detector.flag(msp[i]);
                     outcomes[i].versionId = 0;
-                    accumulate(totals, events[window_begin + i],
-                               outcomes[i]);
+                    const data::StreamEvent &ev = events[window_begin + i];
+                    if (do_upload[i])
+                        contexts[i] =
+                            devices[static_cast<size_t>(ev.deviceId)]
+                                .contextFor(ev);
+                    accumulate(totals, ev, outcomes[i]);
                 }
                 merge(wm, result.perCorruption, totals);
             }
@@ -430,12 +451,13 @@ Runner::run()
             record.entry = device.makeLogEntry(ev, out);
             if (do_upload[i]) {
                 record.upload = persist::UploadRecord{
-                    ev.features, device.contextFor(ev), out.driftFlag};
+                    ev.features, std::move(contexts[i]), out.driftFlag};
             }
             uplink.send(static_cast<size_t>(ev.deviceId),
                         std::move(record));
         }
         std::vector<persist::IngestRecord> delivered;
+        delivered.reserve(uplink.pendingCount());
         uplink.deliver([&](size_t device, uint64_t seq,
                            persist::IngestRecord &&record) {
             record.device = static_cast<int64_t>(device);

@@ -4,9 +4,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <sstream>
 
 #include "common/error.h"
+#include "format_oracle.h"
 #include "nn/activation.h"
 #include "nn/bn_patch.h"
 #include "nn/linear.h"
@@ -107,6 +109,47 @@ TEST(BnPatch, EmptyPatchOnBnFreeNetwork)
     EXPECT_EQ(patch.layerCount(), 0u);
     EXPECT_EQ(patch.scalarCount(), 0u);
     EXPECT_NO_THROW(patch.apply(net));
+}
+
+TEST(BnPatchFormat, SaveMatchesStreamOracleOnSpecialValues)
+{
+    BnPatch patch = oracle::specialValuesPatch();
+    std::ostringstream os;
+    patch.save(os);
+    const std::string text = os.str();
+    EXPECT_EQ(text, oracle::bnPatchText(patch));
+    // The oracle's text does hold the cases the patch was built for.
+    for (const char *token :
+         {" 0 ", " -0 ", " 4.9406564584124654e-324",
+          " 1.7976931348623157e+308", " inf", " -inf", " nan", " -nan",
+          " 0.10000000000000001", " 1e+17"})
+        EXPECT_NE(text.find(token), std::string::npos) << token;
+}
+
+TEST(BnPatchFormat, SaveMatchesStreamOracleOnRandomBitPatterns)
+{
+    // Every double class: normals of all exponents, denormals,
+    // NaN payloads, infinities — one row of raw bit patterns.
+    Rng rng(11);
+    Matrix values(1, 4096);
+    for (size_t c = 0; c < values.cols(); ++c)
+        values(0, c) = std::bit_cast<double>(rng());
+    BnPatch patch = BnPatch::fromStates(
+        {BnState{values, values, values, values}});
+    std::ostringstream os;
+    patch.save(os);
+    EXPECT_EQ(os.str(), oracle::bnPatchText(patch));
+}
+
+TEST(BnPatchFormat, SaveMatchesStreamOracleOnAdaptedPatch)
+{
+    Sequential net = makeNet(9);
+    Rng rng(10);
+    net.forward(Matrix::randomNormal(8, 4, 1.5, rng), Mode::kAdapt);
+    BnPatch patch = BnPatch::extract(net);
+    std::ostringstream os;
+    patch.save(os);
+    EXPECT_EQ(os.str(), oracle::bnPatchText(patch));
 }
 
 } // namespace

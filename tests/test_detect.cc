@@ -10,6 +10,7 @@
 #include "detect/ks_test.h"
 #include "detect/metrics.h"
 #include "detect/scores.h"
+#include "obs/metrics.h"
 
 namespace nazar::detect {
 namespace {
@@ -32,6 +33,31 @@ TEST(MspDetector, ThresholdBoundary)
     EXPECT_FALSE(det.isDrift({0.0, 0.0, 0.0}));
     EXPECT_THROW(MspDetector(1.5), NazarError);
     EXPECT_THROW(MspDetector(-0.1), NazarError);
+}
+
+TEST(MspDetector, FlagOnScoreIsIsDriftAndCountsTheSame)
+{
+    obs::Counter &samples =
+        obs::Registry::global().counter("detect.msp.samples");
+    obs::Counter &flags =
+        obs::Registry::global().counter("detect.msp.flags");
+    MspDetector det(0.6);
+    const std::vector<std::vector<double>> rows = {
+        {0.0, 0.0, 0.0}, {20.0, 0.0, 0.0}, {1.0, 0.5, -0.5},
+        {0.4, 0.4, 0.0}, {-3.0, 2.0, 2.0}, {5.0, -1.0, 4.9}};
+    for (const auto &row : rows) {
+        const uint64_t s0 = samples.value(), f0 = flags.value();
+        const bool by_row = det.isDrift(row);
+        const uint64_t s1 = samples.value(), f1 = flags.value();
+        const bool by_score = det.flag(det.score(row));
+        const uint64_t s2 = samples.value(), f2 = flags.value();
+        EXPECT_EQ(by_row, by_score);
+        EXPECT_EQ(by_score, det.score(row) < 0.6);
+        EXPECT_EQ(s1 - s0, 1u);
+        EXPECT_EQ(s2 - s1, 1u);
+        EXPECT_EQ(f1 - f0, by_row ? 1u : 0u);
+        EXPECT_EQ(f2 - f1, f1 - f0);
+    }
 }
 
 TEST(MspDetector, DefaultThresholdIsPaper)

@@ -3,14 +3,18 @@
  * Tests for the unreliable-transport layer: fault configuration,
  * fault-free send-order delivery, retry/backoff/give-up, duplication,
  * delay carry-over, reorder, bounded-queue shedding, offline/crash
- * epochs, downlink push drops, and seed reproducibility.
+ * epochs, downlink push drops, seed reproducibility, and delivery
+ * against the payload-sorting oracle in channel_oracle.h.
  */
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "channel_oracle.h"
 #include "net/channel.h"
 #include "net/fault.h"
 #include "sim/cloud.h"
@@ -340,6 +344,98 @@ TEST(Channel, ReproducibleFromTheFaultSeed)
     EXPECT_EQ(a, b);
     std::vector<Delivery> c = faultedExchange(42);
     EXPECT_NE(a, c); // 60 messages: a collision is astronomically rare
+}
+
+/** One sink call or push outcome, as a comparable tuple. */
+using Call = std::tuple<size_t, uint64_t, std::string, bool>;
+
+auto
+statsTuple(const ChannelStats &s)
+{
+    return std::make_tuple(s.sent, s.delivered, s.dropped, s.retries,
+                           s.gaveUp, s.shed, s.crashLost, s.duplicates,
+                           s.delayed, s.pushDropped, s.offlineEpochs,
+                           s.crashRestarts, s.undelivered);
+}
+
+/**
+ * Drive a channel through five epochs of a seeded send script (sends
+ * spread over six devices, one delivery round and a push to every
+ * device per epoch) and record every sink call and push outcome.
+ * Payloads are heap-sized strings, so a payload moved twice or
+ * moved from before delivery shows up as a changed argument.
+ */
+template <typename Chan>
+std::vector<Call>
+scriptedExchange(Chan &channel, uint64_t script_seed)
+{
+    Rng script(script_seed);
+    std::vector<Call> calls;
+    int next = 0;
+    for (int epoch = 0; epoch < 5; ++epoch) {
+        channel.beginEpoch();
+        const size_t sends = 10 + script.index(40);
+        for (size_t i = 0; i < sends; ++i)
+            channel.send(script.index(6),
+                         "payload-" + std::to_string(next++) +
+                             std::string(24, 'x'));
+        channel.deliver([&](size_t device, uint64_t seq,
+                            std::string &&payload, bool dup) {
+            calls.emplace_back(device, seq, std::move(payload), dup);
+        });
+        for (size_t d = 0; d < 6; ++d)
+            calls.emplace_back(d, 0, "push",
+                               channel.deliverPush(d));
+    }
+    channel.shutdown();
+    return calls;
+}
+
+TEST(ChannelDifferential, MatchesPayloadSortingOracleUnderEveryFault)
+{
+    std::vector<std::pair<const char *, FaultConfig>> settings;
+    auto add = [&](const char *name, auto &&set) {
+        FaultConfig c;
+        set(c);
+        settings.emplace_back(name, c);
+    };
+    add("none", [](FaultConfig &) {});
+    add("drop", [](FaultConfig &c) { c.dropProb = 0.4; });
+    add("dup", [](FaultConfig &c) { c.dupProb = 0.3; });
+    add("delay", [](FaultConfig &c) { c.delayProb = 0.3; });
+    add("reorder", [](FaultConfig &c) { c.reorderProb = 0.6; });
+    add("offline", [](FaultConfig &c) {
+        c.offlineProb = 0.3;
+        c.crashProb = 0.1;
+        c.pushDropProb = 0.2;
+    });
+    add("shed", [](FaultConfig &c) {
+        c.offlineProb = 0.4;
+        c.queueCapacity = 5;
+    });
+    add("all", [](FaultConfig &c) {
+        c.dropProb = 0.3;
+        c.dupProb = 0.2;
+        c.delayProb = 0.2;
+        c.reorderProb = 0.5;
+        c.offlineProb = 0.1;
+        c.crashProb = 0.05;
+        c.pushDropProb = 0.2;
+        c.queueCapacity = 8;
+    });
+    for (auto [name, config] : settings) {
+        for (uint64_t seed = 1; seed <= 6; ++seed) {
+            SCOPED_TRACE(std::string(name) + " seed " +
+                         std::to_string(seed));
+            config.seed = seed;
+            Channel<std::string> channel(config, 6);
+            oracle::SortingChannel<std::string> reference(config, 6);
+            EXPECT_EQ(scriptedExchange(channel, seed + 100),
+                      scriptedExchange(reference, seed + 100));
+            EXPECT_EQ(statsTuple(channel.stats()),
+                      statsTuple(reference.stats()));
+        }
+    }
 }
 
 } // namespace

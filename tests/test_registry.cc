@@ -4,9 +4,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "deploy/registry.h"
+#include "format_oracle.h"
 #include "nn/activation.h"
 #include "nn/linear.h"
 
@@ -162,6 +165,29 @@ TEST(ModelRegistry, BlobFootprintMatchesPatchScale)
     registry.publish(sampleVersion(0, 1));
     EXPECT_GT(store.totalBytes(), 100u);
     EXPECT_LT(store.totalBytes(), 100000u);
+}
+
+TEST(VersionFormat, SaveAndPublishMatchStreamOracleOnSpecialValues)
+{
+    ModelVersion v = sampleVersion(7, 1);
+    v.patch = nn::oracle::specialValuesPatch();
+    const std::string patch_text = nn::oracle::bnPatchText(v.patch);
+
+    std::ostringstream saved;
+    v.save(saved);
+    // Header lines in AttributeSet order, then the patch text.
+    std::string expected = "nazar-modelversion 1\n7 " +
+                           driftlog::formatDoubleExact(v.riskRatio) +
+                           " 4\n2\n";
+    for (const auto &attr : v.cause.attributes())
+        expected += attr.column + "\n" +
+                    encodeValueLine(attr.value) + "\n";
+    EXPECT_EQ(saved.str(), expected + patch_text);
+
+    BlobStore store;
+    ModelRegistry registry(store);
+    registry.publish(v);
+    EXPECT_EQ(store.get(ModelRegistry::patchKey(7)), patch_text);
 }
 
 } // namespace

@@ -6,13 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <filesystem>
+#include <set>
 #include <sstream>
 #include <thread>
 
 #include "common/logging.h"
 #include "data/apps.h"
 #include "obs/metrics.h"
+#include "runtime/thread_pool.h"
 #include "sim/runner.h"
 
 namespace nazar::sim {
@@ -128,6 +131,138 @@ TEST(Device, UsesInstalledVersionWhenContextMatches)
     EXPECT_EQ(dev.infer(snowy, scratch, clean, detector).versionId, 42);
     auto clear = makeEvent(app, 3, 2, data::Weather::kClear, 5);
     EXPECT_EQ(dev.infer(clear, scratch, clean, detector).versionId, 0);
+}
+
+/** The base's BN patch after kAdapt forwards on @p weather's inputs. */
+nn::BnPatch
+adaptedPatch(const data::AppSpec &app, const nn::Classifier &base,
+             data::Weather weather, uint64_t seed)
+{
+    nn::Classifier model = base.clone();
+    nn::Matrix x(32, app.domain.featureDim());
+    for (size_t r = 0; r < x.rows(); ++r)
+        x.setRow(r, makeEvent(app, 3, 2, weather, seed + r).features);
+    model.logits(x, nn::Mode::kAdapt);
+    return model.bnPatch();
+}
+
+TEST(Device, BatchedInferenceMatchesOneEventInfer)
+{
+    data::AppSpec app = tinyApp();
+    nn::Classifier base = trainTinyModel(app);
+    nn::BnPatch clean = base.bnPatch();
+    detect::MspDetector detector(0.9);
+
+    Device dev(3, "beijing", 0);
+    auto install = [&](int64_t id, rca::AttributeSet cause,
+                       data::Weather weather) {
+        deploy::ModelVersion v;
+        v.id = id;
+        v.cause = std::move(cause);
+        v.patch = adaptedPatch(app, base, weather, 1000 * id);
+        v.updatedAt = id;
+        dev.pool().install(v);
+    };
+    using driftlog::columns::kLocation;
+    using driftlog::columns::kWeather;
+    install(11, rca::AttributeSet({{kWeather, driftlog::Value("snow")}}),
+            data::Weather::kSnow);
+    install(12,
+            rca::AttributeSet({{kWeather, driftlog::Value(data::toString(
+                                              data::Weather::kRain))}}),
+            data::Weather::kRain);
+    install(13,
+            rca::AttributeSet(
+                {{kWeather,
+                  driftlog::Value(data::toString(data::Weather::kFog))},
+                 {kLocation, driftlog::Value("beijing")}}),
+            data::Weather::kFog);
+
+    // Mixed weathers in a scrambled order; the largest version run
+    // (~800 rows) is past the product's parallel cutoff, so the
+    // 4-thread pass splits it across workers.
+    const data::Weather weathers[] = {
+        data::Weather::kClear, data::Weather::kSnow,
+        data::Weather::kRain, data::Weather::kFog};
+    std::vector<data::StreamEvent> events;
+    Rng order(77);
+    for (uint64_t i = 0; i < 3200; ++i)
+        events.push_back(makeEvent(app, 3, 2, weathers[order.index(4)],
+                                   500 + i));
+    std::vector<const data::StreamEvent *> ptrs;
+    for (const auto &ev : events)
+        ptrs.push_back(&ev);
+
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        runtime::setThreads(threads);
+        std::vector<InferenceOutcome> batched(events.size());
+        // Every third event asks for its context.
+        std::vector<rca::AttributeSet> contexts(events.size());
+        std::vector<rca::AttributeSet *> wanted(events.size());
+        for (size_t i = 0; i < events.size(); i += 3)
+            wanted[i] = &contexts[i];
+        dev.inferBatch(ptrs, base, clean, detector, batched.data(),
+                       wanted.data());
+        std::set<int64_t> versions;
+        size_t flagged = 0;
+        for (size_t i = 0; i < events.size(); ++i) {
+            InferenceOutcome one =
+                dev.infer(events[i], base, clean, detector);
+            ASSERT_EQ(batched[i].predicted, one.predicted) << i;
+            ASSERT_EQ(std::bit_cast<uint64_t>(batched[i].msp),
+                      std::bit_cast<uint64_t>(one.msp))
+                << i;
+            ASSERT_EQ(batched[i].driftFlag, one.driftFlag) << i;
+            ASSERT_EQ(batched[i].versionId, one.versionId) << i;
+            ASSERT_EQ(contexts[i], i % 3 == 0 ? dev.contextFor(events[i])
+                                              : rca::AttributeSet())
+                << i;
+            versions.insert(one.versionId);
+            flagged += one.driftFlag ? 1 : 0;
+        }
+        EXPECT_EQ(versions, (std::set<int64_t>{0, 11, 12, 13}));
+        EXPECT_GT(flagged, 0u);
+        EXPECT_LT(flagged, events.size());
+    }
+    runtime::setThreads(0);
+}
+
+TEST(Device, BatchedInferenceCountsLikeOneEventCalls)
+{
+    data::AppSpec app = tinyApp();
+    nn::Classifier base = trainTinyModel(app);
+    nn::BnPatch clean = base.bnPatch();
+    detect::MspDetector detector(0.9);
+    Device dev(3, "beijing", 0);
+    std::vector<data::StreamEvent> events;
+    for (uint64_t i = 0; i < 20; ++i)
+        events.push_back(makeEvent(
+            app, 3, 2, i % 2 ? data::Weather::kSnow : data::Weather::kClear,
+            40 + i));
+    std::vector<const data::StreamEvent *> ptrs;
+    for (const auto &ev : events)
+        ptrs.push_back(&ev);
+
+    auto &reg = obs::Registry::global();
+    const char *names[] = {"sim.inferences", "detect.msp.samples",
+                           "detect.msp.flags"};
+    auto read = [&] {
+        std::vector<uint64_t> v;
+        for (const char *n : names)
+            v.push_back(reg.counter(n).value());
+        return v;
+    };
+    std::vector<uint64_t> before = read();
+    std::vector<InferenceOutcome> outs(events.size());
+    dev.inferBatch(ptrs, base, clean, detector, outs.data());
+    std::vector<uint64_t> mid = read();
+    for (const auto &ev : events)
+        dev.infer(ev, base, clean, detector);
+    std::vector<uint64_t> after = read();
+    for (size_t k = 0; k < 3; ++k)
+        EXPECT_EQ(mid[k] - before[k], after[k] - mid[k]) << names[k];
+    EXPECT_EQ(mid[0] - before[0], events.size());
 }
 
 class CloudTest : public QuietLogs

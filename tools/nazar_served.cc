@@ -87,7 +87,7 @@ usage()
         "  nazar_served smoke [--clients=N --events=N --drop=P "
         "--dup=P --fault-seed=S] [--persist-dir=<dir> ...]\n"
         "  nazar_served supervise --persist-dir=<dir> [--kills=N "
-        "--kill-after-ms=M | --disk-faults=N] [--clients=N --events=N "
+        "--kill-after-acks=N | --disk-faults=N] [--clients=N --events=N "
         "--drop=P --dup=P --fault-seed=S] [serve flags]\n"
         "  serve only: [--disk-fault-site=<env site> "
         "--disk-fault-kind=enospc|eio|sync_fail|short_write "
@@ -125,7 +125,12 @@ struct LoadOptions
 struct SuperviseOptions
 {
     int kills = 2;
-    int killAfterMs = 300;
+    /**
+     * Each kill fires once this many more events have been
+     * acknowledged to the load clients since the last (re)spawn, so
+     * the kills land inside the load however fast the host runs it.
+     */
+    uint64_t killAfterAcks = 1000;
     /**
      * When > 0, run disk-fault episodes instead of SIGKILLs: each
      * episode spawns a child with one armed Env fault; the child
@@ -344,6 +349,8 @@ cmdSupervise(const ServeOptions &serve_opts,
     if (load.reconnect.recvTimeoutMs == 0)
         load.reconnect.recvTimeoutMs = 5000;
 
+    std::atomic<uint64_t> acked{0};
+    load.ackedEvents = &acked;
     std::atomic<bool> loadDone{false};
     server::LoadStats stats;
     std::string loadError;
@@ -386,8 +393,10 @@ cmdSupervise(const ServeOptions &serve_opts,
         }
     } else {
         for (int k = 0; k < sup.kills && !loadDone; ++k) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(sup.killAfterMs));
+            const uint64_t due = acked.load() + sup.killAfterAcks;
+            while (!loadDone && acked.load() < due)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(1));
             if (loadDone)
                 break;
             ::kill(child, SIGKILL);
@@ -507,8 +516,8 @@ main(int argc, char **argv)
                     std::stoi(arg.substr(12)) != 0;
             else if (arg.rfind("--kills=", 0) == 0)
                 sup.kills = std::stoi(arg.substr(8));
-            else if (arg.rfind("--kill-after-ms=", 0) == 0)
-                sup.killAfterMs = std::stoi(arg.substr(16));
+            else if (arg.rfind("--kill-after-acks=", 0) == 0)
+                sup.killAfterAcks = std::stoull(arg.substr(18));
             else if (arg.rfind("--trace-out=", 0) == 0)
                 traceOut = arg.substr(12);
             else
