@@ -271,7 +271,7 @@ main(int argc, char **argv)
     }
     std::printf("  ],\n");
     std::printf("  \"gemm_variant\": \"%s\",\n",
-                nazar::nn::gemm::active().isa);
+                nazar::cpu_dispatch::active<nazar::nn::gemm::Kernels>().isa);
     std::printf("  \"kernel_shapes\": [\n");
     for (size_t i = 0; i < shape_rows.size(); ++i) {
         const ShapeRow &r = shape_rows[i];

@@ -67,10 +67,17 @@ if [ "$DO_RELEASE" = 1 ]; then
         echo "libnazar_nn.a contains fused multiply-add instructions" >&2
         exit 1
     fi
-    # The RCA popcount kernels are compiled for the baseline ISA and
-    # under [[gnu::target("popcnt")]]; the build sets no -mpopcnt, so a
-    # popcnt instruction in libnazar_rca.a is the dispatched variant.
     if [ "$(uname -m)" = x86_64 ]; then
+        # The gemm kernel's AVX2 variant is compiled under
+        # [[gnu::target("avx2")]] with no -mavx2, so a ymm register in
+        # libnazar_nn.a can only come from the dispatched variant.
+        echo "==== dispatched AVX2 gemm in libnazar_nn.a (Release) ===="
+        grep -q ymm build-ci/nazar_nn.dis || {
+            echo "libnazar_nn.a has no ymm instruction" >&2; exit 1; }
+        # The RCA popcount kernels are compiled for the baseline ISA and
+        # under [[gnu::target("popcnt")]]; the build sets no -mpopcnt,
+        # so a popcnt instruction in libnazar_rca.a is the dispatched
+        # variant.
         echo "==== dispatched popcnt variant in libnazar_rca.a (Release) ===="
         objdump -d build-ci/src/rca/libnazar_rca.a > build-ci/nazar_rca.dis
         grep -q -w popcnt build-ci/nazar_rca.dis || {

@@ -52,13 +52,24 @@ MspDetector::MspDetector(double threshold) : threshold_(threshold)
 bool
 MspDetector::isDrift(const std::vector<double> &logit_row) const
 {
+    NAZAR_SPAN("detect.msp.is_drift");
     return flag(score(logit_row));
+}
+
+MspDetector::Decisions
+MspDetector::decide(const nn::Matrix &logits) const
+{
+    NAZAR_SPAN("detect.msp.is_drift");
+    Decisions out{nn::maxSoftmax(logits),
+                  std::vector<bool>(logits.rows())};
+    for (size_t r = 0; r < logits.rows(); ++r)
+        out.drift[r] = flag(out.msp[r]);
+    return out;
 }
 
 bool
 MspDetector::flag(double msp) const
 {
-    NAZAR_SPAN("detect.msp.is_drift");
     static DriftCounters counters("detect.msp.samples",
                                   "detect.msp.flags");
     return counters.record(msp < threshold_);

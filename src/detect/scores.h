@@ -23,22 +23,31 @@ class MspDetector : public Detector
   public:
     explicit MspDetector(double threshold = kDefaultMspThreshold);
 
-    /** flag(score(logit_row)). */
+    /** Drift when score(logit_row) < threshold. */
     bool isDrift(const std::vector<double> &logit_row) const override;
     double score(const std::vector<double> &logit_row) const override;
     std::string name() const override;
 
+    /** Every row's MSP and isDrift verdict of one logit batch. */
+    struct Decisions
+    {
+        std::vector<double> msp;
+        std::vector<bool> drift;
+    };
+
     /**
-     * The detector's decision on an already computed MSP: drift when
-     * @p msp < threshold. Counts the sample (and flag) like isDrift,
-     * so a caller holding a batch's MSP column decides each row
-     * without a second softmax.
+     * isDrift on every row of @p logits from one batch softmax, with
+     * the same per-row sample and flag counts. Like isDrift, the
+     * softmax and the flags are timed as `detect.msp.is_drift`.
      */
-    bool flag(double msp) const;
+    Decisions decide(const nn::Matrix &logits) const;
 
     double threshold() const { return threshold_; }
 
   private:
+    /** Count one sample and decide it: drift when @p msp < threshold. */
+    bool flag(double msp) const;
+
     double threshold_;
 };
 

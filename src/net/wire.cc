@@ -98,14 +98,10 @@ getAttributeSetInterned(Reader &r, StringDict &dict)
 std::string
 encodeFrame(MsgType type, const std::string &payload)
 {
-    Writer body;
-    body.putU8(static_cast<uint8_t>(type));
-    body.putBytes(payload.data(), payload.size());
-
-    Writer frame;
-    frame.putU32(static_cast<uint32_t>(body.size()));
-    frame.putU32(persist::crc32(body.bytes().data(), body.size()));
-    frame.putBytes(body.bytes().data(), body.size());
+    Writer frame = persist::writeFrame(1 + payload.size(), [&](Writer &w) {
+        w.putU8(static_cast<uint8_t>(type));
+        w.putBytes(payload.data(), payload.size());
+    });
     return frame.take();
 }
 

@@ -19,7 +19,6 @@
 #include "gemm.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace nazar::nn::gemm {
 
@@ -191,50 +190,19 @@ multiplyAvx2(const double *a, const double *b, double *c, size_t m,
 }
 #endif
 
-std::vector<Variant>
-detectVariants()
+} // namespace
+
+std::vector<cpu_dispatch::Variant<Kernels>>
+Kernels::detect()
 {
-    std::vector<Variant> v;
+    std::vector<cpu_dispatch::Variant<Kernels>> v;
 #if defined(__x86_64__) || defined(__i386__)
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx2"))
-        v.push_back({"avx2", &multiplyAvx2});
+        v.push_back({"avx2", {&multiplyAvx2}});
 #endif
-    v.push_back({"baseline", &multiplyBaseline});
+    v.push_back({"baseline", {&multiplyBaseline}});
     return v;
-}
-
-std::atomic<const Variant *> &
-pinned()
-{
-    static std::atomic<const Variant *> variant{nullptr};
-    return variant;
-}
-
-} // namespace
-
-const std::vector<Variant> &
-hostVariants()
-{
-    static const std::vector<Variant> variants = detectVariants();
-    return variants;
-}
-
-const Variant &
-active()
-{
-    const Variant *v = pinned().load(std::memory_order_acquire);
-    return v ? *v : hostVariants().front();
-}
-
-ScopedVariant::ScopedVariant(const Variant &variant)
-    : previous_(pinned().exchange(&variant, std::memory_order_acq_rel))
-{
-}
-
-ScopedVariant::~ScopedVariant()
-{
-    pinned().store(previous_, std::memory_order_release);
 }
 
 } // namespace nazar::nn::gemm

@@ -26,6 +26,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/cpu_dispatch.h"
+
 namespace nazar::nn::gemm {
 
 /**
@@ -35,40 +37,15 @@ namespace nazar::nn::gemm {
 using Kernel = void (*)(const double *a, const double *b, double *c,
                         size_t m, size_t k, size_t n);
 
-/** One compiled instance of the kernel. */
-struct Variant
-{
-    const char *isa; ///< "avx2" or "baseline".
-    Kernel kernel;
-};
-
 /**
- * The variants compiled into this build that the host CPU can run,
- * preferred first. Never empty: the baseline variant runs anywhere.
+ * The gemm family's kernels, dispatched by common/cpu_dispatch.h:
+ * `avx2` on x86 hosts that have it, `baseline` everywhere.
  */
-const std::vector<Variant> &hostVariants();
-
-/** The variant Matrix products use (hostVariants().front() unless a
- *  ScopedVariant is live). */
-const Variant &active();
-
-/**
- * Route Matrix products through @p variant (an element of
- * hostVariants(), which outlives this object) for this object's
- * lifetime, so tests can check every variant the host runs, not only
- * the one dispatch picks. Not meant to race with products on other
- * threads.
- */
-class ScopedVariant
+struct Kernels
 {
-  public:
-    explicit ScopedVariant(const Variant &variant);
-    ~ScopedVariant();
-    ScopedVariant(const ScopedVariant &) = delete;
-    ScopedVariant &operator=(const ScopedVariant &) = delete;
-
-  private:
-    const Variant *previous_;
+    Kernel multiply;
+    /** The variants the host CPU runs, preferred first (gemm.cc). */
+    static std::vector<cpu_dispatch::Variant<Kernels>> detect();
 };
 
 } // namespace nazar::nn::gemm

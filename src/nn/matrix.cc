@@ -72,7 +72,8 @@ transposedData(const Matrix &m)
 void
 product(const double *a, size_t k, const double *b, Matrix &out)
 {
-    const gemm::Kernel kernel = gemm::active().kernel;
+    const gemm::Kernel kernel =
+        cpu_dispatch::active<gemm::Kernels>().kernels.multiply;
     const size_t m = out.rows(), n = out.cols();
     if (m * k * n < kParallelFlopCutoff) {
         kernel(a, b, out.data(), m, k, n);

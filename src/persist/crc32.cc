@@ -16,11 +16,10 @@
  *
  * Every folding constant is x^n mod P, and the Barrett constant is
  * floor(x^64 / P), both derived at compile time from the polynomial
- * below; no table is pasted in. The kernel is picked once, at first
- * use, from __builtin_cpu_supports; the build sets no -mpclmul.
+ * below; no table is pasted in. The kernel is picked at run time
+ * (common/cpu_dispatch.h); the build sets no -mpclmul.
  */
 #include <array>
-#include <atomic>
 
 #include "persist/serial.h"
 
@@ -225,56 +224,27 @@ updatePclmul(uint32_t crc, const unsigned char *p, size_t len)
 
 #endif // NAZAR_CRC_PCLMUL
 
-std::vector<crc_kernel::Variant>
-detectVariants()
+} // namespace
+
+std::vector<cpu_dispatch::Variant<crc_kernel::Kernels>>
+crc_kernel::Kernels::detect()
 {
-    std::vector<crc_kernel::Variant> v;
+    std::vector<cpu_dispatch::Variant<Kernels>> v;
 #ifdef NAZAR_CRC_PCLMUL
     __builtin_cpu_init();
     if (__builtin_cpu_supports("pclmul") &&
         __builtin_cpu_supports("sse4.1"))
-        v.push_back({"pclmul", &updatePclmul});
+        v.push_back({"pclmul", {&updatePclmul}});
 #endif
-    v.push_back({"baseline", &updateBaseline});
+    v.push_back({"baseline", {&updateBaseline}});
     return v;
 }
-
-std::atomic<const crc_kernel::Variant *> &
-pinned()
-{
-    static std::atomic<const crc_kernel::Variant *> variant{nullptr};
-    return variant;
-}
-
-} // namespace
-
-namespace crc_kernel {
-
-const std::vector<Variant> &
-hostVariants()
-{
-    static const std::vector<Variant> variants = detectVariants();
-    return variants;
-}
-
-ScopedVariant::ScopedVariant(const Variant &variant)
-    : previous_(pinned().exchange(&variant, std::memory_order_acq_rel))
-{
-}
-
-ScopedVariant::~ScopedVariant()
-{
-    pinned().store(previous_, std::memory_order_release);
-}
-
-} // namespace crc_kernel
 
 uint32_t
 crc32Update(uint32_t crc, const void *data, size_t len)
 {
-    const crc_kernel::Variant *v = pinned().load(std::memory_order_acquire);
-    crc_kernel::Update update =
-        v ? v->update : crc_kernel::hostVariants().front().update;
+    const crc_kernel::Update update =
+        cpu_dispatch::active<crc_kernel::Kernels>().kernels.update;
     return update(crc ^ 0xFFFFFFFFu,
                   static_cast<const unsigned char *>(data), len) ^
            0xFFFFFFFFu;

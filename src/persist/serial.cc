@@ -208,21 +208,6 @@ getEntryView(Reader &r)
     return e;
 }
 
-driftlog::DriftLogEntry
-getEntry(Reader &r)
-{
-    driftlog::DriftLogEntryView v = getEntryView(r);
-    driftlog::DriftLogEntry e;
-    e.time = v.time;
-    e.deviceId = v.deviceId;
-    e.deviceModel = v.deviceModel;
-    e.location = v.location;
-    e.weather = v.weather;
-    e.modelVersion = v.modelVersion;
-    e.drift = v.drift;
-    return e;
-}
-
 void
 putDriftLog(Writer &w, const driftlog::DriftLog &log)
 {

@@ -18,9 +18,10 @@
  * Readers are bounds-checked: a short or corrupt buffer raises
  * NazarError, which the WAL open path converts into torn-tail
  * truncation and chain recovery into a refusal to adopt the state.
- * Each get* decoder that materializes strings has a view or skip
- * twin (getStringView, getEntryView, skipUpload) that runs the same
- * checks and copies nothing; the twins borrow the Reader's buffer.
+ * getStringView and getEntryView decode strings in place, and
+ * skipUpload checks an upload without building it: they run the same
+ * checks as getString/getUpload, copy nothing, and borrow the
+ * Reader's buffer.
  */
 #ifndef NAZAR_PERSIST_SERIAL_H
 #define NAZAR_PERSIST_SERIAL_H
@@ -33,6 +34,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/cpu_dispatch.h"
 #include "driftlog/drift_log.h"
 #include "driftlog/value.h"
 #include "rca/attribute_set.h"
@@ -54,36 +56,16 @@ namespace crc_kernel {
 using Update = uint32_t (*)(uint32_t reg, const unsigned char *p,
                             size_t len);
 
-/** One compiled CRC32 kernel. */
-struct Variant
+/**
+ * The CRC32 family, dispatched by common/cpu_dispatch.h; crc32 and
+ * crc32Update use the active variant.
+ */
+struct Kernels
 {
-    const char *isa; ///< "pclmul" or "baseline".
     Update update;
-};
-
-/**
- * The kernels compiled into this build that the host CPU can run,
- * preferred first. Never empty: the slicing-by-8 baseline runs
- * anywhere. crc32/crc32Update use the front one.
- */
-const std::vector<Variant> &hostVariants();
-
-/**
- * Route every crc32/crc32Update call through @p variant (an element
- * of hostVariants()) for this object's lifetime, so tests can check
- * every kernel the host runs. Not meant to race with CRCs on other
- * threads.
- */
-class ScopedVariant
-{
-  public:
-    explicit ScopedVariant(const Variant &variant);
-    ~ScopedVariant();
-    ScopedVariant(const ScopedVariant &) = delete;
-    ScopedVariant &operator=(const ScopedVariant &) = delete;
-
-  private:
-    const Variant *previous_;
+    /** The variants the host CPU runs, preferred first: `pclmul`,
+     *  `baseline` (slicing-by-8, runs anywhere; crc32.cc). */
+    static std::vector<cpu_dispatch::Variant<Kernels>> detect();
 };
 
 } // namespace crc_kernel
@@ -162,6 +144,29 @@ class Writer
 };
 
 /**
+ * One frame, [u32 body length][u32 crc32(body)][body], as every WAL
+ * record and wire message is written: @p put_body writes the body
+ * (about @p body_bytes) once, after a placeholder header that is then
+ * patched. Parsing stays with each reader, since a WAL scan stops at a
+ * torn tail where the wire throws.
+ */
+template <typename PutBody>
+Writer
+writeFrame(size_t body_bytes, PutBody &&put_body)
+{
+    constexpr size_t kHeader = 8;
+    Writer frame;
+    frame.reserve(kHeader + body_bytes);
+    frame.putU32(0);
+    frame.putU32(0);
+    put_body(frame);
+    const size_t body_len = frame.size() - kHeader;
+    frame.patchU32(0, static_cast<uint32_t>(body_len));
+    frame.patchU32(4, crc32(frame.bytes().data() + kHeader, body_len));
+    return frame;
+}
+
+/**
  * Bounds-checked reader over a byte range; throws NazarError on
  * underrun. Every getter is one compare against the bytes left and
  * one little-endian load; the throw is out of line.
@@ -232,9 +237,7 @@ rca::AttributeSet getAttributeSet(Reader &r);
  * carries day + secondOfDay explicitly to rebuild rows losslessly).
  */
 void putEntry(Writer &w, const driftlog::DriftLogEntry &e);
-driftlog::DriftLogEntry getEntry(Reader &r);
-
-/** getEntry without the copies: the strings view @p r's buffer. */
+/** Decode what putEntry wrote; the strings view @p r's buffer. */
 driftlog::DriftLogEntryView getEntryView(Reader &r);
 
 /**

@@ -180,21 +180,13 @@ Wal::append(WalRecordType type, const std::string &payload)
 uint64_t
 Wal::appendBuffered(WalRecordType type, const std::string &payload)
 {
-    // Frame: u32 body length, u32 body CRC, then the body (type, seq,
-    // payload). The body is written once, after a placeholder header
-    // that is patched when the body is complete.
-    constexpr size_t kHeader = 8;
-    Writer frame;
-    frame.reserve(kHeader + 9 + payload.size());
-    frame.putU32(0);
-    frame.putU32(0);
-    frame.putU8(static_cast<uint8_t>(type));
-    frame.putU64(nextSeq_);
-    frame.putBytes(payload.data(), payload.size());
+    // The frame's body is the type, the seq, then the payload.
+    const Writer frame = writeFrame(9 + payload.size(), [&](Writer &w) {
+        w.putU8(static_cast<uint8_t>(type));
+        w.putU64(nextSeq_);
+        w.putBytes(payload.data(), payload.size());
+    });
     const std::string &bytes = frame.bytes();
-    const size_t body_len = bytes.size() - kHeader;
-    frame.patchU32(0, static_cast<uint32_t>(body_len));
-    frame.patchU32(4, crc32(bytes.data() + kHeader, body_len));
     env_->write("env.wal.write", file_, bytes.data(), bytes.size());
     uint64_t seq = nextSeq_++;
     static obs::Counter &appends =

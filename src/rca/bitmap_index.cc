@@ -11,7 +11,6 @@
 #include "bitmap_index.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
 #include "common/error.h"
@@ -109,62 +108,26 @@ onesPopcnt(const Word *words, size_t n)
 }
 #endif
 
-std::vector<count_kernel::Variant>
-detectVariants()
+} // namespace
+
+std::vector<cpu_dispatch::Variant<count_kernel::Kernels>>
+count_kernel::Kernels::detect()
 {
-    std::vector<count_kernel::Variant> v;
+    std::vector<cpu_dispatch::Variant<Kernels>> v;
 #if defined(__x86_64__) || defined(__i386__)
     __builtin_cpu_init();
     if (__builtin_cpu_supports("popcnt"))
-        v.push_back({"popcnt", &countTuplesPopcnt, &onesPopcnt});
+        v.push_back({"popcnt", {&countTuplesPopcnt, &onesPopcnt}});
 #endif
-    v.push_back({"baseline", &countTuplesBaseline, &onesBaseline});
+    v.push_back({"baseline", {&countTuplesBaseline, &onesBaseline}});
     return v;
 }
-
-std::atomic<const count_kernel::Variant *> &
-pinned()
-{
-    static std::atomic<const count_kernel::Variant *> variant{nullptr};
-    return variant;
-}
-
-/** The pinned variant, else the preferred one. */
-const count_kernel::Variant &
-activeKernel()
-{
-    const count_kernel::Variant *v =
-        pinned().load(std::memory_order_acquire);
-    return v ? *v : count_kernel::hostVariants().front();
-}
-
-} // namespace
-
-namespace count_kernel {
-
-const std::vector<Variant> &
-hostVariants()
-{
-    static const std::vector<Variant> variants = detectVariants();
-    return variants;
-}
-
-ScopedVariant::ScopedVariant(const Variant &variant)
-    : previous_(pinned().exchange(&variant, std::memory_order_acq_rel))
-{
-}
-
-ScopedVariant::~ScopedVariant()
-{
-    pinned().store(previous_, std::memory_order_release);
-}
-
-} // namespace count_kernel
 
 size_t
 RowBitset::count() const
 {
-    return activeKernel().ones(words_.data(), words_.size());
+    return cpu_dispatch::active<count_kernel::Kernels>().kernels.ones(
+        words_.data(), words_.size());
 }
 
 BitmapIndex::BitmapIndex(const driftlog::Table &table,
@@ -253,7 +216,8 @@ BitmapIndex::countSlots(const std::vector<uint32_t> &slots, size_t k,
     NAZAR_CHECK(k > 0 && slots.size() % k == 0,
                 "slot tuples must be packed k > 0 at a time");
     const size_t candidates = slots.size() / k;
-    const count_kernel::Variant &kernel = activeKernel();
+    const count_kernel::Kernels &kernel =
+        cpu_dispatch::active<count_kernel::Kernels>().kernels;
     const Word *flags = drift_flags.words();
 
     // Within a chunk the candidate is the outer loop: a chunk is 64

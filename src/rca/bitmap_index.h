@@ -30,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cpu_dispatch.h"
 #include "rca/attribute_set.h"
 #include "runtime/thread_pool.h"
 
@@ -144,37 +145,14 @@ using CountTuples = void (*)(const RowBitset::Word *slab, size_t stride,
 /** Set bits in words [0, n). */
 using Ones = size_t (*)(const RowBitset::Word *words, size_t n);
 
-/** One compiled instance of the kernels. */
-struct Variant
+/** The counting family, dispatched by common/cpu_dispatch.h. */
+struct Kernels
 {
-    const char *isa; ///< "popcnt" or "baseline".
     CountTuples countTuples;
     Ones ones;
-};
-
-/**
- * The variants compiled into this build that the host CPU can run,
- * preferred first. Never empty: the baseline variant runs anywhere.
- */
-const std::vector<Variant> &hostVariants();
-
-/**
- * Route every count through @p variant (an element of hostVariants(),
- * which outlives this object) for this object's lifetime, so tests can
- * check every variant the host runs, not only hostVariants().front(),
- * the one the counts use otherwise. Not meant to race with counts on
- * other threads.
- */
-class ScopedVariant
-{
-  public:
-    explicit ScopedVariant(const Variant &variant);
-    ~ScopedVariant();
-    ScopedVariant(const ScopedVariant &) = delete;
-    ScopedVariant &operator=(const ScopedVariant &) = delete;
-
-  private:
-    const Variant *previous_;
+    /** The variants the host CPU runs, preferred first: `popcnt`,
+     *  `baseline` (bitmap_index.cc). */
+    static std::vector<cpu_dispatch::Variant<Kernels>> detect();
 };
 
 } // namespace count_kernel

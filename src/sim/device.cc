@@ -7,7 +7,6 @@
 #include <algorithm>
 
 #include "data/apps.h"
-#include "nn/loss.h"
 #include "obs/metrics.h"
 
 namespace nazar::sim {
@@ -114,12 +113,13 @@ Device::inferBatch(std::span<const data::StreamEvent *const> events,
         nn::Matrix logits = base.infer(
             batch, run.version != nullptr ? run.version->patch
                                           : clean_patch);
-        std::vector<double> msp = nn::maxSoftmax(logits);
+        const detect::MspDetector::Decisions decided =
+            detector.decide(logits);
         for (size_t r = 0; r < run.rows.size(); ++r) {
             InferenceOutcome &out = outcomes[run.rows[r]];
             out.predicted = static_cast<int>(logits.argmaxRow(r));
-            out.msp = msp[r];
-            out.driftFlag = detector.flag(msp[r]);
+            out.msp = decided.msp[r];
+            out.driftFlag = decided.drift[r];
             out.versionId = run.version != nullptr ? run.version->id : 0;
         }
     }

@@ -13,7 +13,6 @@
 #include "common/stats.h"
 #include "net/channel.h"
 #include "net/ingest_client.h"
-#include "nn/loss.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "runtime/thread_pool.h"
@@ -412,13 +411,14 @@ Runner::run()
                 for (size_t i = 0; i < window_count; ++i)
                     batch.setRow(i, events[window_begin + i].features);
                 nn::Matrix logits = base_->infer(batch, global_patch);
-                std::vector<double> msp = nn::maxSoftmax(logits);
+                const detect::MspDetector::Decisions decided =
+                    detector.decide(logits);
                 ShardMetrics totals;
                 for (size_t i = 0; i < window_count; ++i) {
                     outcomes[i].predicted =
                         static_cast<int>(logits.argmaxRow(i));
-                    outcomes[i].msp = msp[i];
-                    outcomes[i].driftFlag = detector.flag(msp[i]);
+                    outcomes[i].msp = decided.msp[i];
+                    outcomes[i].driftFlag = decided.drift[i];
                     outcomes[i].versionId = 0;
                     const data::StreamEvent &ev = events[window_begin + i];
                     if (do_upload[i])

@@ -79,8 +79,8 @@ struct SetDedupWindow
 /**
  * Decode one kIngest payload the materializing way, as recovery did
  * before it decoded records in place: the flags, the device (whose
- * sign must agree with the from-device flag), the seq, then getEntry
- * and getUpload into owned strings and vectors.
+ * sign must agree with the from-device flag), the seq, then the entry
+ * field by field and getUpload into owned strings and vectors.
  */
 inline IngestRecord
 decodeIngest(std::string_view payload)
@@ -92,7 +92,14 @@ decodeIngest(std::string_view payload)
     NAZAR_CHECK(((flags & 2) != 0) == (rec.device >= 0),
                 "oracle: ingest record device flag mismatch");
     rec.seq = r.getU64();
-    rec.entry = getEntry(r);
+    const int day = static_cast<int>(r.getU32());
+    rec.entry.time = SimDate(day, static_cast<int>(r.getU32()));
+    rec.entry.deviceId = r.getString();
+    rec.entry.deviceModel = r.getString();
+    rec.entry.location = r.getString();
+    rec.entry.weather = r.getString();
+    rec.entry.modelVersion = r.getI64();
+    rec.entry.drift = r.getBool();
     if (flags & 1)
         rec.upload = getUpload(r);
     return rec;

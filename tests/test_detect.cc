@@ -4,6 +4,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -35,7 +36,7 @@ TEST(MspDetector, ThresholdBoundary)
     EXPECT_THROW(MspDetector(-0.1), NazarError);
 }
 
-TEST(MspDetector, FlagOnScoreIsIsDriftAndCountsTheSame)
+TEST(MspDetector, DecideIsIsDriftPerRowAndCountsTheSame)
 {
     obs::Counter &samples =
         obs::Registry::global().counter("detect.msp.samples");
@@ -45,19 +46,25 @@ TEST(MspDetector, FlagOnScoreIsIsDriftAndCountsTheSame)
     const std::vector<std::vector<double>> rows = {
         {0.0, 0.0, 0.0}, {20.0, 0.0, 0.0}, {1.0, 0.5, -0.5},
         {0.4, 0.4, 0.0}, {-3.0, 2.0, 2.0}, {5.0, -1.0, 4.9}};
-    for (const auto &row : rows) {
-        const uint64_t s0 = samples.value(), f0 = flags.value();
-        const bool by_row = det.isDrift(row);
-        const uint64_t s1 = samples.value(), f1 = flags.value();
-        const bool by_score = det.flag(det.score(row));
-        const uint64_t s2 = samples.value(), f2 = flags.value();
-        EXPECT_EQ(by_row, by_score);
-        EXPECT_EQ(by_score, det.score(row) < 0.6);
-        EXPECT_EQ(s1 - s0, 1u);
-        EXPECT_EQ(s2 - s1, 1u);
-        EXPECT_EQ(f1 - f0, by_row ? 1u : 0u);
-        EXPECT_EQ(f2 - f1, f1 - f0);
+    const uint64_t s0 = samples.value(), f0 = flags.value();
+    std::vector<bool> by_row;
+    for (const auto &row : rows)
+        by_row.push_back(det.isDrift(row));
+    const uint64_t s1 = samples.value(), f1 = flags.value();
+    const MspDetector::Decisions batch =
+        det.decide(nn::Matrix::fromRows(rows));
+    const uint64_t s2 = samples.value(), f2 = flags.value();
+    EXPECT_EQ(batch.drift, by_row);
+    ASSERT_EQ(batch.msp.size(), rows.size());
+    for (size_t r = 0; r < rows.size(); ++r) {
+        EXPECT_EQ(batch.msp[r], det.score(rows[r])) << "row " << r;
+        EXPECT_EQ(by_row[r], det.score(rows[r]) < 0.6) << "row " << r;
     }
+    EXPECT_EQ(s1 - s0, rows.size());
+    EXPECT_EQ(s2 - s1, rows.size());
+    EXPECT_EQ(f1 - f0, static_cast<uint64_t>(std::count(
+                           by_row.begin(), by_row.end(), true)));
+    EXPECT_EQ(f2 - f1, f1 - f0);
 }
 
 TEST(MspDetector, DefaultThresholdIsPaper)

@@ -464,9 +464,10 @@ kernelOutputs(const Fim &fim, const RowBitset &flags)
 
 TEST_F(FimBitmap, EveryKernelVariantMatchesBaselineAndReference)
 {
-    const auto &variants = count_kernel::hostVariants();
+    const auto &variants =
+        cpu_dispatch::hostVariants<count_kernel::Kernels>();
     ASSERT_FALSE(variants.empty());
-    const count_kernel::Variant &baseline = variants.back();
+    const auto &baseline = variants.back();
     ASSERT_STREQ(baseline.isa, "baseline");
     for (size_t n : {0u, 1u, 63u, 64u, 65u, 4095u, 4096u, 8193u}) {
         SCOPED_TRACE("rows=" + std::to_string(n));
@@ -480,7 +481,7 @@ TEST_F(FimBitmap, EveryKernelVariantMatchesBaselineAndReference)
         runtime::setThreads(1);
         KernelOutputs expect;
         {
-            count_kernel::ScopedVariant pin(baseline);
+            cpu_dispatch::ScopedVariant pin(baseline);
             expect = kernelOutputs(fim, flags);
         }
         // The baseline against the row-scan oracle: the ranked table,
@@ -504,9 +505,9 @@ TEST_F(FimBitmap, EveryKernelVariantMatchesBaselineAndReference)
                     << causes[i].attrs.toString() << " row " << r;
 
         // Every variant, sequential and sharded, equals the baseline.
-        for (const count_kernel::Variant &variant : variants) {
+        for (const auto &variant : variants) {
             SCOPED_TRACE(variant.isa);
-            count_kernel::ScopedVariant pin(variant);
+            cpu_dispatch::ScopedVariant pin(variant);
             for (size_t threads : {1u, 4u}) {
                 runtime::setThreads(threads);
                 EXPECT_TRUE(kernelOutputs(fim, flags) == expect)

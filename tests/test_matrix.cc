@@ -106,19 +106,6 @@ withZeros(size_t rows, size_t cols, Rng &rng)
     return m;
 }
 
-TEST(MatrixExact, DispatchPicksAHostVariant)
-{
-    const auto &variants = gemm::hostVariants();
-    ASSERT_FALSE(variants.empty());
-    EXPECT_STREQ(variants.back().isa, "baseline");
-    EXPECT_EQ(gemm::active().kernel, variants.front().kernel);
-    {
-        gemm::ScopedVariant pin(variants.back());
-        EXPECT_EQ(gemm::active().kernel, variants.back().kernel);
-    }
-    EXPECT_EQ(gemm::active().kernel, variants.front().kernel);
-}
-
 TEST(MatrixExact, ProductsMatchPlainLoopsBitForBit)
 {
     // Every variant the host runs, at 1 and 4 pool threads, over shapes
@@ -136,8 +123,9 @@ TEST(MatrixExact, ProductsMatchPlainLoopsBitForBit)
                 shapes.push_back({m, k, n});
     for (size_t threads : {1, 4}) {
         runtime::setThreads(threads);
-        for (const gemm::Variant &variant : gemm::hostVariants()) {
-            gemm::ScopedVariant pin(variant);
+        for (const auto &variant :
+             cpu_dispatch::hostVariants<gemm::Kernels>()) {
+            cpu_dispatch::ScopedVariant pin(variant);
             Rng rng(97);
             for (const auto [m, k, n] : shapes) {
                 SCOPED_TRACE(testing::Message()
@@ -167,8 +155,8 @@ TEST(MatrixExact, ZeroTermsAreSkippedNotMultiplied)
     const Matrix b = Matrix::fromRows({{inf, -inf, inf, 1, 2, 3, 4, 5, 6},
                                        {1, 2, 3, 4, 5, 6, 7, 8, 9}});
     const Matrix expected = oracle::matmul(a, b);
-    for (const gemm::Variant &variant : gemm::hostVariants()) {
-        gemm::ScopedVariant pin(variant);
+    for (const auto &variant : cpu_dispatch::hostVariants<gemm::Kernels>()) {
+        cpu_dispatch::ScopedVariant pin(variant);
         EXPECT_TRUE(bitEqual(a.matmul(b), expected)) << variant.isa;
         EXPECT_TRUE(bitEqual(a.transposed().transposeMatmul(b), expected))
             << variant.isa;

@@ -87,29 +87,16 @@ TEST(Serial, Crc32KnownVector)
     EXPECT_EQ(inc, 0xCBF43926u);
 }
 
-TEST(Serial, Crc32HostVariants)
-{
-    const auto &variants = crc_kernel::hostVariants();
-    ASSERT_FALSE(variants.empty());
-    EXPECT_STREQ(variants.back().isa, "baseline");
-#if defined(__x86_64__)
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("pclmul") &&
-        __builtin_cpu_supports("sse4.1")) {
-        EXPECT_STREQ(variants.front().isa, "pclmul");
-    }
-#endif
-}
-
 TEST(Serial, Crc32MatchesBitwiseOracle)
 {
     Rng rng(77);
     std::vector<unsigned char> buf((1u << 20) + 16);
     for (auto &b : buf)
         b = static_cast<unsigned char>(rng.index(256));
-    for (const crc_kernel::Variant &variant : crc_kernel::hostVariants()) {
+    for (const auto &variant :
+         cpu_dispatch::hostVariants<crc_kernel::Kernels>()) {
         SCOPED_TRACE(variant.isa);
-        crc_kernel::ScopedVariant pin(variant);
+        cpu_dispatch::ScopedVariant pin(variant);
         // Every alignment of a 16-byte lane, every length up to and
         // well past the folding kernel's minimum, so both the folded
         // prefix and every tail length run.
@@ -260,7 +247,7 @@ TEST(Serial, EntryAndUploadRoundTrip)
     putEntry(w, e);
     putUpload(w, u);
     Reader r(w.bytes());
-    driftlog::DriftLogEntry e2 = getEntry(r);
+    driftlog::DriftLogEntryView e2 = getEntryView(r);
     EXPECT_EQ(e2.time.dayIndex(), e.time.dayIndex());
     EXPECT_EQ(e2.time.toDateTimeString(), e.time.toDateTimeString());
     EXPECT_EQ(e2.deviceId, e.deviceId);

@@ -263,8 +263,8 @@ TEST_P(InferDifferential, InferIsEvalForwardBitForBit)
     constexpr size_t kDim = 12;
     Classifier model = statefulModel(GetParam(), kDim, 31);
     Rng rng(37);
-    for (const gemm::Variant &variant : gemm::hostVariants()) {
-        gemm::ScopedVariant pin(variant);
+    for (const auto &variant : cpu_dispatch::hostVariants<gemm::Kernels>()) {
+        cpu_dispatch::ScopedVariant pin(variant);
         for (size_t rows = 1; rows <= 70; ++rows) {
             Matrix x = specialInputs(rows, kDim, rng);
             EXPECT_TRUE(sameBits(model.infer(x),

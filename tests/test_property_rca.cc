@@ -402,8 +402,9 @@ TEST_F(RcaDeterminism, FullAnalysisMatchesGoldenCauses)
 {
     Table t = goldenLog(9000);
     Analyzer analyzer(goldenConfig());
-    for (const auto &variant : count_kernel::hostVariants()) {
-        count_kernel::ScopedVariant pin(variant);
+    for (const auto &variant :
+         cpu_dispatch::hostVariants<count_kernel::Kernels>()) {
+        cpu_dispatch::ScopedVariant pin(variant);
         for (size_t threads : {1u, 4u}) {
             runtime::setThreads(threads);
             AnalysisResult result =

@@ -52,6 +52,19 @@ TEST(FrameParser, RoundTripsAtEveryChunking)
     }
 }
 
+TEST(FrameParser, EncodeFrameBytesArePinned)
+{
+    // [u32 LE body length][u32 LE crc32(body)][u8 type][payload], with
+    // the CRC-32 (reflected 0xEDB88320) of each body computed offline.
+    EXPECT_EQ(encodeFrame(MsgType::kHello, "alpha"),
+              std::string("\x06\x00\x00\x00\x71\xbc\x5c\x6c"
+                          "\x01"
+                          "alpha",
+                          14));
+    EXPECT_EQ(encodeFrame(MsgType::kAck, std::string()),
+              std::string("\x01\x00\x00\x00\x94\x2b\x6f\xd5\x04", 9));
+}
+
 TEST(FrameParser, TruncatedFrameWaitsForMoreBytes)
 {
     std::string frame = encodeFrame(MsgType::kHello, "payload");
