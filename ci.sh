@@ -358,6 +358,10 @@ if [ "$DO_RELEASE" = 1 ]; then
     grep -q "LOADGEN stage server.queue_wait" \
         build-ci/served_trace.log || {
         echo "tracing smoke: no per-stage breakdown" >&2; exit 1; }
+    # Traced frames carry trace ids on the wire, never into the WAL:
+    # the record bytes after the trace context are the WAL payload,
+    # and recovery refuses an ingest record with trailing bytes.
+    ./build-ci/tools/nazar_ops recover build-ci/trace_state > /dev/null
     # Acks are coalesced: at most one ack write per connection per
     # group commit (a deterministic work counter, not a timing).
     awk -v clients="$TRACE_CLIENTS" '/^SERVED / {

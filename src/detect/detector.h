@@ -12,8 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "nn/matrix.h"
-
 namespace nazar::detect {
 
 /**
@@ -35,9 +33,6 @@ class Detector
 
     /** Diagnostic name. */
     virtual std::string name() const = 0;
-
-    /** Flag every row of a logit batch. */
-    std::vector<bool> detectBatch(const nn::Matrix &logits) const;
 };
 
 } // namespace nazar::detect

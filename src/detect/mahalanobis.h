@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "detect/detector.h"
+#include "nn/matrix.h"
 
 namespace nazar::detect {
 

@@ -11,6 +11,7 @@
 #include "common/stats.h"
 #include "detect/detector.h"
 #include "detect/ks_test.h"
+#include "nn/matrix.h"
 
 namespace nazar::detect {
 

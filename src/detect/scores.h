@@ -7,6 +7,7 @@
 #define NAZAR_DETECT_SCORES_H
 
 #include "detect/detector.h"
+#include "nn/matrix.h"
 
 namespace nazar::detect {
 

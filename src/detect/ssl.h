@@ -19,6 +19,7 @@
 
 #include "detect/detector.h"
 #include "nn/classifier.h"
+#include "nn/matrix.h"
 
 namespace nazar::detect {
 

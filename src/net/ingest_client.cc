@@ -137,27 +137,21 @@ IngestClient::sendIngest(const persist::IngestRecord &m)
         ++stats_.sent;
     }
     try {
-        // Encode only after the drop decision: a given-up message must
-        // not advance the string dictionary, or the server's mirror
-        // would fall out of lockstep.
         std::string payload;
         if (obs::enabled() && obs::tracing()) {
             // Mint this upload's root context; its ids ride the wire so
             // the server's stage spans join the same trace. The root
             // span itself is recorded when the ack closes it (onAck).
             obs::TraceContext ctx = obs::newTraceContext();
-            persist::IngestRecord traced = m;
-            traced.traceId = ctx.traceId;
-            traced.spanId = ctx.spanId;
             static obs::SpanSite encodeSite("net.client.encode");
             auto t0 = std::chrono::steady_clock::now();
-            payload = encodeIngest(traced, dict_);
+            payload = encodeIngest(m, ctx);
             obs::recordSpan(encodeSite, t0,
                             std::chrono::steady_clock::now(), ctx);
             pendingTraces_[{m.device, m.seq}] = {ctx.traceId,
                                                  ctx.spanId, t0};
         } else {
-            payload = encodeIngest(m, dict_);
+            payload = encodeIngest(m);
         }
         std::string frame = encodeFrame(MsgType::kIngest, payload);
         NAZAR_CHECK(stream_.sendBytes(frame),
@@ -323,9 +317,7 @@ IngestClient::reconnectAndResume()
             handshake(true);
             // The old connection's acks are gone; what landed is
             // re-derived from the resume block, so outstanding
-            // bookkeeping restarts from the retransmits alone. The
-            // server-side dictionary mirror is fresh too.
-            dict_ = StringDict();
+            // bookkeeping restarts from the retransmits alone.
             pendingTraces_.clear();
             outstanding_ = 0;
             settleAndRetransmit();
@@ -394,8 +386,8 @@ IngestClient::settleAndRetransmit()
         p->copies = copies;
         if (copies == 0)
             continue;
-        std::string frame = encodeFrame(
-            MsgType::kIngest, encodeIngest(p->msg, dict_));
+        std::string frame =
+            encodeFrame(MsgType::kIngest, encodeIngest(p->msg));
         for (int i = 0; i < copies; ++i) {
             NAZAR_CHECK(stream_.sendBytes(frame),
                         "ingest client: server closed during resume");

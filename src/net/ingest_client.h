@@ -30,14 +30,12 @@
  * backoff, re-handshakes with `wantResume`, and reconciles against
  * the server's recovered per-device high-water seqs: entries at or
  * below the high water landed (credited as accepted without a resend
- * — `resumedLanded`), the rest are re-encoded against the fresh
- * string dictionary and retransmitted (`resent`); the server's dedup
- * window guarantees exactly-once application, and the accounting
- * keeps the reconciliation invariant above intact across any number
- * of crashes (acksAccepted == sent − gaveUp, acksRejected ==
- * duplicates). With the policy disabled (the default) none of this
- * machinery runs and the wire bytes are identical to the pre-session
- * protocol.
+ * — `resumedLanded`), the rest are re-encoded and retransmitted
+ * (`resent`); the server's dedup window guarantees exactly-once
+ * application, and the accounting keeps the reconciliation invariant
+ * above intact across any number of crashes (acksAccepted == sent −
+ * gaveUp, acksRejected == duplicates). With the policy disabled (the default) none of this
+ * machinery runs.
  *
  * Cycle/flush/bye caveat: ingest retransmission is exactly-once, but
  * a crash after the server committed a cycle and before its reply
@@ -137,11 +135,10 @@ class IngestClient
     /** Frames sent whose ack has not arrived yet. */
     uint64_t outstandingAcks() const { return outstanding_; }
 
-    /** Distinct strings interned on the send side. */
-    size_t dictStrings() const { return dict_.size(); }
-
-    /** String occurrences sent as a bare u32 id. */
-    uint64_t dictHits() const { return dict_.hits(); }
+    /** Always 0: the wire interns no strings. Kept because the
+     *  frozen nazarbench/ingest.cc still reads them. */
+    size_t dictStrings() const { return 0; }
+    uint64_t dictHits() const { return 0; }
 
     /**
      * Observer invoked for every ack as it is absorbed (load gen uses
@@ -219,7 +216,6 @@ class IngestClient
     };
 
     TcpStream stream_;
-    StringDict dict_;
     FaultConfig chaos_;
     bool chaosOn_ = false;
     Rng rng_;

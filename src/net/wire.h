@@ -12,11 +12,13 @@
  *
  * Message set:
  *
- *     kHello        client→server  protoVersion, client name
+ *     kHello        client→server  protoVersion, client name,
+ *                                  wantResume
  *     kHelloAck     server→client  protoVersion, recovered clean
- *                                  patch (optional) + its logical time
- *     kIngest       client→server  one sequenced ingest attempt
- *                                  (interned strings, see StringDict)
+ *                                  patch (optional) + its logical
+ *                                  time, resume block
+ *     kIngest       client→server  trace context + one ingest record
+ *                                  in its WAL encoding
  *     kAck          server→client  (device, seq, accepted) — false
  *                                  means the dedup window rejected it
  *     kCycleRequest client→server  clean BN patch (BnPatch::save text)
@@ -32,34 +34,16 @@
  *                                  reader has stopped draining; sent
  *                                  at most once per blocking episode
  *
- * Extensions: a kIngest payload may end with an optional extension
- * block — [u8 extCount] then per extension [u8 tag][u32 len][bytes].
- * Decoders skip unknown tags by length, and an absent block adds no
- * bytes. Tag 1 (kExtTraceContext) carries the obs trace context (u64
- * traceId + u64 spanId) so a device upload's causal trace continues
- * across the process boundary into the server's reader and committer
- * threads.
+ * A kIngest payload is [u64 traceId][u64 spanId][record]: the obs
+ * trace context (zero ids = untraced), which lets a device upload's
+ * causal trace continue into the server's reader and committer
+ * threads, then the record's bytes exactly as the WAL stores them
+ * (persist::putIngest), decoded with persist::viewIngest's checks.
  *
- * kHello/kHelloAck use the same trailing-optional pattern for session
- * resume: a reconnecting client appends a `wantResume` bool to its
- * kHello, and the server answers with a resume block of recovered
- * per-device high-water seqs on the kHelloAck. Both are encoded only
- * when present (fresh sessions never carry them), so fault-free runs
- * put the same bytes on the wire as a protocol without resume.
- *
- * Every decoder rejects a payload with bytes left over after its last
- * (trailing-optional) field: the protocol has only ever had one
- * version, so an unknown suffix is a malformed frame, not a newer
- * peer.
- *
- * String interning: device ids, locations, weather strings and
- * attribute columns repeat in almost every kIngest payload, so each
- * connection direction carries a StringDict. The first occurrence of
- * a string is sent as [u32 kNewString][string] and assigned the next
- * id; later occurrences are just [u32 id]. Encoder and decoder stay
- * in lockstep because both assign ids in arrival order; a duplicated
- * (retransmitted) frame replays its definition bytes, so defines are
- * idempotent on the decode side.
+ * Every payload has one fixed layout: a kHello always carries its
+ * wantResume flag and a kHelloAck its resume block (count 0 when
+ * empty). Every decoder rejects a payload with bytes left over after
+ * its last field.
  *
  * This header lives in net (not server) so the client side — used by
  * sim::Runner's remote mode — stays free of a dependency on sim.
@@ -70,10 +54,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
-#include "driftlog/drift_log.h"
+#include "obs/span.h"
 #include "persist/serial.h"
 
 namespace nazar::net {
@@ -132,49 +116,25 @@ class FrameParser
     size_t pos_ = 0;
 };
 
-/**
- * Per-direction string interning table. Symmetric: the encoder and
- * the decoder each hold one and assign ids in the same order.
- */
-class StringDict
-{
-  public:
-    /** Sentinel id introducing a not-yet-interned string. */
-    static constexpr uint32_t kNewString = 0xFFFFFFFFu;
-
-    /** Encode @p s as an id, defining it first when unknown. */
-    void encode(persist::Writer &w, const std::string &s);
-
-    /** Decode one dict-encoded string, learning new definitions. */
-    std::string decode(persist::Reader &r);
-
-    /** Distinct strings interned so far. */
-    size_t size() const { return strings_.size(); }
-
-    /** Occurrences encoded as a bare id (the bytes-saving case). */
-    uint64_t hits() const { return hits_; }
-
-  private:
-    std::unordered_map<std::string, uint32_t> ids_;
-    std::vector<std::string> strings_;
-    uint64_t hits_ = 0;
-};
-
-/** kIngest extension tags (see the extension-block format above). */
-inline constexpr uint8_t kExtTraceContext = 1;
-
 /** Old name of persist::IngestRecord, kept only because nazarbench/ is
  *  frozen (its runs stay comparable across commits) and still uses it. */
 using WireIngest = persist::IngestRecord;
 
+/** Bytes of the trace context that starts a kIngest payload. */
+inline constexpr size_t kTraceContextBytes = 16;
+
+/** One kIngest payload: @p ctx's ids, then @p m's WAL record bytes
+ *  (m.traceId/spanId are not read). */
+std::string encodeIngest(const persist::IngestRecord &m,
+                         obs::TraceContext ctx = {});
+
 /**
- * One kIngest payload. The trace ids are encoded only when
- * traceId != 0, so an untraced payload is byte-identical to the
- * extension-free format.
+ * Decode one kIngest payload into an owned record carrying the trace
+ * ids. Throws NazarError on a malformed record, on bytes after it,
+ * and on a device id outside [0, INT_MAX] (a negative id would be
+ * ingested without dedup).
  */
-std::string encodeIngest(const persist::IngestRecord &m, StringDict &dict);
-persist::IngestRecord decodeIngest(const std::string &payload,
-                                   StringDict &dict);
+persist::IngestRecord decodeIngest(std::string_view payload);
 
 /** One kAck payload. */
 struct WireAck
@@ -193,8 +153,7 @@ struct WireHello
     uint32_t protoVersion = kProtocolVersion;
     std::string clientName;
     /** Set on a reconnect handshake: asks the server for its dedup
-     *  high-water seqs so the client can reconcile what landed.
-     *  Encoded only when true (trailing optional — see above). */
+     *  high-water seqs so the client can reconcile what landed. */
     bool wantResume = false;
 };
 
@@ -213,7 +172,7 @@ struct WireHelloAck
      * for) per device the server knows about, from a live
      * dedupSnapshot(). With per-device monotone send order on an
      * ordered connection, seq <= highWater means that ingest landed.
-     * Encoded only when non-empty — answers to kHello.wantResume.
+     * Filled only in answer to kHello.wantResume.
      */
     std::vector<std::pair<int64_t, uint64_t>> resumeHighWater;
 };

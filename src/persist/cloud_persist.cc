@@ -359,6 +359,22 @@ decodeDeltaRecords(std::string_view payload)
     return records;
 }
 
+void
+putIngest(Writer &w, const IngestRecord &rec)
+{
+    uint8_t flags = 0;
+    if (rec.upload.has_value())
+        flags |= kFlagHasUpload;
+    if (rec.device >= 0)
+        flags |= kFlagFromDevice;
+    w.putU8(flags);
+    w.putI64(rec.device);
+    w.putU64(rec.seq);
+    putEntry(w, rec.entry);
+    if (rec.upload.has_value())
+        putUpload(w, *rec.upload);
+}
+
 IngestView
 viewIngest(std::string_view payload)
 {
@@ -376,7 +392,29 @@ viewIngest(std::string_view payload)
         const size_t end = payload.size() - r.remaining();
         in.upload = payload.substr(start, end - start);
     }
+    NAZAR_CHECK(r.atEnd(), "persist: trailing bytes in ingest record");
     return in;
+}
+
+IngestRecord
+getIngest(std::string_view payload)
+{
+    const IngestView in = viewIngest(payload);
+    IngestRecord rec;
+    rec.device = in.device;
+    rec.seq = in.seq;
+    rec.entry.time = in.entry.time;
+    rec.entry.deviceId = in.entry.deviceId;
+    rec.entry.deviceModel = in.entry.deviceModel;
+    rec.entry.location = in.entry.location;
+    rec.entry.weather = in.entry.weather;
+    rec.entry.modelVersion = in.entry.modelVersion;
+    rec.entry.drift = in.entry.drift;
+    if (in.upload.has_value()) {
+        Reader r(*in.upload);
+        rec.upload = getUpload(r);
+    }
+    return rec;
 }
 
 RecoveredState
@@ -454,17 +492,7 @@ std::string
 CloudPersistence::encodeIngest(const IngestRecord &rec)
 {
     Writer w;
-    uint8_t flags = 0;
-    if (rec.upload.has_value())
-        flags |= kFlagHasUpload;
-    if (rec.device >= 0)
-        flags |= kFlagFromDevice;
-    w.putU8(flags);
-    w.putI64(rec.device);
-    w.putU64(rec.seq);
-    putEntry(w, rec.entry);
-    if (rec.upload.has_value())
-        putUpload(w, *rec.upload);
+    putIngest(w, rec);
     return w.take();
 }
 

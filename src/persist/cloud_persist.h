@@ -119,6 +119,16 @@ RecoveredState recoverDir(const std::filesystem::path &dir,
                           size_t dedup_window = 4096);
 
 /**
+ * Write one ingest attempt's record bytes: the WAL's kIngest payload,
+ * and the bytes the wire's kIngest payload carries after its trace
+ * context. The trace ids are not written.
+ *
+ *     [u8 flags: 1 = has upload, 2 = from device]
+ *     [i64 device][u64 seq][entry][upload, when present]
+ */
+void putIngest(Writer &w, const IngestRecord &rec);
+
+/**
  * One kIngest payload decoded in place (viewIngest): every field, with
  * the strings and the upload left as views into the payload.
  */
@@ -133,14 +143,17 @@ struct IngestView
 };
 
 /**
- * Decode one kIngest payload (CloudPersistence::encodeIngest's bytes)
- * without materializing it: every check the materializing decode runs
- * — bounds, string lengths, Value tags, the feature count, and the
- * device flag against the device's sign — runs here, and nothing is
- * allocated. Throws NazarError on exactly the payloads that decode
- * throws on. The views borrow @p payload.
+ * Decode one kIngest payload (putIngest's bytes) without
+ * materializing it: every check the materializing decode runs —
+ * bounds, string lengths, Value tags, the feature count, the device
+ * flag against the device's sign, and no bytes after the last field —
+ * runs here, and nothing is allocated. Throws NazarError on exactly
+ * the payloads that decode throws on. The views borrow @p payload.
  */
 IngestView viewIngest(std::string_view payload);
+
+/** viewIngest's record copied out of @p payload (trace ids zero). */
+IngestRecord getIngest(std::string_view payload);
 
 /**
  * Encode WAL records as a delta-snapshot payload. A delta archives
@@ -198,13 +211,8 @@ class CloudPersistence
     /** Free the recovered buffers once the owner has adopted them. */
     void dropRecovered() { recovered_ = RecoveredState{}; }
 
-    /**
-     * Encode one ingest attempt as a kIngest payload for
-     * logIngestBatch (the trace ids are not written):
-     *
-     *     [u8 flags: 1 = has upload, 2 = from device]
-     *     [i64 device][u64 seq][entry][upload, when present]
-     */
+    /** One ingest attempt's kIngest payload (putIngest's bytes) for
+     *  logIngestBatch. */
     static std::string encodeIngest(const IngestRecord &rec);
 
     /**

@@ -194,8 +194,7 @@ class Reader
                                 static_cast<size_t>(n));
     }
 
-    /** Advance past @p n bytes without decoding them (bounds-checked).
-     *  Lets decoders step over unknown forward-compat fields. */
+    /** Advance past @p n bytes without decoding them (bounds-checked). */
     void skip(size_t n) { need(n); }
 
     size_t remaining() const { return len_ - pos_; }
@@ -301,8 +300,8 @@ struct IngestRecord
     uint64_t seq = 0;
     driftlog::DriftLogEntry entry;
     std::optional<UploadRecord> upload;
-    /** Causal trace context (obs::TraceContext ids; 0 = untraced).
-     *  Carried on the wire only, never written to the WAL. */
+    /** Causal trace context (obs::TraceContext ids; 0 = untraced):
+     *  set by the server's kIngest decode, never written to the WAL. */
     uint64_t traceId = 0;
     uint64_t spanId = 0;
 };

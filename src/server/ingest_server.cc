@@ -304,8 +304,7 @@ IngestServer::readerLoop(std::shared_ptr<Conn> conn)
                 item.kind = WorkItem::Kind::kIngest;
                 static obs::SpanSite decodeSite("server.read.decode");
                 auto t0 = std::chrono::steady_clock::now();
-                item.ingest =
-                    net::decodeIngest(frame->payload, conn->dict);
+                item.ingest = net::decodeIngest(frame->payload);
                 obs::recordSpan(decodeSite, t0,
                                 std::chrono::steady_clock::now(),
                                 ingestContext(item.ingest));

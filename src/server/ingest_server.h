@@ -9,9 +9,7 @@
  *   accept thread   one; hands each connection a reader thread.
  *   reader threads  one per connection. Owns the receive side: does
  *                   the kHello/kHelloAck handshake, decodes frames
- *                   with the connection's StringDict (reader-only
- *                   state), and enqueues WorkItems. Never touches the
- *                   Cloud.
+ *                   and enqueues WorkItems. Never touches the Cloud.
  *   committer       one. Sole consumer of the queue and SOLE writer
  *                   into the Cloud — this is the single-writer
  *                   contract Cloud::ingestBatchFrom requires for its
@@ -71,7 +69,7 @@
  * drift-log append, WAL encode, write and sync), `server.ack` (commit
  * end → end of the write that carried the item's ack) — recorded per
  * item into obs histograms, parented to the trace context the frame
- * carried (net/wire.h kExtTraceContext) when present. The reader
+ * carried (the kIngest payload's leading ids) when nonzero. The reader
  * decodes straight into the persist::IngestRecord the cloud and the
  * WAL take, so nothing is converted on the committer. The batch stage
  * (commit) is observed once per item at the batch's interval: every
@@ -207,8 +205,6 @@ class IngestServer
     struct Conn
     {
         net::TcpStream stream;
-        /** Decode-side interning table; reader thread only. */
-        net::StringDict dict;
         uint64_t id = 0;
         std::thread reader;
         /** Serializes socket writes: committer replies vs the

@@ -60,8 +60,6 @@ struct ClientOutcome
 {
     net::ClientStats stats;
     std::vector<double> latenciesMs;
-    uint64_t dictStrings = 0;
-    uint64_t dictHits = 0;
     bool reconciled = false;
     std::string error;
 };
@@ -106,8 +104,6 @@ driveClient(const LoadConfig &config, int index, std::latch &connected,
         net::WireByeAck bye = client.bye();
         (void)bye;
         out.stats = client.stats();
-        out.dictStrings = client.dictStrings();
-        out.dictHits = client.dictHits();
         out.reconciled =
             out.stats.acksAccepted == out.stats.sent &&
             out.stats.acksRejected == out.stats.duplicates;
@@ -150,8 +146,6 @@ runLoad(const LoadConfig &config)
         total.duplicates += out.stats.duplicates;
         total.acksAccepted += out.stats.acksAccepted;
         total.acksRejected += out.stats.acksRejected;
-        total.dictStrings += out.dictStrings;
-        total.dictHits += out.dictHits;
         total.reconnects += out.stats.reconnects;
         total.resent += out.stats.resent;
         total.resumedLanded += out.stats.resumedLanded;

@@ -3,9 +3,8 @@
  * Multi-client load generator for the ingest server: N threads each
  * drive one IngestClient with a deterministic synthetic event stream
  * (unique device ids, monotone sequence numbers, repeating string
- * pools so the dictionary has something to intern), optionally
- * through the socket chaos layer, then reconcile counters via
- * kBye/kByeAck. Every client completes its handshake before any
+ * pools), optionally through the socket chaos layer, then reconcile
+ * counters via kBye/kByeAck. Every client completes its handshake before any
  * client sends its first event.
  *
  * Reconciliation invariant (unique (device, seq) pairs): every
@@ -78,8 +77,6 @@ struct LoadStats
     uint64_t duplicates = 0;
     uint64_t acksAccepted = 0;
     uint64_t acksRejected = 0;
-    uint64_t dictStrings = 0; ///< Summed over clients.
-    uint64_t dictHits = 0;    ///< Interned (bytes-saving) occurrences.
     uint64_t reconnects = 0;  ///< Session-layer reconnect handshakes.
     uint64_t resent = 0;      ///< Frames retransmitted after resume.
     uint64_t resumedLanded = 0; ///< Credited landed via resume seqs.

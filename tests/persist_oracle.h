@@ -80,7 +80,8 @@ struct SetDedupWindow
  * Decode one kIngest payload the materializing way, as recovery did
  * before it decoded records in place: the flags, the device (whose
  * sign must agree with the from-device flag), the seq, then the entry
- * field by field and getUpload into owned strings and vectors.
+ * field by field and getUpload into owned strings and vectors, and no
+ * byte after the last field.
  */
 inline IngestRecord
 decodeIngest(std::string_view payload)
@@ -102,6 +103,7 @@ decodeIngest(std::string_view payload)
     rec.entry.drift = r.getBool();
     if (flags & 1)
         rec.upload = getUpload(r);
+    NAZAR_CHECK(r.atEnd(), "oracle: trailing bytes in ingest record");
     return rec;
 }
 

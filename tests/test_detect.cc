@@ -102,17 +102,6 @@ TEST(Detectors, ScoresOrderConsistently)
     EXPECT_GT(ene.score(confident), ene.score(uncertain));
 }
 
-TEST(Detector, DetectBatchMatchesPerRow)
-{
-    MspDetector det(0.9);
-    nn::Matrix logits =
-        nn::Matrix::fromRows({{0.0, 0.0}, {10.0, 0.0}});
-    auto flags = det.detectBatch(logits);
-    ASSERT_EQ(flags.size(), 2u);
-    EXPECT_TRUE(flags[0]);
-    EXPECT_FALSE(flags[1]);
-}
-
 TEST(KsStatistic, IdenticalSamplesGiveZero)
 {
     std::vector<double> a = {1, 2, 3, 4, 5};

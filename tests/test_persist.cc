@@ -1551,13 +1551,46 @@ TEST_F(ReplaySkipTest, BrokenChainIsRefusedAndTheWalLeftAlone)
     }
 }
 
+TEST_F(ReplaySkipTest, IngestRecordWithATrailingByteIsRefused)
+{
+    // A kIngest payload one byte longer than putIngest wrote is
+    // refused in place, by the oracle, and by recovery of a live WAL
+    // holding it, as every other record decoder refuses trailing
+    // bytes.
+    const IngestRecord rec{2, 5, script::entry(4), script::upload(4)};
+    const std::string good = CloudPersistence::encodeIngest(rec);
+    ASSERT_TRUE(rec.upload.has_value());
+    for (const char extra : {'\0', '\x01', 'x'}) {
+        const std::string bad = good + extra;
+        EXPECT_THROW(viewIngest(bad), NazarError);
+        EXPECT_THROW(oracle::decodeIngest(bad), NazarError);
+    }
+    TempDir ok_dir("trailing_ok");
+    TempDir bad_dir("trailing_bad");
+    {
+        Wal ok(ok_dir.path / "wal.log");
+        ok.append(WalRecordType::kIngest, good);
+        Wal bad(bad_dir.path / "wal.log");
+        bad.append(WalRecordType::kIngest, good);
+        bad.append(WalRecordType::kIngest,
+                   CloudPersistence::encodeIngest(
+                       {3, 1, script::entry(5), std::nullopt}) +
+                       '\0');
+    }
+    EXPECT_EQ(recoverDir(ok_dir.path, kWindow).totalIngested, 1u);
+    EXPECT_THROW(recoverDir(bad_dir.path, kWindow), NazarError);
+    PersistConfig config;
+    config.dir = bad_dir.path.string();
+    EXPECT_THROW(CloudPersistence(config, kWindow), NazarError);
+}
+
 TEST_F(ReplaySkipTest, CorruptElidedRecordIsRefused)
 {
     // Replay decodes an ingest record a later cycle commit clears in
     // place and builds nothing from it, but runs every check. A delta
     // whose elided record is corrupt, with the chain file's CRC
     // recomputed so it loads, must still be refused.
-    for (int corruption = 0; corruption < 3; ++corruption) {
+    for (int corruption = 0; corruption < 4; ++corruption) {
         SCOPED_TRACE("corruption " + std::to_string(corruption));
         ScriptedDir sd("elided_corrupt_" + std::to_string(corruption));
         sd.full();
@@ -1585,6 +1618,9 @@ TEST_F(ReplaySkipTest, CorruptElidedRecordIsRefused)
             break;
           case 1: // the upload's last byte is gone
             bad.pop_back();
+            break;
+          case 2: // one byte after the upload's last field
+            bad.push_back('\0');
             break;
           default: { // the first context Value's tag is unknown
             // flags, device, seq, day, second, model version, drift,

@@ -2,19 +2,23 @@
  * @file
  * Tests for the ingest wire protocol: frame encode/parse round-trips
  * under arbitrary chunking, corrupt-frame rejection (truncation, CRC,
- * oversize, unknown type), string-dictionary lockstep and idempotent
- * re-defines, and the interned kIngest payload codec.
+ * oversize, unknown type), the kIngest payload (trace context plus the
+ * WAL's record bytes), and payload decoders that either decode or
+ * throw NazarError on any input.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <exception>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
 #include "net/wire.h"
+#include "persist/cloud_persist.h"
 
 namespace nazar::net {
 namespace {
@@ -123,61 +127,6 @@ TEST(FrameParser, UnknownMessageTypeIsRejected)
     EXPECT_THROW(parser.next(), NazarError);
 }
 
-TEST(StringDict, EncoderAndDecoderStayInLockstep)
-{
-    StringDict enc, dec;
-    std::vector<std::string> sends = {"park", "rain", "park", "fog",
-                                      "rain", "park"};
-    for (const auto &s : sends) {
-        persist::Writer w;
-        enc.encode(w, s);
-        std::string bytes = w.take();
-        persist::Reader r(bytes);
-        EXPECT_EQ(dec.decode(r), s);
-    }
-    EXPECT_EQ(enc.size(), 3u);
-    EXPECT_EQ(dec.size(), 3u);
-    EXPECT_EQ(enc.hits(), 3u); // the three repeats went as bare ids
-}
-
-TEST(StringDict, RedefineIsIdempotentSoDuplicatedFramesCannotDesync)
-{
-    // A chaos-duplicated frame replays its kNewString definition
-    // bytes. The decoder must not intern the string twice, or every
-    // id assigned afterwards would be off by one from the encoder's.
-    StringDict enc, dec;
-    persist::Writer w1;
-    enc.encode(w1, "park"); // defines id 0
-    std::string define = w1.take();
-    for (int replay = 0; replay < 2; ++replay) {
-        persist::Reader r(define);
-        EXPECT_EQ(dec.decode(r), "park");
-    }
-    EXPECT_EQ(dec.size(), 1u);
-    // The next definition must land on the same id on both sides.
-    persist::Writer w2;
-    enc.encode(w2, "fog"); // defines id 1
-    std::string define_fog = w2.take();
-    persist::Reader r2(define_fog);
-    EXPECT_EQ(dec.decode(r2), "fog");
-    persist::Writer w3;
-    enc.encode(w3, "fog"); // bare id 1
-    std::string bare = w3.take();
-    persist::Reader r3(bare);
-    EXPECT_EQ(dec.decode(r3), "fog");
-    EXPECT_EQ(bare.size(), 4u); // just the u32 id
-}
-
-TEST(StringDict, OutOfRangeIdIsRejected)
-{
-    StringDict dec;
-    persist::Writer w;
-    w.putU32(5); // no strings interned yet
-    std::string bytes = w.take();
-    persist::Reader r(bytes);
-    EXPECT_THROW(dec.decode(r), NazarError);
-}
-
 persist::IngestRecord
 sampleIngest(bool with_upload)
 {
@@ -203,97 +152,66 @@ sampleIngest(bool with_upload)
     return m;
 }
 
-TEST(WireIngest, RoundTripsThroughTheDictIncludingNaN)
+TEST(WireIngest, RoundTripsIncludingNaN)
 {
-    StringDict enc, dec;
     for (bool with_upload : {true, false}) {
         persist::IngestRecord in = sampleIngest(with_upload);
-        std::string bytes = encodeIngest(in, enc);
-        persist::IngestRecord out = decodeIngest(bytes, dec);
+        persist::IngestRecord out = decodeIngest(encodeIngest(in));
         EXPECT_EQ(out.device, in.device);
         EXPECT_EQ(out.seq, in.seq);
         EXPECT_EQ(out.entry.time.dayIndex(), 33);
         EXPECT_EQ(out.entry.time.secondOfDay(), 4521);
         EXPECT_EQ(out.entry.deviceId, "android_42");
+        EXPECT_EQ(out.entry.deviceModel, "pixel-4");
+        EXPECT_EQ(out.entry.location, "harbor");
         EXPECT_EQ(out.entry.weather, "snow");
         EXPECT_EQ(out.entry.modelVersion, 3);
         EXPECT_TRUE(out.entry.drift);
+        EXPECT_EQ(out.traceId, 0u);
+        EXPECT_EQ(out.spanId, 0u);
         ASSERT_EQ(out.upload.has_value(), with_upload);
         if (with_upload) {
             ASSERT_EQ(out.upload->features.size(), 4u);
             EXPECT_DOUBLE_EQ(out.upload->features[0], 0.25);
             EXPECT_TRUE(std::isnan(out.upload->features[2]));
-            EXPECT_EQ(out.upload->context.size(), 2u);
+            EXPECT_EQ(out.upload->context, in.upload->context);
             EXPECT_TRUE(out.upload->driftFlag);
         }
     }
-    // Second encode of the same strings is all bare ids: smaller.
-    StringDict enc2;
-    std::string first = encodeIngest(sampleIngest(true), enc2);
-    std::string second = encodeIngest(sampleIngest(true), enc2);
-    EXPECT_LT(second.size(), first.size());
 }
 
-TEST(WireIngest, TraceContextRoundTripsAndZeroIdsStayByteIdentical)
+TEST(WireIngest, RecordBytesAreTheWalPayload)
 {
-    // With a trace context, the ids survive the round trip.
-    StringDict enc, dec;
+    // [u64 traceId][u64 spanId] then exactly what the WAL stores for
+    // the record, traced or not; the record's own trace fields are
+    // never encoded.
+    for (bool with_upload : {true, false}) {
+        persist::IngestRecord in = sampleIngest(with_upload);
+        const std::string wal = persist::CloudPersistence::encodeIngest(in);
+        in.traceId = 77;
+        in.spanId = 78;
+        for (obs::TraceContext ctx :
+             {obs::TraceContext{}, obs::TraceContext{0x1122334455667788u,
+                                                      0x99}}) {
+            const std::string bytes = encodeIngest(in, ctx);
+            ASSERT_EQ(bytes.size(), kTraceContextBytes + wal.size());
+            EXPECT_EQ(bytes.substr(kTraceContextBytes), wal);
+            persist::Reader r(bytes);
+            EXPECT_EQ(r.getU64(), ctx.traceId);
+            EXPECT_EQ(r.getU64(), ctx.spanId);
+        }
+    }
+}
+
+TEST(WireIngest, TraceContextRoundTrips)
+{
     persist::IngestRecord in = sampleIngest(true);
-    in.traceId = 0xDEADBEEFCAFEF00DULL;
-    in.spanId = 42;
-    std::string bytes = encodeIngest(in, enc);
-    persist::IngestRecord out = decodeIngest(bytes, dec);
-    EXPECT_EQ(out.traceId, in.traceId);
-    EXPECT_EQ(out.spanId, in.spanId);
+    persist::IngestRecord out =
+        decodeIngest(encodeIngest(in, {0xDEADBEEFCAFEF00DULL, 42}));
+    EXPECT_EQ(out.traceId, 0xDEADBEEFCAFEF00DULL);
+    EXPECT_EQ(out.spanId, 42u);
     EXPECT_EQ(out.device, in.device);
     EXPECT_EQ(out.seq, in.seq);
-
-    // With no context (traceId == 0) the encoding is byte-identical
-    // to the pre-extension format — tracing off cannot change what
-    // goes on the wire — and decodes with zero ids.
-    StringDict enc2, enc3, dec2;
-    std::string plain = encodeIngest(sampleIngest(true), enc2);
-    persist::IngestRecord zero = sampleIngest(true);
-    zero.traceId = 0;
-    zero.spanId = 99; // ignored without a trace id
-    EXPECT_EQ(encodeIngest(zero, enc3), plain);
-    persist::IngestRecord plain_out = decodeIngest(plain, dec2);
-    EXPECT_EQ(plain_out.traceId, 0u);
-    EXPECT_EQ(plain_out.spanId, 0u);
-}
-
-TEST(WireIngest, UnknownExtensionTagsAreSkippedForwardCompatibly)
-{
-    // A newer peer may append extension tags this build has never
-    // heard of; the decoder must skip them by length and still pick
-    // out the trace context.
-    StringDict enc, dec;
-    std::string base = encodeIngest(sampleIngest(false), enc);
-    persist::Writer w;
-    w.putBytes(base.data(), base.size());
-    w.putU8(2); // two extensions
-    w.putU8(7); // unknown tag
-    w.putU32(3);
-    w.putBytes("abc", 3);
-    w.putU8(kExtTraceContext);
-    w.putU32(16);
-    w.putU64(1234);
-    w.putU64(5678);
-    persist::IngestRecord out = decodeIngest(w.take(), dec);
-    EXPECT_EQ(out.device, 42);
-    EXPECT_EQ(out.traceId, 1234u);
-    EXPECT_EQ(out.spanId, 5678u);
-
-    // An extension length pointing past the frame end must throw, not
-    // read out of bounds.
-    StringDict enc2, dec2;
-    std::string base2 = encodeIngest(sampleIngest(false), enc2);
-    persist::Writer bad;
-    bad.putBytes(base2.data(), base2.size());
-    bad.putU8(1);
-    bad.putU8(7);
-    bad.putU32(1000); // but no bytes follow
-    EXPECT_THROW(decodeIngest(bad.take(), dec2), NazarError);
 }
 
 TEST(WireIngest, DeviceIdOutsideTheDedupKeyRangeIsRejected)
@@ -301,29 +219,42 @@ TEST(WireIngest, DeviceIdOutsideTheDedupKeyRangeIsRejected)
     for (int64_t device : {int64_t{-1}, int64_t{1} << 40}) {
         persist::IngestRecord in = sampleIngest(false);
         in.device = device;
-        StringDict enc;
-        StringDict dec;
-        EXPECT_THROW(decodeIngest(encodeIngest(in, enc), dec), NazarError)
+        EXPECT_THROW(decodeIngest(encodeIngest(in)), NazarError)
             << "device " << device;
     }
 }
 
 TEST(WireIngest, TrailingBytesAndTruncationAreRejected)
 {
-    StringDict enc;
-    std::string bytes = encodeIngest(sampleIngest(true), enc);
-    {
-        StringDict dec;
-        std::string trailing = bytes + "x";
-        EXPECT_THROW(decodeIngest(trailing, dec), NazarError);
-    }
-    {
-        // Truncating mid-upload leaves a feature count larger than the
-        // remaining bytes; the guard must catch it before allocating.
-        StringDict dec;
-        std::string cut = bytes.substr(0, bytes.size() - 9);
-        EXPECT_THROW(decodeIngest(cut, dec), NazarError);
-    }
+    std::string bytes = encodeIngest(sampleIngest(true));
+    EXPECT_THROW(decodeIngest(bytes + "x"), NazarError);
+    // Truncating mid-upload leaves a feature count larger than the
+    // remaining bytes; the guard must catch it before allocating.
+    EXPECT_THROW(decodeIngest(bytes.substr(0, bytes.size() - 9)),
+                 NazarError);
+    // Shorter than the trace context.
+    EXPECT_THROW(decodeIngest(bytes.substr(0, kTraceContextBytes - 1)),
+                 NazarError);
+}
+
+TEST(WireIngest, OverflowingFeatureCountThrowsNazarError)
+{
+    // A feature count whose byte size wraps around 2^64 (2^61 + 1
+    // features of 8 bytes "need" 8 bytes) must be refused as a
+    // malformed payload, not reach a vector reserve that throws
+    // std::length_error past the server's NazarError handler.
+    persist::IngestRecord in = sampleIngest(false);
+    persist::Writer w;
+    w.putU64(0);
+    w.putU64(0);
+    w.putU8(3); // has upload, from device
+    w.putI64(in.device);
+    w.putU64(in.seq);
+    persist::putEntry(w, in.entry);
+    w.putU64((uint64_t{1} << 61) + 1);
+    w.putF64(1.0);
+    w.putF64(2.0);
+    EXPECT_THROW(decodeIngest(w.take()), NazarError);
 }
 
 TEST(WireMessages, ControlPayloadsRoundTrip)
@@ -370,30 +301,30 @@ TEST(WireMessages, ControlPayloadsRoundTrip)
     EXPECT_EQ(bye2.dedupHits, 4u);
 }
 
-TEST(WireMessages, ResumeFieldsRoundTripAndAddNoBytesWhenAbsent)
+TEST(WireMessages, ResumeFieldsRoundTripInAFixedLayout)
 {
-    // wantResume survives the round trip; absent it costs zero bytes
-    // (trailing optional: a fresh session's kHello is byte-identical
-    // to the pre-resume protocol).
+    // wantResume is always one byte, so the flag changes no offset.
     WireHello plain;
     plain.clientName = "runner";
     WireHello resume = plain;
     resume.wantResume = true;
     std::string plain_bytes = encodeHello(plain);
     std::string resume_bytes = encodeHello(resume);
-    EXPECT_EQ(plain_bytes.size() + 1, resume_bytes.size());
-    EXPECT_EQ(resume_bytes.substr(0, plain_bytes.size()), plain_bytes);
+    EXPECT_EQ(plain_bytes.size(), resume_bytes.size());
     EXPECT_FALSE(decodeHello(plain_bytes).wantResume);
     EXPECT_TRUE(decodeHello(resume_bytes).wantResume);
 
-    // The kHelloAck resume block: round trip, and empty == absent.
+    // The kHelloAck resume block: round trip, and an empty block is a
+    // count of 0.
     WireHelloAck ack;
     ack.cleanPatchText = "patch";
     WireHelloAck with = ack;
     with.resumeHighWater = {{1000, 57}, {-3, 9}};
     std::string ack_bytes = encodeHelloAck(ack);
     std::string with_bytes = encodeHelloAck(with);
-    EXPECT_EQ(with_bytes.substr(0, ack_bytes.size()), ack_bytes);
+    EXPECT_EQ(with_bytes.size(), ack_bytes.size() + 2 * 16);
+    EXPECT_EQ(ack_bytes.substr(ack_bytes.size() - 4),
+              std::string(4, '\0'));
     WireHelloAck out = decodeHelloAck(with_bytes);
     ASSERT_EQ(out.resumeHighWater.size(), 2u);
     EXPECT_EQ(out.resumeHighWater[0],
@@ -401,11 +332,14 @@ TEST(WireMessages, ResumeFieldsRoundTripAndAddNoBytesWhenAbsent)
     EXPECT_EQ(out.resumeHighWater[1],
               (std::pair<int64_t, uint64_t>(-3, 9)));
     EXPECT_TRUE(decodeHelloAck(ack_bytes).resumeHighWater.empty());
+    // Without the count the payload is truncated, not resume-free.
+    EXPECT_THROW(decodeHelloAck(ack_bytes.substr(0, ack_bytes.size() - 4)),
+                 NazarError);
 
     // A resume-block count larger than the frame must throw, not
     // reserve gigabytes.
     persist::Writer bad;
-    bad.putBytes(ack_bytes.data(), ack_bytes.size());
+    bad.putBytes(ack_bytes.data(), ack_bytes.size() - 4);
     bad.putU32(0x00FFFFFFu); // claims ~16M entries, no bytes follow
     EXPECT_THROW(decodeHelloAck(bad.take()), NazarError);
 
@@ -415,8 +349,7 @@ TEST(WireMessages, ResumeFieldsRoundTripAndAddNoBytesWhenAbsent)
 }
 
 // Every decoder rejects one byte appended after its last field; each
-// message is encoded with all its trailing optionals present, so the
-// extra byte cannot read as one of them.
+// message is encoded with its optional fields present.
 TEST(WireMessages, HelloRejectsTrailingBytes)
 {
     WireHello hello;
@@ -497,13 +430,11 @@ TEST(FrameParser, FuzzRegressionThrowsButNeverCrashesOrHangs)
 
     // 2. A valid three-frame stream with one random bit flipped —
     // corruption in the length, the CRC, the type, or the body.
-    StringDict enc;
     WireHello hello;
     hello.clientName = "fuzz";
     std::string stream =
         encodeFrame(MsgType::kHello, encodeHello(hello)) +
-        encodeFrame(MsgType::kIngest,
-                    encodeIngest(sampleIngest(true), enc)) +
+        encodeFrame(MsgType::kIngest, encodeIngest(sampleIngest(true))) +
         encodeFrame(MsgType::kAck, encodeAck(WireAck{1, 2, true}));
     for (int round = 0; round < 256; ++round) {
         std::string flipped = stream;
@@ -537,9 +468,8 @@ TEST(FrameParser, FuzzRegressionThrowsButNeverCrashesOrHangs)
     for (int round = 0; round < 128; ++round) {
         std::string payload = randomBytes(
             static_cast<size_t>(rng.uniformInt(0, 200)));
-        StringDict dict;
         try {
-            decodeIngest(payload, dict);
+            decodeIngest(payload);
         } catch (const NazarError &) {
         }
         try {
@@ -565,6 +495,65 @@ TEST(FrameParser, FuzzRegressionThrowsButNeverCrashesOrHangs)
         try {
             decodeBusy(payload);
         } catch (const NazarError &) {
+        }
+    }
+}
+
+/**
+ * Run @p decode on @p bytes; true when it decoded, false when it threw
+ * NazarError. Any other exception fails the test with @p what.
+ */
+template <typename Decode>
+bool
+decodesOrThrowsNazarError(Decode &&decode, const std::string &bytes,
+                          const std::string &what)
+{
+    try {
+        decode(bytes);
+        return true;
+    } catch (const NazarError &) {
+        return false;
+    } catch (const std::exception &e) {
+        ADD_FAILURE() << what << ": " << e.what();
+        return false;
+    }
+}
+
+TEST(WireDecoders, EveryPrefixAndByteOverwriteDecodesOrThrowsNazarError)
+{
+    // A kIngest with an upload (a NaN feature, a two-attribute
+    // context) and a kHelloAck with a resume block: every proper
+    // prefix is refused (fixed layouts have no optional tail), and
+    // every single byte overwritten with 0x00 or 0xFF either decodes
+    // or throws NazarError, never another exception type.
+    WireHelloAck ack;
+    ack.cleanPatchText = "patch";
+    ack.cleanPatchTime = 9;
+    ack.resumeHighWater = {{1000, 57}, {3, 9}};
+    using Decode = void (*)(const std::string &);
+    const std::vector<std::tuple<const char *, std::string, Decode>>
+        cases = {
+            {"kIngest", encodeIngest(sampleIngest(true), {5, 6}),
+             [](const std::string &b) { (void)decodeIngest(b); }},
+            {"kHelloAck", encodeHelloAck(ack),
+             [](const std::string &b) { (void)decodeHelloAck(b); }},
+        };
+    for (const auto &[name, bytes, decode] : cases) {
+        SCOPED_TRACE(name);
+        ASSERT_TRUE(decodesOrThrowsNazarError(decode, bytes, "valid"));
+        for (size_t n = 0; n < bytes.size(); ++n)
+            EXPECT_FALSE(decodesOrThrowsNazarError(
+                decode, bytes.substr(0, n),
+                "prefix " + std::to_string(n)));
+        for (size_t at = 0; at < bytes.size(); ++at) {
+            for (char value : {'\x00', '\xff'}) {
+                std::string mutant = bytes;
+                mutant[at] = value;
+                decodesOrThrowsNazarError(
+                    decode, mutant,
+                    "byte " + std::to_string(at) + " = " +
+                        std::to_string(static_cast<uint8_t>(value)));
+            }
         }
     }
 }

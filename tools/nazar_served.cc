@@ -148,11 +148,9 @@ printLoadStats(const server::LoadStats &stats,
                bool print_reconciled = true)
 {
     std::printf("LOADGEN sent=%zu accepted=%zu rejected=%zu "
-                "gaveUp=%zu duplicates=%zu retries=%zu "
-                "dictStrings=%zu dictHits=%zu\n",
+                "gaveUp=%zu duplicates=%zu retries=%zu\n",
                 stats.sent, stats.acksAccepted, stats.acksRejected,
-                stats.gaveUp, stats.duplicates, stats.retries,
-                stats.dictStrings, stats.dictHits);
+                stats.gaveUp, stats.duplicates, stats.retries);
     std::printf("LOADGEN eventsPerSec=%.0f p50Ms=%.3f p99Ms=%.3f\n",
                 stats.eventsPerSec, stats.p50Ms, stats.p99Ms);
     std::printf("LOADGEN reconnects=%zu resent=%zu resumedLanded=%zu "
